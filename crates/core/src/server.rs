@@ -26,15 +26,16 @@ use crate::calib::orientation::OrientationCalibration;
 use crate::estimator::{Estimate2D, Estimate3D, EstimateAided, EstimatorConfig};
 use crate::locate::aided::ResolvedFix;
 use crate::locate::plane::{Bearing2D, Fix2D};
-use crate::locate::space::{Bearing3D, Fix3D};
+use crate::locate::space::Fix3D;
 use crate::locate::LocateError;
 use crate::registry::TagRegistry;
+use crate::session::pipeline::{self, TwoD};
 use crate::session::quarantine::{IngestPolicy, QualityGate};
-use crate::session::{pipeline, window::WindowConfig, ReaderSession, SessionManager};
+use crate::session::{window::WindowConfig, ReaderSession, SessionManager};
 use crate::snapshot::{SnapshotError, SnapshotSet};
 use crate::spectrum::engine::{SpectrumEngine, SpectrumEngineConfig};
 use crate::spectrum::incremental::IncrementalPolicy;
-use crate::spectrum::{ProfileKind, Spectrum2D, SpectrumConfig};
+use crate::spectrum::{ProfileKind, SpectrumConfig};
 use crate::spinning::DiskConfig;
 use std::fmt;
 use std::sync::Arc;
@@ -288,66 +289,17 @@ impl LocalizationServer {
         Ok(pipeline::checked_calibrated(tag, &set, &self.config)?.into_owned())
     }
 
-    /// Compute the 2D bearing (and its full spectrum) for one registered
-    /// tag — the diagnostic entry point. The bearing comes from the
-    /// engine's coarse-to-fine peak search (hybrid: enhanced detection,
-    /// traditional refinement); the returned spectrum is the full grid of
-    /// the configured profile. [`LocalizationServer::bearing_2d_peak`] is
-    /// the fast path when the spectrum itself is not needed.
+    /// Compute the 2D bearing for one registered tag without materializing
+    /// the full spectrum: the engine's coarse-to-fine peak search (hybrid:
+    /// enhanced detection, traditional refinement).
     ///
     /// # Errors
     ///
     /// [`ServerError::UnknownTag`] plus the snapshot-stage errors.
-    pub fn bearing_2d(
-        &self,
-        log: &InventoryLog,
-        epc: u128,
-    ) -> Result<(Bearing2D, Spectrum2D), ServerError> {
-        let tag = self.lookup(epc)?;
-        let set = SnapshotSet::from_log(log, tag.epc, &tag.disk).map_err(ServerError::Snapshot)?;
-        let set = pipeline::checked_calibrated(tag, &set, &self.config)?;
-        let spec = self.engine.spectrum_2d(
-            &set,
-            tag.disk.radius,
-            self.config.profile,
-            &self.config.spectrum,
-            &self.config.engine,
-        );
-        let peak = self
-            .engine
-            .peak_2d(
-                &set,
-                tag.disk.radius,
-                self.config.profile,
-                &self.config.spectrum,
-                &self.config.engine,
-            )
-            .ok_or(ServerError::EmptySpectrum { epc: tag.epc })?;
-        Ok((Bearing2D::from_peak(tag.disk.center.xy(), &peak), spec))
-    }
-
-    /// Compute the 2D bearing for one registered tag without materializing
-    /// the full spectrum — the coarse-to-fine fast path used by
-    /// [`LocalizationServer::locate_2d`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LocalizationServer::bearing_2d`].
     pub fn bearing_2d_peak(&self, log: &InventoryLog, epc: u128) -> Result<Bearing2D, ServerError> {
-        let tag = self.lookup(epc)?;
+        let tag = self.registry.get(epc).ok_or(ServerError::UnknownTag(epc))?;
         let set = SnapshotSet::from_log(log, tag.epc, &tag.disk).map_err(ServerError::Snapshot)?;
-        pipeline::bearing_2d(&self.engine, tag, &self.config, &set)
-    }
-
-    /// Compute the 3D bearing for one registered tag.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LocalizationServer::bearing_2d`].
-    pub fn bearing_3d(&self, log: &InventoryLog, epc: u128) -> Result<Bearing3D, ServerError> {
-        let tag = self.lookup(epc)?;
-        let set = SnapshotSet::from_log(log, tag.epc, &tag.disk).map_err(ServerError::Snapshot)?;
-        pipeline::bearing_3d(&self.engine, tag, &self.config, &set)
+        pipeline::bearing::<TwoD>(&self.engine, tag, &self.config, &set)
     }
 
     /// End-to-end 2D localization of the reader that produced `log`.
@@ -360,9 +312,7 @@ impl LocalizationServer {
     ///
     /// [`ServerError::NotEnoughBearings`] / [`ServerError::Locate`].
     pub fn locate_2d(&self, log: &InventoryLog) -> Result<Fix2D, ServerError> {
-        let mut session = self.session(WindowConfig::unbounded());
-        session.ingest_log(log);
-        session.fix_2d()
+        self.one_shot(log, ReaderSession::fix_2d)
     }
 
     /// End-to-end 3D localization.
@@ -371,9 +321,7 @@ impl LocalizationServer {
     ///
     /// Same as [`LocalizationServer::locate_2d`].
     pub fn locate_3d(&self, log: &InventoryLog) -> Result<Fix3D, ServerError> {
-        let mut session = self.session(WindowConfig::unbounded());
-        session.ingest_log(log);
-        session.fix_3d()
+        self.one_shot(log, ReaderSession::fix_3d)
     }
 
     /// Ambiguity-resolving 3D localization using each disk's *own*
@@ -389,9 +337,7 @@ impl LocalizationServer {
     ///
     /// Same as [`LocalizationServer::locate_3d`].
     pub fn locate_3d_aided(&self, log: &InventoryLog) -> Result<ResolvedFix, ServerError> {
-        let mut session = self.session(WindowConfig::unbounded());
-        session.ingest_log(log);
-        session.fix_3d_aided()
+        self.one_shot(log, ReaderSession::fix_3d_aided)
     }
 
     /// End-to-end 2D localization through the configured estimator
@@ -404,9 +350,7 @@ impl LocalizationServer {
     ///
     /// Same as [`LocalizationServer::locate_2d`].
     pub fn locate_2d_estimate(&self, log: &InventoryLog) -> Result<Estimate2D, ServerError> {
-        let mut session = self.session(WindowConfig::unbounded());
-        session.ingest_log(log);
-        session.fix_2d_estimate()
+        self.one_shot(log, ReaderSession::fix_2d_estimate)
     }
 
     /// End-to-end 3D localization through the configured estimator backend.
@@ -415,9 +359,7 @@ impl LocalizationServer {
     ///
     /// Same as [`LocalizationServer::locate_3d`].
     pub fn locate_3d_estimate(&self, log: &InventoryLog) -> Result<Estimate3D, ServerError> {
-        let mut session = self.session(WindowConfig::unbounded());
-        session.ingest_log(log);
-        session.fix_3d_estimate()
+        self.one_shot(log, ReaderSession::fix_3d_estimate)
     }
 
     /// Ambiguity-resolving 3D localization through the configured
@@ -430,9 +372,7 @@ impl LocalizationServer {
         &self,
         log: &InventoryLog,
     ) -> Result<EstimateAided, ServerError> {
-        let mut session = self.session(WindowConfig::unbounded());
-        session.ingest_log(log);
-        session.fix_3d_aided_estimate()
+        self.one_shot(log, ReaderSession::fix_3d_aided_estimate)
     }
 
     /// Localize every reader antenna present in the log simultaneously
@@ -452,8 +392,17 @@ impl LocalizationServer {
         manager.fix_all_2d()
     }
 
-    fn lookup(&self, epc: u128) -> Result<&RegisteredTag, ServerError> {
-        self.registry.get(epc).ok_or(ServerError::UnknownTag(epc))
+    /// Run `fix` on a one-shot session with an unbounded window fed the
+    /// whole log report-by-report — exactly the code path a live stream
+    /// takes.
+    fn one_shot<T>(
+        &self,
+        log: &InventoryLog,
+        fix: impl FnOnce(&mut ReaderSession) -> Result<T, ServerError>,
+    ) -> Result<T, ServerError> {
+        let mut session = self.session(WindowConfig::unbounded());
+        session.ingest_log(log);
+        fix(&mut session)
     }
 }
 
@@ -486,7 +435,7 @@ mod tests {
         let s = server_with_two_tags();
         let log = InventoryLog::new();
         assert!(matches!(
-            s.bearing_2d(&log, 99),
+            s.bearing_2d_peak(&log, 99),
             Err(ServerError::UnknownTag(99))
         ));
     }

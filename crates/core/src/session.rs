@@ -43,7 +43,8 @@ use crate::registry::{RegisteredTag, TagRegistry};
 use crate::server::{PipelineConfig, ServerError};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotSet};
 use crate::spectrum::engine::SpectrumEngine;
-use crate::spectrum::incremental::{budget_cells, GridKind, IncrementalState, SyncOutcome};
+use crate::spectrum::incremental::{fits_budget, IncrementalState, SyncOutcome};
+use pipeline::{Aided, FixPath, ThreeD, TwoD};
 use quarantine::{RejectCounts, RejectReason};
 use stats::{IncrementalCounts, SessionStats, SkipCounts, StageTimes, TagStreamStats};
 use std::collections::{BTreeMap, HashMap};
@@ -74,12 +75,7 @@ impl IngestOutcome {
     }
 }
 
-/// One tag's incremental snapshot buffer plus its per-kind bearing caches.
-///
-/// A `None` cache slot means *dirty*: the buffer changed (ingest or
-/// eviction) since that bearing kind was last computed, and the next fix
-/// recomputes it. A `Some` slot holds the last result verbatim — including
-/// per-tag errors, which are just as cacheable as bearings.
+/// One tag's incremental snapshot buffer plus its per-kind slots.
 #[derive(Debug, Clone, Default)]
 struct TagStream {
     buf: SnapshotSet,
@@ -90,25 +86,20 @@ struct TagStream {
     /// `(timestamp_us, phase.to_bits())` of the newest buffered report —
     /// the duplicate-screen key (bit comparison, so NaN-free and exact).
     last_key: Option<(u64, u64)>,
-    cached_2d: Option<Result<Bearing2D, ServerError>>,
-    cached_3d: Option<Result<Bearing3D, ServerError>>,
-    cached_aided: Option<Result<AmbiguousBearing, ServerError>>,
+    slots: Slots,
     /// Backend-aware slot: the calibrated window view served to
     /// phase-consuming estimator backends (ml/hybrid) and confidence
     /// reporting. Dirty-tracked exactly like the bearing caches, so
     /// repeated fixes on an unchanged window reuse one clone. Never
     /// populated on the default spectrum fast path.
     cached_obs: Option<TagObservation>,
-    incr_2d: IncrSlot,
-    incr_3d: IncrSlot,
-    incr_aided: IncrSlot,
 }
 
 impl TagStream {
     fn invalidate(&mut self) {
-        self.cached_2d = None;
-        self.cached_3d = None;
-        self.cached_aided = None;
+        self.slots.two_d.cached = None;
+        self.slots.three_d.cached = None;
+        self.slots.aided.cached = None;
         self.cached_obs = None;
     }
 
@@ -116,65 +107,93 @@ impl TagStream {
     /// changed, so every frozen column is stale). Engagement counters
     /// survive; the next fresh recompute re-anchors from scratch.
     fn reset_incremental(&mut self) {
-        self.incr_2d.state = None;
-        self.incr_3d.state = None;
-        self.incr_aided.state = None;
+        self.slots.two_d.state = None;
+        self.slots.three_d.state = None;
+        self.slots.aided.state = None;
     }
 
     fn dirty(&self) -> bool {
-        self.cached_2d.is_none() && self.cached_3d.is_none() && self.cached_aided.is_none()
+        let s = &self.slots;
+        s.two_d.cached.is_none() && s.three_d.cached.is_none() && s.aided.cached.is_none()
     }
 }
 
-/// One bearing kind's incremental accumulator slot on a [`TagStream`]:
-/// the engagement counter (fresh recomputes served so far) plus the
-/// accumulator state once engaged. Boxed — the state holds O(grid) sums.
+/// The per-kind slots of one [`TagStream`], one per [`FixPath`] kind.
 #[derive(Debug, Clone, Default)]
-struct IncrSlot {
+pub(crate) struct Slots {
+    two_d: Slot<Bearing2D>,
+    three_d: Slot<Bearing3D>,
+    aided: Slot<AmbiguousBearing>,
+}
+
+/// One fix kind's slot on a [`TagStream`]: the bearing cache plus the
+/// incremental accumulators.
+///
+/// A `None` cache means *dirty*: the buffer changed (ingest or eviction)
+/// since this kind was last computed, and the next fix recomputes it. A
+/// `Some` cache holds the last result verbatim — including per-tag errors,
+/// which are just as cacheable as bearings. `recomputes` counts the fresh
+/// recomputes served so far (the engagement counter); `state` is the
+/// accumulator state once engaged, boxed because it holds O(grid) sums.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot<B> {
+    cached: Option<Result<B, ServerError>>,
     recomputes: u32,
     state: Option<Box<IncrementalState>>,
 }
 
-/// Decide whether this fresh recompute is served by the incremental
-/// accumulators, advancing the slot's engagement counter either way. The
-/// caller only invokes this once the buffer and gate checks passed, so
-/// withheld attempts never advance engagement.
-fn engage(config: &PipelineConfig, slot: &mut IncrSlot, kind: GridKind) -> bool {
-    let policy = &config.incremental;
-    let engaged = policy.enabled
-        && slot.recomputes >= policy.engage_after_recomputes
-        // lint:allow(lossy-cast) usize widens losslessly into u64
-        && budget_cells(kind, config.profile, &config.spectrum) <= policy.max_cells as u64;
-    slot.recomputes = slot.recomputes.saturating_add(1);
-    engaged
+impl<B> Default for Slot<B> {
+    fn default() -> Self {
+        Slot {
+            cached: None,
+            recomputes: 0,
+            state: None,
+        }
+    }
 }
 
-/// Ensure `slot` holds accumulator state matching the current
-/// configuration, sync it against the stream's calibrated window, and
-/// report what the sync did plus whether the reduction must fall back to
-/// the reference path (non-finite columns resident).
-fn sync_incremental(
-    slot: &mut IncrSlot,
-    kind: GridKind,
-    tag: &RegisteredTag,
-    config: &PipelineConfig,
-    set: &SnapshotSet,
-    evicted: u64,
-    ingested: u64,
-) -> (SyncOutcome, bool) {
-    if !matches!(&slot.state, Some(s) if s.matches(config.profile, &config.spectrum, &tag.disk)) {
-        slot.state = None;
+impl<B> Slot<B> {
+    /// Decide whether this fresh recompute is served by the incremental
+    /// accumulators, advancing the engagement counter either way. The
+    /// caller only invokes this once the buffer and gate checks passed, so
+    /// withheld attempts never advance engagement.
+    fn engage(&mut self, kind: FixKind, config: &PipelineConfig) -> bool {
+        let policy = &config.incremental;
+        let engaged = policy.enabled
+            && self.recomputes >= policy.engage_after_recomputes
+            && fits_budget(kind, config.profile, &config.spectrum);
+        self.recomputes = self.recomputes.saturating_add(1);
+        engaged
     }
-    let state = slot.state.get_or_insert_with(|| {
-        Box::new(IncrementalState::new(
-            kind,
-            config.profile,
-            &config.spectrum,
-            &tag.disk,
-        ))
-    });
-    let outcome = state.sync(set, evicted, ingested, &config.incremental);
-    (outcome, state.fallback_needed())
+
+    /// Ensure the slot holds accumulator state matching the current
+    /// configuration, sync it against the stream's calibrated window, and
+    /// report what the sync did plus whether the reduction must fall back
+    /// to the reference path (non-finite columns resident).
+    fn sync(
+        &mut self,
+        kind: FixKind,
+        tag: &RegisteredTag,
+        config: &PipelineConfig,
+        set: &SnapshotSet,
+        evicted: u64,
+        ingested: u64,
+    ) -> (SyncOutcome, bool) {
+        if !matches!(&self.state, Some(s) if s.matches(config.profile, &config.spectrum, &tag.disk))
+        {
+            self.state = None;
+        }
+        let state = self.state.get_or_insert_with(|| {
+            Box::new(IncrementalState::new(
+                kind,
+                config.profile,
+                &config.spectrum,
+                &tag.disk,
+            ))
+        });
+        let outcome = state.sync(set, evicted, ingested, &config.incremental);
+        (outcome, state.fallback_needed())
+    }
 }
 
 /// A streaming localization session for one reader antenna.
@@ -493,18 +512,7 @@ impl ReaderSession {
     pub fn tag_bearing_2d(&mut self, epc: u128) -> Result<Bearing2D, ServerError> {
         let registry = Arc::clone(&self.registry);
         let tag = registry.get(epc).ok_or(ServerError::UnknownTag(epc))?;
-        self.bearing_2d_cached(tag)
-    }
-
-    /// The 3D bearing of one registered tag from its current window.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReaderSession::tag_bearing_2d`].
-    pub fn tag_bearing_3d(&mut self, epc: u128) -> Result<Bearing3D, ServerError> {
-        let registry = Arc::clone(&self.registry);
-        let tag = registry.get(epc).ok_or(ServerError::UnknownTag(epc))?;
-        self.bearing_3d_cached(tag)
+        self.bearing_cached::<TwoD>(tag)
     }
 
     /// Book-keep one served bearing: the `recomputed` accounting counters
@@ -534,171 +542,24 @@ impl ReaderSession {
         });
     }
 
-    fn bearing_2d_cached(&mut self, tag: &RegisteredTag) -> Result<Bearing2D, ServerError> {
-        let Some(stream) = self.streams.get_mut(&tag.epc) else {
-            pipeline::check_buffer(tag, &SnapshotSet::default())?;
-            return Err(ServerError::Snapshot(SnapshotError::NoReads));
-        };
-        if let Some(cached) = &stream.cached_2d {
-            let cached = cached.clone();
-            self.obs.emit(|| Event::BearingServed {
-                epc: tag.epc,
-                kind: FixKind::Fix2D,
-                recomputed: false,
-            });
-            return cached;
-        }
-        let t0 = self.obs.clock_start();
-        let result = match pipeline::check_buffer(tag, &stream.buf)
-            .and_then(|()| pipeline::gate(tag, &self.config, &stream.buf))
-        {
-            Err(e) => Err(e),
-            Ok(()) if engage(&self.config, &mut stream.incr_2d, GridKind::TwoD) => {
-                match pipeline::checked_calibrated(tag, &stream.buf, &self.config) {
-                    Err(e) => Err(e),
-                    Ok(set) => {
-                        let (outcome, fallback) = sync_incremental(
-                            &mut stream.incr_2d,
-                            GridKind::TwoD,
-                            tag,
-                            &self.config,
-                            &set,
-                            stream.evicted,
-                            stream.ingested,
-                        );
-                        self.incremental.applied += outcome.applied;
-                        self.incremental.downdated += outcome.downdated;
-                        if outcome.reanchored {
-                            self.incremental.reanchors += 1;
-                        }
-                        if fallback {
-                            self.incremental.fallbacks += 1;
-                        }
-                        let epc = tag.epc;
-                        self.obs.emit_batch(|| {
-                            vec![Event::IncrementalSync {
-                                epc,
-                                kind: FixKind::Fix2D,
-                                applied: outcome.applied,
-                                downdated: outcome.downdated,
-                                reanchored: outcome.reanchored,
-                                fallback,
-                            }]
-                        });
-                        if fallback {
-                            pipeline::bearing_2d(&self.engine, tag, &self.config, &stream.buf)
-                        } else {
-                            match stream
-                                .incr_2d
-                                .state
-                                .as_ref()
-                                .and_then(|s| s.peak_2d(&self.config.engine))
-                            {
-                                Some(peak) => Ok(Bearing2D::from_peak(tag.disk.center.xy(), &peak)),
-                                None => Err(ServerError::EmptySpectrum { epc: tag.epc }),
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(()) => pipeline::bearing_2d(&self.engine, tag, &self.config, &stream.buf),
-        };
-        stream.cached_2d = Some(result.clone());
-        let gated = matches!(result, Err(ServerError::QualityGated { .. }));
-        self.note_bearing(tag.epc, FixKind::Fix2D, t0, gated);
-        result
-    }
-
-    fn bearing_3d_cached(&mut self, tag: &RegisteredTag) -> Result<Bearing3D, ServerError> {
-        let Some(stream) = self.streams.get_mut(&tag.epc) else {
-            pipeline::check_buffer(tag, &SnapshotSet::default())?;
-            return Err(ServerError::Snapshot(SnapshotError::NoReads));
-        };
-        if let Some(cached) = &stream.cached_3d {
-            let cached = cached.clone();
-            self.obs.emit(|| Event::BearingServed {
-                epc: tag.epc,
-                kind: FixKind::Fix3D,
-                recomputed: false,
-            });
-            return cached;
-        }
-        let t0 = self.obs.clock_start();
-        let result = match pipeline::check_buffer(tag, &stream.buf)
-            .and_then(|()| pipeline::gate(tag, &self.config, &stream.buf))
-        {
-            Err(e) => Err(e),
-            Ok(()) if engage(&self.config, &mut stream.incr_3d, GridKind::ThreeD) => {
-                match pipeline::checked_calibrated(tag, &stream.buf, &self.config) {
-                    Err(e) => Err(e),
-                    Ok(set) => {
-                        let (outcome, fallback) = sync_incremental(
-                            &mut stream.incr_3d,
-                            GridKind::ThreeD,
-                            tag,
-                            &self.config,
-                            &set,
-                            stream.evicted,
-                            stream.ingested,
-                        );
-                        self.incremental.applied += outcome.applied;
-                        self.incremental.downdated += outcome.downdated;
-                        if outcome.reanchored {
-                            self.incremental.reanchors += 1;
-                        }
-                        if fallback {
-                            self.incremental.fallbacks += 1;
-                        }
-                        let epc = tag.epc;
-                        self.obs.emit_batch(|| {
-                            vec![Event::IncrementalSync {
-                                epc,
-                                kind: FixKind::Fix3D,
-                                applied: outcome.applied,
-                                downdated: outcome.downdated,
-                                reanchored: outcome.reanchored,
-                                fallback,
-                            }]
-                        });
-                        if fallback {
-                            pipeline::bearing_3d(&self.engine, tag, &self.config, &stream.buf)
-                        } else {
-                            match stream
-                                .incr_3d
-                                .state
-                                .as_ref()
-                                .and_then(|s| s.peak_3d(&self.config.engine))
-                            {
-                                Some((dir, power)) => {
-                                    Ok(Bearing3D::from_peak(tag.disk.center, dir, power))
-                                }
-                                None => Err(ServerError::EmptySpectrum { epc: tag.epc }),
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(()) => pipeline::bearing_3d(&self.engine, tag, &self.config, &stream.buf),
-        };
-        stream.cached_3d = Some(result.clone());
-        let gated = matches!(result, Err(ServerError::QualityGated { .. }));
-        self.note_bearing(tag.epc, FixKind::Fix3D, t0, gated);
-        result
-    }
-
-    fn bearing_aided_cached(
+    /// One registered tag's bearing of kind `K` from its current window.
+    /// A clean slot serves its cached result; a dirty one recomputes —
+    /// through the incremental accumulators once engaged, else (or while
+    /// non-finite phases are resident) a fresh peak search.
+    fn bearing_cached<K: FixPath>(
         &mut self,
         tag: &RegisteredTag,
-    ) -> Result<AmbiguousBearing, ServerError> {
+    ) -> Result<K::Bearing, ServerError> {
         let Some(stream) = self.streams.get_mut(&tag.epc) else {
             pipeline::check_buffer(tag, &SnapshotSet::default())?;
             return Err(ServerError::Snapshot(SnapshotError::NoReads));
         };
-        if let Some(cached) = &stream.cached_aided {
+        let slot = K::slot(&mut stream.slots);
+        if let Some(cached) = &slot.cached {
             let cached = cached.clone();
             self.obs.emit(|| Event::BearingServed {
                 epc: tag.epc,
-                kind: FixKind::Fix3DAided,
+                kind: K::KIND,
                 recomputed: false,
             });
             return cached;
@@ -708,13 +569,12 @@ impl ReaderSession {
             .and_then(|()| pipeline::gate(tag, &self.config, &stream.buf))
         {
             Err(e) => Err(e),
-            Ok(()) if engage(&self.config, &mut stream.incr_aided, GridKind::Aided) => {
+            Ok(()) if slot.engage(K::KIND, &self.config) => {
                 match pipeline::checked_calibrated(tag, &stream.buf, &self.config) {
                     Err(e) => Err(e),
                     Ok(set) => {
-                        let (outcome, fallback) = sync_incremental(
-                            &mut stream.incr_aided,
-                            GridKind::Aided,
+                        let (outcome, fallback) = slot.sync(
+                            K::KIND,
                             tag,
                             &self.config,
                             &set,
@@ -733,7 +593,7 @@ impl ReaderSession {
                         self.obs.emit_batch(|| {
                             vec![Event::IncrementalSync {
                                 epc,
-                                kind: FixKind::Fix3DAided,
+                                kind: K::KIND,
                                 applied: outcome.applied,
                                 downdated: outcome.downdated,
                                 reanchored: outcome.reanchored,
@@ -741,28 +601,21 @@ impl ReaderSession {
                             }]
                         });
                         if fallback {
-                            pipeline::bearing_aided(&self.engine, tag, &self.config, &stream.buf)
+                            pipeline::bearing::<K>(&self.engine, tag, &self.config, &stream.buf)
                         } else {
-                            match stream
-                                .incr_aided
-                                .state
-                                .as_ref()
-                                .and_then(|s| s.peak_3d(&self.config.engine))
-                            {
-                                Some((dir, power)) => {
-                                    Ok(AmbiguousBearing::from_disk_peak(&tag.disk, dir, power))
-                                }
-                                None => Err(ServerError::EmptySpectrum { epc: tag.epc }),
-                            }
+                            slot.state
+                                .as_deref()
+                                .and_then(|state| K::reduce(state, tag))
+                                .ok_or(ServerError::EmptySpectrum { epc: tag.epc })
                         }
                     }
                 }
             }
-            Ok(()) => pipeline::bearing_aided(&self.engine, tag, &self.config, &stream.buf),
+            Ok(()) => pipeline::bearing::<K>(&self.engine, tag, &self.config, &stream.buf),
         };
-        stream.cached_aided = Some(result.clone());
+        slot.cached = Some(result.clone());
         let gated = matches!(result, Err(ServerError::QualityGated { .. }));
-        self.note_bearing(tag.epc, FixKind::Fix3DAided, t0, gated);
+        self.note_bearing(tag.epc, K::KIND, t0, gated);
         result
     }
 
@@ -777,7 +630,7 @@ impl ReaderSession {
     /// [`ServerError::NotEnoughBearings`] / [`ServerError::Locate`], plus
     /// non-skippable per-tag errors (e.g. a bad disk config).
     pub fn fix_2d(&mut self) -> Result<Fix2D, ServerError> {
-        self.fix_2d_dispatch(false).map(|e| e.fix)
+        self.fix::<TwoD>(false).map(|e| e.fix)
     }
 
     /// Like [`ReaderSession::fix_2d`], but returns the full
@@ -791,28 +644,64 @@ impl ReaderSession {
     ///
     /// Same as [`ReaderSession::fix_2d`].
     pub fn fix_2d_estimate(&mut self) -> Result<Estimate2D, ServerError> {
-        self.fix_2d_dispatch(true)
+        self.fix::<TwoD>(true)
     }
 
-    fn fix_2d_dispatch(&mut self, want_confidence: bool) -> Result<Estimate2D, ServerError> {
+    /// 3D fix of this session's reader antenna from the current windows.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ReaderSession::fix_2d`].
+    pub fn fix_3d(&mut self) -> Result<Fix3D, ServerError> {
+        self.fix::<ThreeD>(false).map(|e| e.fix)
+    }
+
+    /// Like [`ReaderSession::fix_3d`], but returns the full [`Estimate3D`]
+    /// (fix + typed confidence + backend provenance).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ReaderSession::fix_2d`].
+    pub fn fix_3d_estimate(&mut self) -> Result<Estimate3D, ServerError> {
+        self.fix::<ThreeD>(true)
+    }
+
+    /// Ambiguity-resolving 3D fix using each disk's own orientation (the
+    /// streaming counterpart of
+    /// [`crate::server::LocalizationServer::locate_3d_aided`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ReaderSession::fix_2d`].
+    pub fn fix_3d_aided(&mut self) -> Result<ResolvedFix, ServerError> {
+        self.fix::<Aided>(false).map(|e| e.fix)
+    }
+
+    /// Like [`ReaderSession::fix_3d_aided`], but returns the full
+    /// [`EstimateAided`] (fix + typed confidence + backend provenance).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ReaderSession::fix_2d`].
+    pub fn fix_3d_aided_estimate(&mut self) -> Result<EstimateAided, ServerError> {
+        self.fix::<Aided>(true)
+    }
+
+    /// The one multi-tag fix: age the windows, collect every registered
+    /// tag's bearing of kind `K` (skipping degenerate tags, aborting on any
+    /// other per-tag error), and resolve at least two of them through the
+    /// configured estimator backend.
+    fn fix<K: FixPath>(&mut self, want_confidence: bool) -> Result<K::Estimate, ServerError> {
         let t0 = self.obs.clock_start();
-        let (result, usable, skipped) = self.fix_2d_inner(want_confidence);
-        self.note_fix(FixKind::Fix2D, t0, usable, skipped, result.is_ok());
-        result
-    }
-
-    fn fix_2d_inner(
-        &mut self,
-        want_confidence: bool,
-    ) -> (Result<Estimate2D, ServerError>, usize, usize) {
         self.evict_all();
         let registry = Arc::clone(&self.registry);
         let want_obs = self.want_observations(want_confidence);
         let mut bearings = Vec::new();
         let mut observations = Vec::new();
         let mut skipped = 0usize;
+        let mut failure = None;
         for tag in registry.tags() {
-            match self.bearing_2d_cached(tag) {
+            match self.bearing_cached::<K>(tag) {
                 Ok(b) => {
                     if want_obs {
                         if let Some(obs) = self.observation_for(tag) {
@@ -825,28 +714,32 @@ impl ReaderSession {
                     self.skips.record(&e);
                     skipped += 1;
                 }
-                Err(e) => return (Err(e), bearings.len(), skipped),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
             }
         }
         let usable = bearings.len();
-        if usable < 2 {
-            return (
-                Err(ServerError::NotEnoughBearings { usable }),
-                usable,
-                skipped,
-            );
-        }
-        let backend = self.config.estimator.backend;
-        let t0 = self.refine_start();
-        let result = backend_impl(backend).estimate_2d(&bearings, &observations, &self.config);
-        self.note_estimate(
-            FixKind::Fix2D,
-            backend,
-            t0,
-            result.as_ref().ok().map(|e| e.ml).unwrap_or_default(),
-            result.is_ok(),
-        );
-        (result, usable, skipped)
+        let result = match failure {
+            Some(e) => Err(e),
+            None if usable < 2 => Err(ServerError::NotEnoughBearings { usable }),
+            None => {
+                let backend = self.config.estimator.backend;
+                let refine_t0 = self.refine_start();
+                let result = K::estimate(
+                    backend_impl(backend),
+                    &bearings,
+                    &observations,
+                    &self.config,
+                );
+                let ml = result.as_ref().ok().and_then(K::ml);
+                self.note_estimate(K::KIND, backend, refine_t0, ml, result.is_ok());
+                result
+            }
+        };
+        self.note_fix(K::KIND, t0, usable, skipped, result.is_ok());
+        result
     }
 
     /// Book-keep one completed fix attempt: the attempt counter always
@@ -874,160 +767,6 @@ impl ReaderSession {
             skipped,
             ok,
         });
-    }
-
-    /// 3D fix of this session's reader antenna from the current windows.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReaderSession::fix_2d`].
-    pub fn fix_3d(&mut self) -> Result<Fix3D, ServerError> {
-        self.fix_3d_dispatch(false).map(|e| e.fix)
-    }
-
-    /// Like [`ReaderSession::fix_3d`], but returns the full [`Estimate3D`]
-    /// (fix + typed confidence + backend provenance).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReaderSession::fix_2d`].
-    pub fn fix_3d_estimate(&mut self) -> Result<Estimate3D, ServerError> {
-        self.fix_3d_dispatch(true)
-    }
-
-    fn fix_3d_dispatch(&mut self, want_confidence: bool) -> Result<Estimate3D, ServerError> {
-        let t0 = self.obs.clock_start();
-        let (result, usable, skipped) = self.fix_3d_inner(want_confidence);
-        self.note_fix(FixKind::Fix3D, t0, usable, skipped, result.is_ok());
-        result
-    }
-
-    fn fix_3d_inner(
-        &mut self,
-        want_confidence: bool,
-    ) -> (Result<Estimate3D, ServerError>, usize, usize) {
-        self.evict_all();
-        let registry = Arc::clone(&self.registry);
-        let want_obs = self.want_observations(want_confidence);
-        let mut bearings = Vec::new();
-        let mut observations = Vec::new();
-        let mut skipped = 0usize;
-        for tag in registry.tags() {
-            match self.bearing_3d_cached(tag) {
-                Ok(b) => {
-                    if want_obs {
-                        if let Some(obs) = self.observation_for(tag) {
-                            observations.push(obs);
-                        }
-                    }
-                    bearings.push(b);
-                }
-                Err(e) if pipeline::skippable(&e) => {
-                    self.skips.record(&e);
-                    skipped += 1;
-                }
-                Err(e) => return (Err(e), bearings.len(), skipped),
-            }
-        }
-        let usable = bearings.len();
-        if usable < 2 {
-            return (
-                Err(ServerError::NotEnoughBearings { usable }),
-                usable,
-                skipped,
-            );
-        }
-        let backend = self.config.estimator.backend;
-        let t0 = self.refine_start();
-        let result = backend_impl(backend).estimate_3d(&bearings, &observations, &self.config);
-        self.note_estimate(
-            FixKind::Fix3D,
-            backend,
-            t0,
-            result.as_ref().ok().map(|e| e.ml).unwrap_or_default(),
-            result.is_ok(),
-        );
-        (result, usable, skipped)
-    }
-
-    /// Ambiguity-resolving 3D fix using each disk's own orientation (the
-    /// streaming counterpart of
-    /// [`crate::server::LocalizationServer::locate_3d_aided`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReaderSession::fix_2d`].
-    pub fn fix_3d_aided(&mut self) -> Result<ResolvedFix, ServerError> {
-        self.fix_3d_aided_dispatch(false).map(|e| e.fix)
-    }
-
-    /// Like [`ReaderSession::fix_3d_aided`], but returns the full
-    /// [`EstimateAided`] (fix + typed confidence + backend provenance).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReaderSession::fix_2d`].
-    pub fn fix_3d_aided_estimate(&mut self) -> Result<EstimateAided, ServerError> {
-        self.fix_3d_aided_dispatch(true)
-    }
-
-    fn fix_3d_aided_dispatch(
-        &mut self,
-        want_confidence: bool,
-    ) -> Result<EstimateAided, ServerError> {
-        let t0 = self.obs.clock_start();
-        let (result, usable, skipped) = self.fix_3d_aided_inner(want_confidence);
-        self.note_fix(FixKind::Fix3DAided, t0, usable, skipped, result.is_ok());
-        result
-    }
-
-    fn fix_3d_aided_inner(
-        &mut self,
-        want_confidence: bool,
-    ) -> (Result<EstimateAided, ServerError>, usize, usize) {
-        self.evict_all();
-        let registry = Arc::clone(&self.registry);
-        let want_obs = self.want_observations(want_confidence);
-        let mut bearings = Vec::new();
-        let mut observations = Vec::new();
-        let mut skipped = 0usize;
-        for tag in registry.tags() {
-            match self.bearing_aided_cached(tag) {
-                Ok(b) => {
-                    if want_obs {
-                        if let Some(obs) = self.observation_for(tag) {
-                            observations.push(obs);
-                        }
-                    }
-                    bearings.push(b);
-                }
-                Err(e) if pipeline::skippable(&e) => {
-                    self.skips.record(&e);
-                    skipped += 1;
-                }
-                Err(e) => return (Err(e), bearings.len(), skipped),
-            }
-        }
-        let usable = bearings.len();
-        if usable < 2 {
-            return (
-                Err(ServerError::NotEnoughBearings { usable }),
-                usable,
-                skipped,
-            );
-        }
-        let backend = self.config.estimator.backend;
-        let t0 = self.refine_start();
-        let result =
-            backend_impl(backend).estimate_3d_aided(&bearings, &observations, &self.config);
-        self.note_estimate(
-            FixKind::Fix3DAided,
-            backend,
-            t0,
-            result.as_ref().ok().map(|e| e.ml).unwrap_or_default(),
-            result.is_ok(),
-        );
-        (result, usable, skipped)
     }
 
     /// Whether this fix must materialize per-tag snapshot observations:
@@ -1374,24 +1113,6 @@ impl SessionManager {
         self.with_session(antenna_id, ReaderSession::fix_2d_estimate)
     }
 
-    /// 3D estimate for one antenna.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SessionManager::fix_2d`].
-    pub fn fix_3d_estimate(&mut self, antenna_id: u8) -> Result<Estimate3D, ServerError> {
-        self.with_session(antenna_id, ReaderSession::fix_3d_estimate)
-    }
-
-    /// Ambiguity-resolving 3D estimate for one antenna.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SessionManager::fix_2d`].
-    pub fn fix_3d_aided_estimate(&mut self, antenna_id: u8) -> Result<EstimateAided, ServerError> {
-        self.with_session(antenna_id, ReaderSession::fix_3d_aided_estimate)
-    }
-
     /// The shared fix dispatch: route to the antenna's session, or report
     /// zero usable bearings for an antenna that never produced one — the
     /// same outcome as an empty log.
@@ -1612,8 +1333,10 @@ mod tests {
             session.tag_bearing_2d(1),
             Err(ServerError::Snapshot(SnapshotError::NoReads))
         );
+        let registry = Arc::clone(&session.registry);
+        let tag = registry.get(1).unwrap();
         assert_eq!(
-            session.tag_bearing_3d(1),
+            session.bearing_cached::<ThreeD>(tag),
             Err(ServerError::Snapshot(SnapshotError::NoReads))
         );
     }

@@ -54,21 +54,6 @@ pub struct SpectrumEngineConfig {
     /// free functions in [`crate::spectrum`]). The escape hatch for golden
     /// fixture generation and conformance testing.
     pub exhaustive: bool,
-    /// Coarse detection grid step, degrees (default 5°). The coarse pass
-    /// samples a stride-subset of the fine grid, so every coarse evaluation
-    /// is reused by the fine pass.
-    pub coarse_step_deg: f64,
-    /// Half-width of the fine refinement window around each detected lobe,
-    /// degrees (default 10°, matching the hybrid profile's refinement
-    /// window).
-    pub refine_half_width_deg: f64,
-    /// Number of strongest coarse local maxima refined by the fine pass
-    /// (default 3). More lobes is safer against a sharp main lobe slipping
-    /// between coarse samples; fewer is faster.
-    pub max_lobes: usize,
-    /// Worker threads for candidate evaluation; `0` = auto (available
-    /// parallelism). Small grids always run serially regardless.
-    pub threads: usize,
     /// Steering-table LRU capacity in entries (default 32). One entry per
     /// distinct (disk geometry, grid resolution) pair.
     pub cache_capacity: usize,
@@ -78,80 +63,24 @@ impl Default for SpectrumEngineConfig {
     fn default() -> Self {
         SpectrumEngineConfig {
             exhaustive: false,
-            coarse_step_deg: 5.0,
-            refine_half_width_deg: 10.0,
-            max_lobes: 3,
-            threads: 0,
             cache_capacity: 32,
         }
     }
 }
 
-impl SpectrumEngineConfig {
-    /// Validate the search parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first offending field.
-    pub fn validate(&self) -> Result<(), SpectrumEngineConfigError> {
-        if !(self.coarse_step_deg.is_finite()
-            && self.coarse_step_deg > 0.0
-            && self.coarse_step_deg <= 90.0)
-        {
-            return Err(SpectrumEngineConfigError::BadCoarseStep(
-                self.coarse_step_deg,
-            ));
-        }
-        if !(self.refine_half_width_deg.is_finite()
-            && self.refine_half_width_deg > 0.0
-            && self.refine_half_width_deg <= 180.0)
-        {
-            return Err(SpectrumEngineConfigError::BadRefineHalfWidth(
-                self.refine_half_width_deg,
-            ));
-        }
-        if self.max_lobes == 0 {
-            return Err(SpectrumEngineConfigError::NoLobes);
-        }
-        if self.cache_capacity == 0 {
-            return Err(SpectrumEngineConfigError::ZeroCacheCapacity);
-        }
-        Ok(())
-    }
-}
+/// Coarse detection grid step, degrees. The coarse pass samples a
+/// stride-subset of the fine grid, so every coarse evaluation is reused by
+/// the fine pass.
+const COARSE_STEP_DEG: f64 = 5.0;
 
-/// An unusable [`SpectrumEngineConfig`], reported by
-/// [`SpectrumEngineConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SpectrumEngineConfigError {
-    /// The coarse step is non-positive, non-finite, or above 90°.
-    BadCoarseStep(f64),
-    /// The refinement half-width is non-positive, non-finite, or above 180°.
-    BadRefineHalfWidth(f64),
-    /// At least one lobe must be refined.
-    NoLobes,
-    /// The steering-table cache needs at least one slot.
-    ZeroCacheCapacity,
-}
+/// Half-width of the fine refinement window around each detected lobe,
+/// degrees (the hybrid profile's refinement window).
+const REFINE_HALF_WIDTH_DEG: f64 = 10.0;
 
-impl std::fmt::Display for SpectrumEngineConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpectrumEngineConfigError::BadCoarseStep(s) => {
-                write!(f, "coarse_step_deg {s} must be in (0, 90]")
-            }
-            SpectrumEngineConfigError::BadRefineHalfWidth(w) => {
-                write!(f, "refine_half_width_deg {w} must be in (0, 180]")
-            }
-            SpectrumEngineConfigError::NoLobes => write!(f, "max_lobes must be at least 1"),
-            SpectrumEngineConfigError::ZeroCacheCapacity => {
-                write!(f, "cache_capacity must be at least 1")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SpectrumEngineConfigError {}
+/// Number of strongest coarse local maxima refined by the fine pass. More
+/// lobes is safer against a sharp main lobe slipping between coarse
+/// samples; fewer is faster.
+const MAX_LOBES: usize = 3;
 
 /// Steering-table cache counters (see [`SpectrumEngine::cache_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -384,15 +313,11 @@ impl EvalContext<'_> {
 const PAR_MIN_WORK: usize = 65_536;
 
 /// Evaluate `cells` into `values` (which must be pre-sized to the full
-/// grid), fanning out across scoped threads when the work is large enough.
-fn eval_cells(
-    ctx: &EvalContext<'_>,
-    ecfg: &SpectrumEngineConfig,
-    cells: &[usize],
-    values: &mut [f64],
-) {
+/// grid), fanning out across up to `workers` scoped threads when the work
+/// is large enough.
+fn eval_cells(ctx: &EvalContext<'_>, workers: usize, cells: &[usize], values: &mut [f64]) {
     let n = ctx.p.beta.len();
-    let workers = worker_count(ecfg, cells.len());
+    let workers = workers.min(cells.len());
     if workers <= 1 || cells.len().saturating_mul(n) < PAR_MIN_WORK {
         let mut steer = vec![0.0; n];
         for &c in cells {
@@ -434,14 +359,10 @@ fn eval_cells(
     }
 }
 
-fn worker_count(ecfg: &SpectrumEngineConfig, cells: usize) -> usize {
-    let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let requested = if ecfg.threads == 0 {
-        auto
-    } else {
-        ecfg.threads
-    };
-    requested.min(cells).max(1)
+/// Fan-out width for candidate evaluation: the host's available
+/// parallelism.
+fn auto_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Coarse stride over a fine grid: the largest stride not exceeding
@@ -580,16 +501,9 @@ impl SpectrumEngine {
     /// [`eval_cells`] wrapped in a stage timer: accumulates into the
     /// engine-wide coarse/fine counters and emits [`Event::StageTime`]
     /// when an observer is enabled, and is exactly `eval_cells` otherwise.
-    fn timed_eval(
-        &self,
-        stage: Stage,
-        ctx: &EvalContext<'_>,
-        ecfg: &SpectrumEngineConfig,
-        cells: &[usize],
-        values: &mut [f64],
-    ) {
+    fn timed_eval(&self, stage: Stage, ctx: &EvalContext<'_>, cells: &[usize], values: &mut [f64]) {
         let t0 = self.obs.clock_start();
-        eval_cells(ctx, ecfg, cells, values);
+        eval_cells(ctx, auto_workers(), cells, values);
         if let Some(t0) = t0 {
             let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let counter = match stage {
@@ -693,15 +607,13 @@ impl SpectrumEngine {
         table
     }
 
-    fn check(set: &SnapshotSet, cfg: &SpectrumConfig, ecfg: &SpectrumEngineConfig) {
+    fn check(set: &SnapshotSet, cfg: &SpectrumConfig) {
         assert!(
             !set.is_empty(),
             "cannot compute a spectrum from zero snapshots"
         );
         // lint:allow(no-panic) documented precondition: callers validate configs
         cfg.validate().expect("invalid spectrum config");
-        // lint:allow(no-panic) documented precondition: callers validate configs
-        ecfg.validate().expect("invalid spectrum engine config");
     }
 
     // ------------------------------------------------------------------
@@ -713,8 +625,7 @@ impl SpectrumEngine {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`crate::spectrum::spectrum_2d`], plus an invalid
-    /// `ecfg`.
+    /// Same conditions as [`crate::spectrum::spectrum_2d`].
     pub fn spectrum_2d(
         &self,
         set: &SnapshotSet,
@@ -726,7 +637,7 @@ impl SpectrumEngine {
         if ecfg.exhaustive {
             return spectrum_2d(set, radius, kind, cfg);
         }
-        Self::check(set, cfg, ecfg);
+        Self::check(set, cfg);
         let p = prepare(set, radius, cfg);
         let ap = Aperture::horizontal(&p);
         let table = self.table(TableId::for_radius(radius, cfg));
@@ -742,7 +653,7 @@ impl SpectrumEngine {
         };
         let cells: Vec<usize> = (0..cfg.azimuth_steps).collect();
         let mut values = vec![f64::NEG_INFINITY; cfg.azimuth_steps];
-        eval_cells(&ctx, ecfg, &cells, &mut values);
+        eval_cells(&ctx, auto_workers(), &cells, &mut values);
         Spectrum2D { values }
     }
 
@@ -762,18 +673,10 @@ impl SpectrumEngine {
         if ecfg.exhaustive {
             return spectrum_3d(set, radius, kind, cfg);
         }
-        Self::check(set, cfg, ecfg);
+        Self::check(set, cfg);
         let p = prepare(set, radius, cfg);
         let ap = Aperture::horizontal(&p);
-        self.full_3d(
-            set,
-            &p,
-            ap,
-            TableId::for_radius(radius, cfg),
-            kind,
-            cfg,
-            ecfg,
-        )
+        self.full_3d(&p, ap, TableId::for_radius(radius, cfg), kind, cfg)
     }
 
     /// Full-grid 3D spectrum for a disk of any orientation.
@@ -793,24 +696,21 @@ impl SpectrumEngine {
         if ecfg.exhaustive {
             return spectrum_3d_for_disk(set, disk, kind, cfg);
         }
-        Self::check(set, cfg, ecfg);
+        Self::check(set, cfg);
         // lint:allow(no-panic) documented precondition: callers validate configs
         disk.validate().expect("invalid disk config");
         let p = prepare(set, disk.radius, cfg);
         let ap = Aperture::for_disk(&p, disk);
-        self.full_3d(set, &p, ap, TableId::for_disk(disk, cfg), kind, cfg, ecfg)
+        self.full_3d(&p, ap, TableId::for_disk(disk, cfg), kind, cfg)
     }
 
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by both 3D entry points
     fn full_3d(
         &self,
-        _set: &SnapshotSet,
         p: &Prepared,
         ap: Aperture,
         key: TableId,
         kind: ProfileKind,
         cfg: &SpectrumConfig,
-        ecfg: &SpectrumEngineConfig,
     ) -> Spectrum3D {
         let table = self.table(key);
         let ctx = EvalContext {
@@ -826,7 +726,7 @@ impl SpectrumEngine {
         let total = cfg.azimuth_steps * cfg.polar_steps;
         let cells: Vec<usize> = (0..total).collect();
         let mut values = vec![f64::NEG_INFINITY; total];
-        eval_cells(&ctx, ecfg, &cells, &mut values);
+        eval_cells(&ctx, auto_workers(), &cells, &mut values);
         Spectrum3D {
             azimuth_steps: cfg.azimuth_steps,
             polar_steps: cfg.polar_steps,
@@ -842,10 +742,9 @@ impl SpectrumEngine {
     /// reference full-grid path when `ecfg.exhaustive`).
     ///
     /// For [`ProfileKind::Hybrid`] this runs the enhanced detection pass
-    /// and then refines with the traditional profile inside a
-    /// `±refine_half_width_deg` window, exactly as
-    /// [`crate::server::LocalizationServer`] historically did on full
-    /// grids.
+    /// and then refines with the traditional profile inside a ±10° window,
+    /// exactly as [`crate::server::LocalizationServer`] historically did on
+    /// full grids.
     ///
     /// Returns `None` only for degenerate (< 3 azimuth cell) grids.
     ///
@@ -861,9 +760,9 @@ impl SpectrumEngine {
         ecfg: &SpectrumEngineConfig,
     ) -> Option<PeakEstimate> {
         if ecfg.exhaustive {
-            return Self::exhaustive_peak_2d(|k| spectrum_2d(set, radius, k, cfg), kind, ecfg);
+            return Self::exhaustive_peak_2d(|k| spectrum_2d(set, radius, k, cfg), kind);
         }
-        Self::check(set, cfg, ecfg);
+        Self::check(set, cfg);
         let p = prepare(set, radius, cfg);
         let ap = Aperture::horizontal(&p);
         let table = self.table(TableId::for_radius(radius, cfg));
@@ -879,11 +778,11 @@ impl SpectrumEngine {
         };
         match kind {
             ProfileKind::Traditional | ProfileKind::Enhanced => {
-                self.sparse_peak_2d(&ctx(kind), cfg, ecfg)
+                self.sparse_peak_2d(&ctx(kind), cfg)
             }
             ProfileKind::Hybrid => {
-                let detect = self.sparse_peak_2d(&ctx(ProfileKind::Hybrid), cfg, ecfg)?;
-                let half_width = ecfg.refine_half_width_deg.to_radians();
+                let detect = self.sparse_peak_2d(&ctx(ProfileKind::Hybrid), cfg)?;
+                let half_width = REFINE_HALF_WIDTH_DEG.to_radians();
                 let n_az = cfg.azimuth_steps;
                 // Evaluate the traditional profile on exactly the window
                 // `constrained_peak` will consider; everything else stays
@@ -899,7 +798,6 @@ impl SpectrumEngine {
                 self.timed_eval(
                     Stage::Fine,
                     &ctx(ProfileKind::Traditional),
-                    ecfg,
                     &cells,
                     &mut values,
                 );
@@ -919,7 +817,6 @@ impl SpectrumEngine {
     pub(crate) fn exhaustive_peak_2d(
         spectrum_of: impl Fn(ProfileKind) -> Spectrum2D,
         kind: ProfileKind,
-        ecfg: &SpectrumEngineConfig,
     ) -> Option<PeakEstimate> {
         let spec = spectrum_of(kind);
         match kind {
@@ -929,7 +826,7 @@ impl SpectrumEngine {
                 let refined = spectrum_of(ProfileKind::Traditional);
                 Some(
                     refined
-                        .constrained_peak(detect.position, ecfg.refine_half_width_deg.to_radians())
+                        .constrained_peak(detect.position, REFINE_HALF_WIDTH_DEG.to_radians())
                         .unwrap_or(detect),
                 )
             }
@@ -937,19 +834,14 @@ impl SpectrumEngine {
     }
 
     /// Coarse-to-fine single-profile 2D peak: coarse stride pass, top
-    /// `max_lobes` circular local maxima, fine windows around each, then
+    /// [`MAX_LOBES`] circular local maxima, fine windows around each, then
     /// the reference circular refinement on the −∞-masked sparse spectrum.
-    fn sparse_peak_2d(
-        &self,
-        ctx: &EvalContext<'_>,
-        cfg: &SpectrumConfig,
-        ecfg: &SpectrumEngineConfig,
-    ) -> Option<PeakEstimate> {
+    fn sparse_peak_2d(&self, ctx: &EvalContext<'_>, cfg: &SpectrumConfig) -> Option<PeakEstimate> {
         let n_az = cfg.azimuth_steps;
-        let stride = coarse_stride(n_az, 360.0, ecfg.coarse_step_deg);
+        let stride = coarse_stride(n_az, 360.0, COARSE_STEP_DEG);
         let coarse: Vec<usize> = (0..n_az).step_by(stride).collect();
         let mut values = vec![f64::NEG_INFINITY; n_az];
-        self.timed_eval(Stage::Coarse, ctx, ecfg, &coarse, &mut values);
+        self.timed_eval(Stage::Coarse, ctx, &coarse, &mut values);
 
         let m = coarse.len();
         let mut lobes: Vec<(usize, f64)> = (0..m)
@@ -962,7 +854,7 @@ impl SpectrumEngine {
             .map(|k| (coarse[k], values[coarse[k]]))
             .collect();
         lobes.sort_by(|a, b| b.1.total_cmp(&a.1));
-        lobes.truncate(ecfg.max_lobes);
+        lobes.truncate(MAX_LOBES);
         // A degenerate spectrum (e.g. all-NaN phases) has no finite lobe;
         // report "no peak" like the exhaustive reference instead of letting
         // the refinement land on a −∞ mask cell.
@@ -974,7 +866,7 @@ impl SpectrumEngine {
         // Window half-width in fine cells: one coarse stride of slack (the
         // fine argmax of a detected lobe lies between that lobe's coarse
         // neighbors) plus a guard so the parabolic refinement sees real
-        // neighbors. The hybrid `±refine_half_width_deg` traditional window
+        // neighbors. The hybrid ±10° traditional window
         // is evaluated separately and does not constrain detection.
         let h_cells = (stride + 2).min(n_az / 2);
         let mut needed = vec![false; n_az];
@@ -987,7 +879,7 @@ impl SpectrumEngine {
         let fine: Vec<usize> = (0..n_az)
             .filter(|&i| needed[i] && !values[i].is_finite())
             .collect();
-        self.timed_eval(Stage::Fine, ctx, ecfg, &fine, &mut values);
+        self.timed_eval(Stage::Fine, ctx, &fine, &mut values);
         self.obs.emit(|| Event::PeakSearch {
             three_d: false,
             kind: ctx.kind,
@@ -1019,12 +911,12 @@ impl SpectrumEngine {
         ecfg: &SpectrumEngineConfig,
     ) -> Option<(Direction3, f64)> {
         if ecfg.exhaustive {
-            return Self::exhaustive_peak_3d(|k| spectrum_3d(set, radius, k, cfg), kind, ecfg);
+            return Self::exhaustive_peak_3d(|k| spectrum_3d(set, radius, k, cfg), kind);
         }
-        Self::check(set, cfg, ecfg);
+        Self::check(set, cfg);
         let p = prepare(set, radius, cfg);
         let ap = Aperture::horizontal(&p);
-        self.fast_peak_3d(&p, &ap, TableId::for_radius(radius, cfg), kind, cfg, ecfg)
+        self.fast_peak_3d(&p, &ap, TableId::for_radius(radius, cfg), kind, cfg)
     }
 
     /// Peak direction of the oriented-disk 3D spectrum, coarse-to-fine.
@@ -1041,25 +933,20 @@ impl SpectrumEngine {
         ecfg: &SpectrumEngineConfig,
     ) -> Option<(Direction3, f64)> {
         if ecfg.exhaustive {
-            return Self::exhaustive_peak_3d(
-                |k| spectrum_3d_for_disk(set, disk, k, cfg),
-                kind,
-                ecfg,
-            );
+            return Self::exhaustive_peak_3d(|k| spectrum_3d_for_disk(set, disk, k, cfg), kind);
         }
-        Self::check(set, cfg, ecfg);
+        Self::check(set, cfg);
         // lint:allow(no-panic) documented precondition: callers validate configs
         disk.validate().expect("invalid disk config");
         let p = prepare(set, disk.radius, cfg);
         let ap = Aperture::for_disk(&p, disk);
-        self.fast_peak_3d(&p, &ap, TableId::for_disk(disk, cfg), kind, cfg, ecfg)
+        self.fast_peak_3d(&p, &ap, TableId::for_disk(disk, cfg), kind, cfg)
     }
 
     /// 3D counterpart of [`SpectrumEngine::exhaustive_peak_2d`].
     pub(crate) fn exhaustive_peak_3d(
         spectrum_of: impl Fn(ProfileKind) -> Spectrum3D,
         kind: ProfileKind,
-        ecfg: &SpectrumEngineConfig,
     ) -> Option<(Direction3, f64)> {
         let spec = spectrum_of(kind);
         match kind {
@@ -1068,14 +955,13 @@ impl SpectrumEngine {
                 let (detect, power) = spec.peak()?;
                 let refined = spectrum_of(ProfileKind::Traditional);
                 let dir = refined
-                    .constrained_peak(detect, ecfg.refine_half_width_deg.to_radians())
+                    .constrained_peak(detect, REFINE_HALF_WIDTH_DEG.to_radians())
                     .map_or(detect, |(d, _)| d);
                 Some((dir, power))
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by both 3D entry points
     fn fast_peak_3d(
         &self,
         p: &Prepared,
@@ -1083,7 +969,6 @@ impl SpectrumEngine {
         key: TableId,
         kind: ProfileKind,
         cfg: &SpectrumConfig,
-        ecfg: &SpectrumEngineConfig,
     ) -> Option<(Direction3, f64)> {
         let table = self.table(key);
         let ctx = |k| EvalContext {
@@ -1097,13 +982,13 @@ impl SpectrumEngine {
             three_d: true,
         };
         match kind {
-            ProfileKind::Traditional | ProfileKind::Enhanced => self
-                .sparse_peak_3d(&ctx(kind), cfg, ecfg)
-                .and_then(|s| s.peak()),
+            ProfileKind::Traditional | ProfileKind::Enhanced => {
+                self.sparse_peak_3d(&ctx(kind), cfg).and_then(|s| s.peak())
+            }
             ProfileKind::Hybrid => {
-                let detect = self.sparse_peak_3d(&ctx(ProfileKind::Hybrid), cfg, ecfg)?;
+                let detect = self.sparse_peak_3d(&ctx(ProfileKind::Hybrid), cfg)?;
                 let (dir, power) = detect.peak()?;
-                let half_width = ecfg.refine_half_width_deg.to_radians();
+                let half_width = REFINE_HALF_WIDTH_DEG.to_radians();
                 let (n_az, n_po) = (cfg.azimuth_steps, cfg.polar_steps);
                 // lint:allow(lossy-cast) grid sizes are < 2^32, exact in f64
                 let po_step = PI / (n_po - 1) as f64;
@@ -1129,7 +1014,6 @@ impl SpectrumEngine {
                 self.timed_eval(
                     Stage::Fine,
                     &ctx(ProfileKind::Traditional),
-                    ecfg,
                     &cells,
                     &mut values,
                 );
@@ -1149,15 +1033,10 @@ impl SpectrumEngine {
     /// Coarse-to-fine sparse 3D evaluation: returns the −∞-masked sparse
     /// spectrum with all detected lobes (and their `±γ` mirrors) evaluated
     /// at fine resolution, ready for the reference peak extraction.
-    fn sparse_peak_3d(
-        &self,
-        ctx: &EvalContext<'_>,
-        cfg: &SpectrumConfig,
-        ecfg: &SpectrumEngineConfig,
-    ) -> Option<Spectrum3D> {
+    fn sparse_peak_3d(&self, ctx: &EvalContext<'_>, cfg: &SpectrumConfig) -> Option<Spectrum3D> {
         let (n_az, n_po) = (cfg.azimuth_steps, cfg.polar_steps);
-        let s_az = coarse_stride(n_az, 360.0, ecfg.coarse_step_deg);
-        let s_po = coarse_stride(n_po - 1, 180.0, ecfg.coarse_step_deg);
+        let s_az = coarse_stride(n_az, 360.0, COARSE_STEP_DEG);
+        let s_po = coarse_stride(n_po - 1, 180.0, COARSE_STEP_DEG);
         let mut rows: Vec<usize> = (0..n_po).step_by(s_po).collect();
         if rows.last() != Some(&(n_po - 1)) {
             rows.push(n_po - 1);
@@ -1168,7 +1047,7 @@ impl SpectrumEngine {
             .flat_map(|&j| cols.iter().map(move |&i| j * n_az + i))
             .collect();
         let mut values = vec![f64::NEG_INFINITY; n_az * n_po];
-        self.timed_eval(Stage::Coarse, ctx, ecfg, &coarse, &mut values);
+        self.timed_eval(Stage::Coarse, ctx, &coarse, &mut values);
 
         // Local maxima on the coarse sub-grid (azimuth circular, polar
         // clamped at the caps).
@@ -1196,7 +1075,7 @@ impl SpectrumEngine {
             }
         }
         lobes.sort_by(|a, b| b.2.total_cmp(&a.2));
-        lobes.truncate(ecfg.max_lobes);
+        lobes.truncate(MAX_LOBES);
         // As in `sparse_peak_2d`: a spectrum with no finite lobe has no
         // peak; do not let the argmax fall back to the −∞ mask.
         lobes.retain(|&(_, _, v)| v.is_finite());
@@ -1227,7 +1106,7 @@ impl SpectrumEngine {
         let fine: Vec<usize> = (0..n_az * n_po)
             .filter(|&c| needed[c] && !values[c].is_finite())
             .collect();
-        self.timed_eval(Stage::Fine, ctx, ecfg, &fine, &mut values);
+        self.timed_eval(Stage::Fine, ctx, &fine, &mut values);
 
         // The reference `Spectrum3D::peak` refines along the full row and
         // column of the argmax; fill those so the parabolas see real values
@@ -1239,7 +1118,7 @@ impl SpectrumEngine {
             .chain((0..n_po).map(|j| j * n_az + az))
             .filter(|&c| !values[c].is_finite())
             .collect();
-        self.timed_eval(Stage::Fine, ctx, ecfg, &row_col, &mut values);
+        self.timed_eval(Stage::Fine, ctx, &row_col, &mut values);
         self.obs.emit(|| Event::PeakSearch {
             three_d: true,
             kind: ctx.kind,
@@ -1291,36 +1170,6 @@ mod tests {
             references: 4,
             ..SpectrumConfig::default()
         }
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(SpectrumEngineConfig::default().validate().is_ok());
-        let base = SpectrumEngineConfig::default;
-        assert!(SpectrumEngineConfig {
-            coarse_step_deg: 0.0,
-            ..base()
-        }
-        .validate()
-        .is_err());
-        assert!(SpectrumEngineConfig {
-            refine_half_width_deg: -1.0,
-            ..base()
-        }
-        .validate()
-        .is_err());
-        assert!(SpectrumEngineConfig {
-            max_lobes: 0,
-            ..base()
-        }
-        .validate()
-        .is_err());
-        assert!(SpectrumEngineConfig {
-            cache_capacity: 0,
-            ..base()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -1512,18 +1361,26 @@ mod tests {
             azimuth_steps: 720,
             ..SpectrumConfig::default()
         };
-        let engine = SpectrumEngine::default();
-        let serial = SpectrumEngineConfig {
-            threads: 1,
-            ..SpectrumEngineConfig::default()
+        let p = prepare(&set, disk.radius, &cfg);
+        let ap = Aperture::horizontal(&p);
+        let table = SteeringTable::build(cfg.azimuth_steps, cfg.polar_steps);
+        let ctx = EvalContext {
+            p: &p,
+            ap: &ap,
+            table: &table,
+            kind: ProfileKind::Enhanced,
+            sigma: cfg.sigma,
+            inflation: cfg.weight_inflation,
+            azimuth_steps: cfg.azimuth_steps,
+            three_d: false,
         };
-        let threaded = SpectrumEngineConfig {
-            threads: 4,
-            ..SpectrumEngineConfig::default()
+        let cells: Vec<usize> = (0..cfg.azimuth_steps).collect();
+        let run = |workers| {
+            let mut values = vec![f64::NEG_INFINITY; cfg.azimuth_steps];
+            eval_cells(&ctx, workers, &cells, &mut values);
+            values
         };
-        let a = engine.spectrum_2d(&set, disk.radius, ProfileKind::Enhanced, &cfg, &serial);
-        let b = engine.spectrum_2d(&set, disk.radius, ProfileKind::Enhanced, &cfg, &threaded);
-        assert_eq!(a.values(), b.values());
+        assert_eq!(run(1), run(4));
     }
 
     #[test]

@@ -44,8 +44,9 @@
 //! accumulator, and while any are resident the session serves the legacy
 //! path wholesale, so `NaN` can never linger in the running sums.
 
-use super::engine::{SpectrumEngine, SpectrumEngineConfig};
+use super::engine::SpectrumEngine;
 use super::{ProfileKind, Spectrum2D, Spectrum3D, SpectrumConfig};
+use crate::obs::FixKind;
 use crate::snapshot::{Snapshot, SnapshotSet};
 use crate::spinning::DiskConfig;
 use std::collections::VecDeque;
@@ -71,10 +72,6 @@ pub struct IncrementalPolicy {
     /// keeps every one-shot batch caller (`locate_*`, the sim trial
     /// runners) on the legacy path, preserving their outputs bit-for-bit.
     pub engage_after_recomputes: u32,
-    /// Memory/compute budget: the incremental state is only engaged when
-    /// its total accumulator cell count (grid cells × maintained profile
-    /// families, references included) fits this bound.
-    pub max_cells: usize,
     /// Analytic float-drift bound: re-anchor once
     /// `ops_since_anchor · ε > drift_tol`. The default pairs with
     /// `reanchor_after_ops` so whichever bound trips first wins.
@@ -87,7 +84,6 @@ impl Default for IncrementalPolicy {
             enabled: true,
             reanchor_after_ops: 4096,
             engage_after_recomputes: 1,
-            max_cells: 2_000_000,
             drift_tol: 1e-9,
         }
     }
@@ -117,24 +113,17 @@ pub struct SyncOutcome {
     pub reanchored: bool,
 }
 
-/// Which candidate grid an [`IncrementalState`] accumulates over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GridKind {
-    /// Azimuth-only grid (`fix_2d`).
-    TwoD,
-    /// Azimuth × polar grid, horizontal-disk Eqn 10 steering (`fix_3d`).
-    ThreeD,
-    /// Azimuth × polar grid, oriented-disk steering (`fix_3d_aided`).
-    Aided,
-}
+/// Memory/compute budget: the incremental state is only engaged when its
+/// total accumulator cell count (grid cells × maintained profile families,
+/// references included) fits this bound.
+const MAX_CELLS: u64 = 2_000_000;
 
-/// Total accumulator cells an engaged state would maintain for this grid,
-/// profile, and spectrum config — the quantity gated by
-/// [`IncrementalPolicy::max_cells`].
-pub(crate) fn budget_cells(kind: GridKind, profile: ProfileKind, cfg: &SpectrumConfig) -> u64 {
+/// Total accumulator cells an engaged state would maintain for this fix
+/// kind's grid, profile, and spectrum config.
+fn budget_cells(kind: FixKind, profile: ProfileKind, cfg: &SpectrumConfig) -> u64 {
     let cells = match kind {
-        GridKind::TwoD => cfg.azimuth_steps as u64,
-        GridKind::ThreeD | GridKind::Aided => (cfg.azimuth_steps as u64) * cfg.polar_steps as u64,
+        FixKind::Fix2D => cfg.azimuth_steps as u64,
+        FixKind::Fix3D | FixKind::Fix3DAided => (cfg.azimuth_steps as u64) * cfg.polar_steps as u64,
     };
     let trad = match profile {
         ProfileKind::Traditional | ProfileKind::Hybrid => cells,
@@ -145,6 +134,12 @@ pub(crate) fn budget_cells(kind: GridKind, profile: ProfileKind, cfg: &SpectrumC
         ProfileKind::Traditional => 0,
     };
     trad + enh
+}
+
+/// Whether an engaged state for this grid, profile, and spectrum config
+/// fits the [`MAX_CELLS`] budget.
+pub(crate) fn fits_budget(kind: FixKind, profile: ProfileKind, cfg: &SpectrumConfig) -> bool {
+    budget_cells(kind, profile, cfg) <= MAX_CELLS
 }
 
 /// Precomputed candidate-grid constants (exact reference expressions, so
@@ -160,14 +155,14 @@ enum Grid {
 }
 
 impl Grid {
-    fn build(kind: GridKind, cfg: &SpectrumConfig) -> Grid {
+    fn build(kind: FixKind, cfg: &SpectrumConfig) -> Grid {
         let phi: Vec<f64> = (0..cfg.azimuth_steps)
             // lint:allow(lossy-cast) azimuth index and step count are < 2^32, exact in f64
             .map(|i| i as f64 * TAU / cfg.azimuth_steps as f64)
             .collect();
         match kind {
-            GridKind::TwoD => Grid::TwoD { phi },
-            GridKind::ThreeD => {
+            FixKind::Fix2D => Grid::TwoD { phi },
+            FixKind::Fix3D => {
                 let cos_gamma: Vec<f64> = (0..cfg.polar_steps)
                     .map(|j| {
                         // lint:allow(lossy-cast) polar index and step count are < 2^32, exact in f64
@@ -177,7 +172,7 @@ impl Grid {
                     .collect();
                 Grid::ThreeD { phi, cos_gamma }
             }
-            GridKind::Aided => {
+            FixKind::Fix3DAided => {
                 let mut dirs = Vec::with_capacity(cfg.azimuth_steps * cfg.polar_steps);
                 for j in 0..cfg.polar_steps {
                     // lint:allow(lossy-cast) polar index and step count are < 2^32, exact in f64
@@ -287,7 +282,7 @@ impl IncrementalState {
     /// performs the initial anchor (its pending delta always covers the
     /// whole resident set).
     pub(crate) fn new(
-        kind: GridKind,
+        kind: FixKind,
         profile: ProfileKind,
         cfg: &SpectrumConfig,
         disk: &DiskConfig,
@@ -571,20 +566,21 @@ impl IncrementalState {
 
     /// The 2D bearing peak from the reduced accumulators — the same
     /// detect/refine logic as the engine's exhaustive path.
-    pub(crate) fn peak_2d(&self, ecfg: &SpectrumEngineConfig) -> Option<PeakEstimate> {
-        SpectrumEngine::exhaustive_peak_2d(|k| self.reduce_2d(k), self.profile, ecfg)
+    pub(crate) fn peak_2d(&self) -> Option<PeakEstimate> {
+        SpectrumEngine::exhaustive_peak_2d(|k| self.reduce_2d(k), self.profile)
     }
 
     /// The 3D peak direction from the reduced accumulators (both the
     /// horizontal-disk and oriented-disk grids reduce through here).
-    pub(crate) fn peak_3d(&self, ecfg: &SpectrumEngineConfig) -> Option<(Direction3, f64)> {
-        SpectrumEngine::exhaustive_peak_3d(|k| self.reduce_3d(k), self.profile, ecfg)
+    pub(crate) fn peak_3d(&self) -> Option<(Direction3, f64)> {
+        SpectrumEngine::exhaustive_peak_3d(|k| self.reduce_3d(k), self.profile)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spectrum::engine::SpectrumEngineConfig;
     use crate::spectrum::{spectrum_2d, spectrum_3d, spectrum_3d_for_disk};
 
     const LAMBDA: f64 = 0.325;
@@ -627,7 +623,7 @@ mod tests {
             ProfileKind::Enhanced,
             ProfileKind::Hybrid,
         ] {
-            let mut st = IncrementalState::new(GridKind::TwoD, profile, &cfg, &disk);
+            let mut st = IncrementalState::new(FixKind::Fix2D, profile, &cfg, &disk);
             let out = st.sync(&set, 0, set.len() as u64, &IncrementalPolicy::default());
             assert!(out.reanchored);
             let kinds: &[ProfileKind] = match profile {
@@ -648,7 +644,7 @@ mod tests {
         let disk = DiskConfig::paper_default(Vec3::ZERO);
         let set = synthesize(&disk, Vec3::new(-0.7, 0.3, 0.5), 50);
         let cfg = cfg();
-        let mut st = IncrementalState::new(GridKind::ThreeD, ProfileKind::Enhanced, &cfg, &disk);
+        let mut st = IncrementalState::new(FixKind::Fix3D, ProfileKind::Enhanced, &cfg, &disk);
         st.sync(&set, 0, set.len() as u64, &IncrementalPolicy::default());
         let reference = spectrum_3d(&set, disk.radius, ProfileKind::Enhanced, &cfg);
         assert_eq!(
@@ -658,7 +654,7 @@ mod tests {
 
         let vdisk = DiskConfig::vertical(Vec3::ZERO, 0.0);
         let vset = synthesize(&vdisk, Vec3::new(0.2, 1.4, 0.8), 50);
-        let mut st = IncrementalState::new(GridKind::Aided, ProfileKind::Hybrid, &cfg, &vdisk);
+        let mut st = IncrementalState::new(FixKind::Fix3DAided, ProfileKind::Hybrid, &cfg, &vdisk);
         st.sync(&vset, 0, vset.len() as u64, &IncrementalPolicy::default());
         for k in [ProfileKind::Hybrid, ProfileKind::Traditional] {
             let reference = spectrum_3d_for_disk(&vset, &vdisk, k, &cfg);
@@ -674,7 +670,7 @@ mod tests {
         let full = synthesize(&disk, Vec3::new(0.4, -1.1, 0.0), 80);
         let cfg = cfg();
         let policy = IncrementalPolicy::default();
-        let mut st = IncrementalState::new(GridKind::TwoD, ProfileKind::Traditional, &cfg, &disk);
+        let mut st = IncrementalState::new(FixKind::Fix2D, ProfileKind::Traditional, &cfg, &disk);
         let mut set = SnapshotSet::from_snapshots(full.snapshots()[..40].to_vec());
         st.sync(&set, 0, 40, &policy);
         for (i, s) in full.snapshots()[40..].iter().enumerate() {
@@ -692,7 +688,7 @@ mod tests {
         let full = synthesize(&disk, Vec3::new(-0.5, 0.9, 0.0), 120);
         let cfg = cfg();
         let policy = IncrementalPolicy::default();
-        let mut st = IncrementalState::new(GridKind::TwoD, ProfileKind::Hybrid, &cfg, &disk);
+        let mut st = IncrementalState::new(FixKind::Fix2D, ProfileKind::Hybrid, &cfg, &disk);
         // Slide a 48-snapshot window along the stream, syncing every step.
         let mut set = SnapshotSet::from_snapshots(full.snapshots()[..48].to_vec());
         let (mut evicted, mut ingested) = (0u64, 48u64);
@@ -718,7 +714,7 @@ mod tests {
             ..SpectrumEngineConfig::default()
         };
         let engine = SpectrumEngine::default();
-        let incr_peak = st.peak_2d(&ecfg).unwrap();
+        let incr_peak = st.peak_2d().unwrap();
         let ref_peak = engine
             .peak_2d(&set, disk.radius, ProfileKind::Hybrid, &cfg, &ecfg)
             .unwrap();
@@ -752,7 +748,7 @@ mod tests {
         let full = synthesize(&disk, Vec3::new(-0.8, 0.2, 0.0), 60);
         let cfg = cfg();
         let policy = IncrementalPolicy::default();
-        let mut st = IncrementalState::new(GridKind::TwoD, ProfileKind::Hybrid, &cfg, &disk);
+        let mut st = IncrementalState::new(FixKind::Fix2D, ProfileKind::Hybrid, &cfg, &disk);
         let mut set = SnapshotSet::from_snapshots(full.snapshots()[..40].to_vec());
         st.sync(&set, 0, 40, &policy);
         assert!(!st.fallback_needed());
@@ -788,20 +784,20 @@ mod tests {
         let cfg = cfg();
         let cells = cfg.azimuth_steps as u64;
         assert_eq!(
-            budget_cells(GridKind::TwoD, ProfileKind::Traditional, &cfg),
+            budget_cells(FixKind::Fix2D, ProfileKind::Traditional, &cfg),
             cells
         );
         assert_eq!(
-            budget_cells(GridKind::TwoD, ProfileKind::Enhanced, &cfg),
+            budget_cells(FixKind::Fix2D, ProfileKind::Enhanced, &cfg),
             cells * 4
         );
         assert_eq!(
-            budget_cells(GridKind::TwoD, ProfileKind::Hybrid, &cfg),
+            budget_cells(FixKind::Fix2D, ProfileKind::Hybrid, &cfg),
             cells * 5
         );
         let cells3 = cells * cfg.polar_steps as u64;
         assert_eq!(
-            budget_cells(GridKind::Aided, ProfileKind::Hybrid, &cfg),
+            budget_cells(FixKind::Fix3DAided, ProfileKind::Hybrid, &cfg),
             cells3 * 5
         );
     }
@@ -816,9 +812,9 @@ mod tests {
             ..SpectrumEngineConfig::default()
         };
         let engine = SpectrumEngine::default();
-        let mut st = IncrementalState::new(GridKind::TwoD, ProfileKind::Hybrid, &cfg, &disk);
+        let mut st = IncrementalState::new(FixKind::Fix2D, ProfileKind::Hybrid, &cfg, &disk);
         st.sync(&set, 0, set.len() as u64, &IncrementalPolicy::default());
-        let incr = st.peak_2d(&ecfg).unwrap();
+        let incr = st.peak_2d().unwrap();
         let reference = engine
             .peak_2d(&set, disk.radius, ProfileKind::Hybrid, &cfg, &ecfg)
             .unwrap();

@@ -1,6 +1,6 @@
 //! The daemon: listeners, reader connections, routing, lifecycle.
 
-use crate::router::{ModuloRouter, ShardRouter};
+use crate::router::shard_of;
 use crate::shard::{run_worker, ShardCmd, ShardDepth};
 use crate::ServeConfig;
 use crossbeam::channel::{self, Sender, TrySendError};
@@ -15,7 +15,7 @@ use tagspin_core::locate::plane::Fix2D;
 use tagspin_core::obs::{
     Event, MetricsObserver, MetricsRegistry, ObsHandle, ServeMetrics, Stage, StoreMetrics,
 };
-use tagspin_core::server::LocalizationServer;
+use tagspin_core::server::{LocalizationServer, ServerError};
 use tagspin_core::session::quarantine::{RejectCounts, RejectReason};
 use tagspin_core::spectrum::engine::{SpectrumEngine, StoreStats};
 use tagspin_core::store::{CalibrationStore, FileStore, StoreError};
@@ -56,12 +56,11 @@ pub struct ServeStats {
 }
 
 /// Why a fix query failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FixQueryError {
-    /// The owning shard's `ServerError`, rendered to its display form at
-    /// the channel boundary — the exact text the HTTP plane serves in a
-    /// `409` body, bit-identical to a single-process run's error.
-    Localization(String),
+    /// The owning shard's typed `ServerError`, equal to a single-process
+    /// run's error; its display text is the HTTP plane's `409` body.
+    Localization(ServerError),
     /// The shard worker is gone; the daemon is shutting down.
     ShardGone,
 }
@@ -69,7 +68,7 @@ pub enum FixQueryError {
 impl std::fmt::Display for FixQueryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FixQueryError::Localization(message) => f.write_str(message),
+            FixQueryError::Localization(e) => std::fmt::Display::fmt(e, f),
             FixQueryError::ShardGone => f.write_str("shard worker is gone"),
         }
     }
@@ -104,7 +103,6 @@ impl ServeStats {
 pub(crate) struct Shared {
     pub(crate) senders: Vec<Sender<ShardCmd>>,
     pub(crate) depths: Vec<ShardDepth>,
-    pub(crate) router: Box<dyn ShardRouter>,
     pub(crate) metrics: ServeMetrics,
     pub(crate) obs: ObsHandle,
     pub(crate) registry: Arc<MetricsRegistry>,
@@ -175,7 +173,7 @@ impl Shared {
     pub(crate) fn fix_2d(&self, antenna_id: u8) -> Result<Fix2D, FixQueryError> {
         self.metrics.queries.inc();
         let (reply, rx) = channel::bounded(1);
-        let shard = self.router.shard_of(antenna_id);
+        let shard = shard_of(antenna_id, self.senders.len());
         self.senders[shard]
             .send(ShardCmd::Fix2D { antenna_id, reply })
             .map_err(|_| FixQueryError::ShardGone)?;
@@ -204,7 +202,7 @@ pub(crate) fn route_log(shared: &Shared, log: &InventoryLog) {
     let mut groups: BTreeMap<usize, Vec<TagReport>> = BTreeMap::new();
     for report in log.reports() {
         groups
-            .entry(shared.router.shard_of(report.antenna_id))
+            .entry(shard_of(report.antenna_id, shared.senders.len()))
             .or_default()
             .push(*report);
     }
@@ -323,10 +321,10 @@ fn run_acceptor(
             Ok((stream, _peer)) => {
                 let shared = Arc::clone(&shared);
                 let handle = std::thread::spawn(move || handle_reader(&shared, stream));
-                conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
+                track(
+                    &mut conns.lock().unwrap_or_else(PoisonError::into_inner),
+                    handle,
+                );
             }
             Err(_) => {
                 if shared.stopping() {
@@ -335,6 +333,15 @@ fn run_acceptor(
             }
         }
     }
+}
+
+/// Keep `handle` for the shutdown join, first dropping every handle in
+/// `handles` whose thread already finished. A finished thread that is
+/// never joined or detached keeps its stack mapping, so an accept loop
+/// that only joins at shutdown grows by one stack per connection.
+pub(crate) fn track(handles: &mut Vec<JoinHandle<()>>, handle: JoinHandle<()>) {
+    handles.retain(|h| !h.is_finished());
+    handles.push(handle);
 }
 
 /// A running daemon. Dropping the handle without [`ServeDaemon::shutdown`]
@@ -414,8 +421,7 @@ impl ServeDaemon {
             }
         }
 
-        let router = ModuloRouter::new(config.shards);
-        let shards = router.shards();
+        let shards = config.shards.max(1);
         let mut senders = Vec::with_capacity(shards);
         let mut depths = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
@@ -435,7 +441,6 @@ impl ServeDaemon {
         let shared = Arc::new(Shared {
             senders,
             depths,
-            router: Box::new(router),
             metrics,
             obs: ObsHandle::new(observer),
             registry,
@@ -497,9 +502,8 @@ impl ServeDaemon {
     ///
     /// # Errors
     ///
-    /// [`FixQueryError::Localization`] with the shard's rendered
-    /// `ServerError`, or [`FixQueryError::ShardGone`] if the worker is
-    /// gone.
+    /// [`FixQueryError::Localization`] with the shard's `ServerError`, or
+    /// [`FixQueryError::ShardGone`] if the worker is gone.
     pub fn fix_2d(&self, antenna_id: u8) -> Result<Fix2D, FixQueryError> {
         self.shared.fix_2d(antenna_id)
     }

@@ -15,7 +15,7 @@
 //! formatting, so parsing them back yields bit-identical values — the
 //! property the end-to-end equivalence test leans on.
 
-use crate::daemon::Shared;
+use crate::daemon::{track, Shared};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -32,7 +32,10 @@ pub(crate) fn run_http(shared: &std::sync::Arc<Shared>, listener: &TcpListener) 
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let shared = std::sync::Arc::clone(shared);
-                handlers.push(std::thread::spawn(move || handle_request(&shared, stream)));
+                track(
+                    &mut handlers,
+                    std::thread::spawn(move || handle_request(&shared, stream)),
+                );
             }
             Err(_) => {
                 if shared.stopping() {

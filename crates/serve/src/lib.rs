@@ -12,13 +12,12 @@
 //!   to a reader thread that decodes frames incrementally and routes
 //!   report batches to shards.
 //! * **Shards** — each shard is one thread owning one
-//!   [`tagspin_core::session::SessionManager`]; a `ShardRouter`
-//!   (internal trait, modulo-by-antenna today) pins every antenna to
-//!   exactly one shard, so per-antenna report order is preserved
-//!   end-to-end and fix answers stay bit-identical to a single-process
-//!   run over the same streams. Shards share the server's tag registry
-//!   and steering-table cache (a perf-only sharing; outputs are
-//!   unaffected).
+//!   [`tagspin_core::session::SessionManager`]; routing (antenna id
+//!   modulo shard count) pins every antenna to exactly one shard, so
+//!   per-antenna report order is preserved end-to-end and fix answers
+//!   stay bit-identical to a single-process run over the same streams.
+//!   Shards share the server's tag registry and steering-table cache (a
+//!   perf-only sharing; outputs are unaffected).
 //! * **Backpressure** — shard queues are bounded crossbeam channels.
 //!   A full queue sheds the incoming batch as typed
 //!   [`tagspin_core::session::quarantine::RejectReason::Overload`]

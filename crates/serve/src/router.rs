@@ -4,43 +4,13 @@
 //! single-process run: **one antenna, one shard, forever**. Each shard's
 //! `SessionManager` then sees exactly the per-antenna report sequence the
 //! reader sent (shard queues are FIFO), so ingest screening, windowing
-//! and fixes replay deterministically. The trait stays internal so a
-//! future async runtime or a rebalancing router (consistent hashing,
-//! explicit assignment tables) can slot in without touching the wire or
-//! query planes.
+//! and fixes replay deterministically.
 
-/// Maps an antenna to the shard that owns its sessions.
-pub(crate) trait ShardRouter: Send + Sync {
-    /// The owning shard index, always `< shards()`.
-    fn shard_of(&self, antenna_id: u8) -> usize;
-    /// Total shard count.
-    fn shards(&self) -> usize;
-}
-
-/// The default router: antenna id modulo shard count. Stateless, uniform
-/// for the simulator's dense antenna ids, and trivially stable.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ModuloRouter {
-    shards: usize,
-}
-
-impl ModuloRouter {
-    /// A router over `shards` shards (clamped to at least one).
-    pub(crate) fn new(shards: usize) -> Self {
-        ModuloRouter {
-            shards: shards.max(1),
-        }
-    }
-}
-
-impl ShardRouter for ModuloRouter {
-    fn shard_of(&self, antenna_id: u8) -> usize {
-        antenna_id as usize % self.shards
-    }
-
-    fn shards(&self) -> usize {
-        self.shards
-    }
+/// The shard owning `antenna_id` among `shards` shards (a zero count is
+/// treated as one): antenna id modulo shard count. Stateless, uniform for
+/// the simulator's dense antenna ids, and trivially stable.
+pub(crate) fn shard_of(antenna_id: u8, shards: usize) -> usize {
+    usize::from(antenna_id) % shards.max(1)
 }
 
 #[cfg(test)]
@@ -49,18 +19,15 @@ mod tests {
 
     #[test]
     fn modulo_router_is_stable_and_in_range() {
-        let r = ModuloRouter::new(3);
         for antenna in 0..=u8::MAX {
-            let s = r.shard_of(antenna);
-            assert!(s < r.shards());
-            assert_eq!(s, r.shard_of(antenna), "routing must be deterministic");
+            let s = shard_of(antenna, 3);
+            assert!(s < 3);
+            assert_eq!(s, shard_of(antenna, 3), "routing must be deterministic");
         }
     }
 
     #[test]
     fn zero_shards_clamps_to_one() {
-        let r = ModuloRouter::new(0);
-        assert_eq!(r.shards(), 1);
-        assert_eq!(r.shard_of(200), 0);
+        assert_eq!(shard_of(200, 0), 0);
     }
 }

@@ -25,8 +25,8 @@ pub(crate) enum ShardCmd {
     Fix2D {
         /// The antenna to fix.
         antenna_id: u8,
-        /// Reply channel (capacity 1); errors carry the rendered
-        /// `ServerError` text.
+        /// Reply channel (capacity 1); errors carry the shard's
+        /// `ServerError`.
         reply: Sender<Result<Fix2D, FixQueryError>>,
     },
     /// Reply once every command enqueued before this one has been
@@ -101,7 +101,7 @@ pub(crate) fn run_worker(
             ShardCmd::Fix2D { antenna_id, reply } => {
                 let fix = manager
                     .fix_2d(antenna_id)
-                    .map_err(|e| FixQueryError::Localization(e.to_string()));
+                    .map_err(FixQueryError::Localization);
                 // A vanished requester is its own problem, not the shard's.
                 let _ = reply.try_send(fix);
             }

@@ -50,6 +50,12 @@ pub fn l6_guard_across_emit(obs: &ObsHandle, cache: &CacheLock) {
     obs.emit(|| guard.len()); //~ L6
 }
 
+/// L6 fires when a lock guard is live across a spectrum peak search.
+pub fn l6_guard_across_peak(engine: &SpectrumEngine, cache: &CacheLock) {
+    let guard = cache.lock();
+    engine.peak_3d(guard.len()); //~ L6
+}
+
 /// L7 fires on a memory ordering without a justification note.
 pub fn l7_unjustified(c: &std::sync::atomic::AtomicU64) {
     c.fetch_add(1, std::sync::atomic::Ordering::Relaxed); //~ L7

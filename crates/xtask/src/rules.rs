@@ -427,7 +427,7 @@ pub fn lossy_cast(ctx: &FileContext<'_>, out: &mut Sink) {
 /// Callees a live lock guard must not span (L6): observer emission and
 /// the spectrum recompute entry points, whose latency and re-entrancy
 /// must never be coupled to a held lock.
-const GUARDED_CALLEES: [&str; 11] = [
+const GUARDED_CALLEES: [&str; 13] = [
     "emit",
     "on_event",
     "on_batch",
@@ -437,8 +437,10 @@ const GUARDED_CALLEES: [&str; 11] = [
     "fix_2d",
     "fix_3d",
     "fix_3d_aided",
-    "bearing_2d",
-    "bearing_3d",
+    "tag_bearing_2d",
+    "peak_2d",
+    "peak_3d",
+    "peak_3d_for_disk",
 ];
 
 /// A lock guard binding discovered by the L6 scan.

@@ -47,12 +47,30 @@ fn spectrum_cfg() -> SpectrumConfig {
     }
 }
 
-/// Two registered disks (EPCs 1 and 2), exhaustive engine, and the given
-/// incremental policy. The exhaustive engine removes the coarse-to-fine
-/// search from the comparison: both arms then reduce the same full grid.
+/// A coarse 10° × 45° grid for the property suite's 3D and aided arms. An
+/// anchored reduction is bit-identical at any resolution, so this grid runs
+/// the same sync, re-anchor and reduction code as `spectrum_cfg`'s 3D grid
+/// with 180 cells instead of 1980 — the 2D grid's cell count.
+fn spectrum_cfg_3d() -> SpectrumConfig {
+    SpectrumConfig {
+        azimuth_steps: 36,
+        polar_steps: 5,
+        ..spectrum_cfg()
+    }
+}
+
+/// Two registered disks (EPCs 1 and 2) on `spectrum_cfg`, exhaustive
+/// engine, and the given incremental policy.
 fn server(incremental: IncrementalPolicy) -> LocalizationServer {
+    server_on(spectrum_cfg(), incremental)
+}
+
+/// [`server`] on the given grid. The exhaustive engine removes the
+/// coarse-to-fine search from the comparison: both arms then reduce the
+/// same full grid.
+fn server_on(spectrum: SpectrumConfig, incremental: IncrementalPolicy) -> LocalizationServer {
     let mut server = LocalizationServer::new(PipelineConfig {
-        spectrum: spectrum_cfg(),
+        spectrum,
         engine: SpectrumEngineConfig {
             exhaustive: true,
             ..SpectrumEngineConfig::default()
@@ -121,8 +139,9 @@ proptest! {
     /// Property 1: re-anchoring on every sync makes the incremental path
     /// bit-identical to the legacy recompute over random ingest/evict
     /// interleavings — hostile streams (duplicates, reordering, corrupt
-    /// phases, ghost EPCs), all four window shapes, fixes queried
-    /// mid-stream at a random stride.
+    /// phases, ghost EPCs), all four window shapes, 2D, 3D and aided fixes
+    /// queried mid-stream at a random stride (3D and aided on the coarse
+    /// `spectrum_cfg_3d` grid).
     #[test]
     fn prop_reanchored_sync_is_bit_identical_over_interleavings(
         rate in 0.0f64..0.45,
@@ -136,21 +155,31 @@ proptest! {
         let mut legacy = legacy_server.session(window(window_sel));
         let incr_server = server(bit_identical_policy());
         let mut incr = incr_server.session(window(window_sel));
+        let legacy_3d_server = server_on(spectrum_cfg_3d(), IncrementalPolicy::disabled());
+        let mut legacy_3d = legacy_3d_server.session(window(window_sel));
+        let incr_3d_server = server_on(spectrum_cfg_3d(), bit_identical_policy());
+        let mut incr_3d = incr_3d_server.session(window(window_sel));
 
         for (i, report) in reports.iter().enumerate() {
             prop_assert_eq!(legacy.ingest(report), incr.ingest(report));
+            prop_assert_eq!(legacy_3d.ingest(report), incr_3d.ingest(report));
             if i % stride == 0 {
                 prop_assert_eq!(legacy.fix_2d(), incr.fix_2d());
+                prop_assert_eq!(legacy_3d.fix_3d(), incr_3d.fix_3d());
+                prop_assert_eq!(legacy_3d.fix_3d_aided(), incr_3d.fix_3d_aided());
             }
         }
         prop_assert_eq!(legacy.fix_2d(), incr.fix_2d());
+        prop_assert_eq!(legacy_3d.fix_3d(), incr_3d.fix_3d());
+        prop_assert_eq!(legacy_3d.fix_3d_aided(), incr_3d.fix_3d_aided());
 
-        // The incremental arm really took the incremental path: every
+        // The incremental arms really took the incremental path: every
         // engaged sync re-anchored, none fell back.
-        let stats = incr.stats();
-        prop_assert!(stats.incremental.reanchors > 0);
-        prop_assert_eq!(stats.incremental.downdated, 0);
-        prop_assert_eq!(stats.incremental.fallbacks, 0);
+        for stats in [incr.stats(), incr_3d.stats()] {
+            prop_assert!(stats.incremental.reanchors > 0);
+            prop_assert_eq!(stats.incremental.downdated, 0);
+            prop_assert_eq!(stats.incremental.fallbacks, 0);
+        }
     }
 
     /// Property 2: under the *default* re-anchor policy the traditional
@@ -302,6 +331,13 @@ fn hardened_quarantine_keeps_nan_storms_bit_identical() {
     );
 }
 
+/// The 2D, 3D and aided fixes of two sessions agree exactly.
+fn assert_all_kinds_equal(legacy: &mut ReaderSession, incr: &mut ReaderSession) {
+    assert_eq!(legacy.fix_2d(), incr.fix_2d());
+    assert_eq!(legacy.fix_3d(), incr.fix_3d());
+    assert_eq!(legacy.fix_3d_aided(), incr.fix_3d_aided());
+}
+
 /// Poison safety, permissive arm: with the value screens off, NaN phases
 /// flow into the buffers. While any is resident the incremental path must
 /// serve the legacy fallback wholesale (bit-identical fixes, fallback
@@ -323,7 +359,7 @@ fn permissive_nan_residency_falls_back_then_recovers() {
     for r in &clean[..400] {
         assert_eq!(legacy.ingest(r), incr.ingest(r));
     }
-    assert_eq!(legacy.fix_2d(), incr.fix_2d());
+    assert_all_kinds_equal(&mut legacy, &mut incr);
     assert_eq!(incr.stats().incremental.fallbacks, 0);
 
     // Phase 2: inject NaN phases for both tags, then fix while resident.
@@ -339,7 +375,7 @@ fn permissive_nan_residency_falls_back_then_recovers() {
         };
         assert_eq!(legacy.ingest(&poison), incr.ingest(&poison));
     }
-    assert_eq!(legacy.fix_2d(), incr.fix_2d());
+    assert_all_kinds_equal(&mut legacy, &mut incr);
     let fallbacks_during = incr.stats().incremental.fallbacks;
     assert!(
         fallbacks_during > 0,
@@ -355,7 +391,7 @@ fn permissive_nan_residency_falls_back_then_recovers() {
         };
         assert_eq!(legacy.ingest(&shifted), incr.ingest(&shifted));
     }
-    assert_eq!(legacy.fix_2d(), incr.fix_2d());
+    assert_all_kinds_equal(&mut legacy, &mut incr);
     let stats = incr.stats();
     assert_eq!(
         stats.incremental.fallbacks, fallbacks_during,
