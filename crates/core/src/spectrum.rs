@@ -401,23 +401,146 @@ fn prepare(set: &SnapshotSet, radius: f64, cfg: &SpectrumConfig) -> Prepared {
     }
 }
 
-/// Power of one candidate direction from its per-snapshot steering terms.
+/// The enhanced profile's likelihood weight (Definition 4.1): a Gaussian
+/// in the deviation of a relative phase from its model value.
+#[derive(Debug, Clone, Copy)]
+struct Likelihood {
+    /// Weight standard deviation, `√2·σ·inflation` (the difference of two
+    /// reads has std `√2·σ`).
+    sig: f64,
+    /// Gaussian normalization `1/(σ√(2π))`.
+    norm: f64,
+}
+
+impl Likelihood {
+    fn new(cfg: &SpectrumConfig) -> Likelihood {
+        let sig = std::f64::consts::SQRT_2 * cfg.sigma * cfg.weight_inflation;
+        let norm = 1.0 / (sig * TAU.sqrt() / std::f64::consts::SQRT_2); // 1/(σ√(2π))
+        Likelihood { sig, norm }
+    }
+
+    /// Weight of the relative phase `dphase = θᵢ − θ_ref` against its model
+    /// value `c = s_ref − sᵢ` (radius terms only; `D` and `θ_div` cancel in
+    /// the difference).
+    #[inline]
+    fn weight(self, dphase: f64, c: f64) -> f64 {
+        let z = angle::wrap_pi(dphase - c) / self.sig;
+        self.norm * (-0.5 * z * z).exp()
+    }
+}
+
+/// Per-worker buffers for the cell kernel, sized to one [`Prepared`] so
+/// that evaluating a cell never allocates.
+struct Scratch {
+    /// Steering terms `sᵢ` of the current cell (filled by the caller).
+    steer: Vec<f64>,
+    /// Steered phasors `e^{jθᵢ}·e^{jsᵢ}` (filled by [`cell_sums`]).
+    steered: Vec<Complex>,
+    /// Per-reference weighted sums (filled by [`cell_sums`]).
+    weighted: Vec<Complex>,
+}
+
+impl Scratch {
+    fn new(p: &Prepared) -> Scratch {
+        let n = p.phase.len();
+        Scratch {
+            steer: vec![0.0; n],
+            steered: vec![Complex::ZERO; n],
+            weighted: vec![Complex::ZERO; p.references.len()],
+        }
+    }
+}
+
+/// The per-cell profile kernel, shared by [`profile_power`] and the
+/// incremental anchor.
 ///
-/// This is the profile kernel shared by the reference evaluators below and
-/// by the [`engine`] fast path (which fills `steer` from cached tables).
+/// Computes each snapshot's steered phasor `e^{jθᵢ}·e^{jsᵢ}` once into
+/// `steered` and returns the traditional sum `Σᵢ e^{j(θᵢ + sᵢ)}`. With
+/// `enhanced`, it also writes one likelihood-weighted sum
+/// `Σᵢ wᵢ·e^{j(θᵢ + sᵢ)}` per reference of `p` (in order) into the given
+/// slice. Every sum folds in snapshot order.
+fn cell_sums(
+    p: &Prepared,
+    steer: &[f64],
+    steered: &mut [Complex],
+    enhanced: Option<(Likelihood, &mut [Complex])>,
+) -> Complex {
+    let mut trad = Complex::ZERO;
+    for ((out, &phasor), &s) in steered.iter_mut().zip(&p.phasor).zip(steer) {
+        *out = phasor * Complex::cis(s);
+        trad += *out;
+    }
+    if let Some((likelihood, weighted)) = enhanced {
+        for (acc, &r) in weighted.iter_mut().zip(&p.references) {
+            let (phase_r, steer_r) = (p.phase[r], steer[r]);
+            let mut sum = Complex::ZERO;
+            for ((&phase, &s), &z) in p.phase.iter().zip(steer).zip(steered.iter()) {
+                sum += likelihood.weight(phase - phase_r, steer_r - s) * z;
+            }
+            *acc = sum;
+        }
+    }
+    trad
+}
+
+/// Power of one candidate direction from its per-snapshot steering terms
+/// (`scratch.steer`).
+///
+/// This reduces the cell kernel for the reference evaluators below and for
+/// the [`engine`] fast path (which fills `steer` from cached tables).
 /// For [`ProfileKind::Traditional`] this is `|Σ e^{j(θᵢ + sᵢ)}| / n` (the
 /// reference factor `e^{−jθ₁}` of Eqn 7 has unit magnitude, so it never
 /// affects the spectrum). For [`ProfileKind::Enhanced`] the likelihood
 /// weights *do* depend on the reference, so the per-reference spectra are
 /// averaged.
-#[allow(clippy::needless_range_loop)] // parallel indexing over phase/phasor/steer
 fn profile_power(
+    p: &Prepared,
+    scratch: &mut Scratch,
+    kind: ProfileKind,
+    likelihood: Likelihood,
+) -> f64 {
+    // lint:allow(lossy-cast) snapshot count is < 2^32, exact in f64
+    let n = p.phase.len() as f64;
+    let Scratch {
+        steer,
+        steered,
+        weighted,
+    } = scratch;
+    match kind {
+        ProfileKind::Traditional => cell_sums(p, steer, steered, None).abs() / n,
+        ProfileKind::Enhanced | ProfileKind::Hybrid => {
+            cell_sums(p, steer, steered, Some((likelihood, weighted)));
+            let mut total = 0.0;
+            for acc in weighted.iter() {
+                total += acc.abs() / n;
+            }
+            // lint:allow(lossy-cast) reference count is < 2^32, exact in f64
+            total / p.references.len() as f64
+        }
+    }
+}
+
+/// The textbook Definition 4.1 loop: the steered phasor recomputed for
+/// every (reference, snapshot) pair, deviations wrapped through
+/// `rem_euclid`. The test oracle the cell kernel must match bit for bit.
+#[cfg(test)]
+#[allow(clippy::needless_range_loop)] // parallel indexing over phase/phasor/steer
+fn profile_power_oracle(
     p: &Prepared,
     steer: &[f64],
     kind: ProfileKind,
-    sigma: f64,
-    inflation: f64,
+    cfg: &SpectrumConfig,
 ) -> f64 {
+    #[allow(clippy::disallowed_methods)]
+    fn wrap_pi(x: f64) -> f64 {
+        let w = x.rem_euclid(TAU);
+        let w = if w >= TAU { 0.0 } else { w };
+        if w > std::f64::consts::PI {
+            w - TAU
+        } else {
+            w
+        }
+    }
     let n = p.beta.len();
     match kind {
         ProfileKind::Traditional => {
@@ -425,29 +548,23 @@ fn profile_power(
             for i in 0..n {
                 acc += p.phasor[i] * Complex::cis(steer[i]);
             }
-            // lint:allow(lossy-cast) reference count is < 2^32, exact in f64
             acc.abs() / n as f64
         }
         ProfileKind::Enhanced | ProfileKind::Hybrid => {
-            // The difference of two reads has std √2·σ.
-            let sig = std::f64::consts::SQRT_2 * sigma * inflation;
-            let norm = 1.0 / (sig * TAU.sqrt() / std::f64::consts::SQRT_2); // 1/(σ√(2π))
+            let sig = std::f64::consts::SQRT_2 * cfg.sigma * cfg.weight_inflation;
+            let norm = 1.0 / (sig * TAU.sqrt() / std::f64::consts::SQRT_2);
             let mut total = 0.0;
             for &r in &p.references {
                 let mut acc = Complex::ZERO;
                 for i in 0..n {
-                    // cᵢ(φ) = ϑᵢ − ϑ_ref = s_ref − sᵢ (radius terms only;
-                    // D and θ_div cancel in the difference).
                     let c_i = steer[r] - steer[i];
-                    let dev = angle::wrap_pi((p.phase[i] - p.phase[r]) - c_i);
+                    let dev = wrap_pi((p.phase[i] - p.phase[r]) - c_i);
                     let z = dev / sig;
                     let w = norm * (-0.5 * z * z).exp();
                     acc += w * (p.phasor[i] * Complex::cis(steer[i]));
                 }
-                // lint:allow(lossy-cast) reference count is < 2^32, exact in f64
                 total += acc.abs() / n as f64;
             }
-            // lint:allow(lossy-cast) reference count is < 2^32, exact in f64
             total / p.references.len() as f64
         }
     }
@@ -458,19 +575,17 @@ fn profile_power(
 /// `cos_gamma` is 1.0 in 2D.
 fn accumulate(
     p: &Prepared,
+    scratch: &mut Scratch,
     phi: f64,
     cos_gamma: f64,
     kind: ProfileKind,
-    sigma: f64,
-    inflation: f64,
+    likelihood: Likelihood,
 ) -> f64 {
-    let n = p.beta.len();
     // Steering terms for this candidate direction.
-    let mut steer = Vec::with_capacity(n);
-    for i in 0..n {
-        steer.push(p.k_r[i] * (p.beta[i] - phi).cos() * cos_gamma);
+    for ((s, &k_r), &beta) in scratch.steer.iter_mut().zip(&p.k_r).zip(&p.beta) {
+        *s = k_r * (beta - phi).cos() * cos_gamma;
     }
-    profile_power(p, &steer, kind, sigma, inflation)
+    profile_power(p, scratch, kind, likelihood)
 }
 
 /// Compute a 2D angle spectrum.
@@ -495,11 +610,13 @@ pub fn spectrum_2d(
     // lint:allow(no-panic) documented precondition: callers validate configs
     cfg.validate().expect("invalid spectrum config");
     let p = prepare(set, radius, cfg);
+    let mut scratch = Scratch::new(&p);
+    let likelihood = Likelihood::new(cfg);
     let values = (0..cfg.azimuth_steps)
         .map(|i| {
             // lint:allow(lossy-cast) azimuth index and step count are < 2^32, exact in f64
             let phi = i as f64 * TAU / cfg.azimuth_steps as f64;
-            accumulate(&p, phi, 1.0, kind, cfg.sigma, cfg.weight_inflation)
+            accumulate(&p, &mut scratch, phi, 1.0, kind, likelihood)
         })
         .collect();
     Spectrum2D { values }
@@ -523,6 +640,8 @@ pub fn spectrum_3d(
     // lint:allow(no-panic) documented precondition: callers validate configs
     cfg.validate().expect("invalid spectrum config");
     let p = prepare(set, radius, cfg);
+    let mut scratch = Scratch::new(&p);
+    let likelihood = Likelihood::new(cfg);
     let mut values = Vec::with_capacity(cfg.azimuth_steps * cfg.polar_steps);
     for j in 0..cfg.polar_steps {
         // lint:allow(lossy-cast) polar index and step count are < 2^32, exact in f64
@@ -531,14 +650,7 @@ pub fn spectrum_3d(
         for i in 0..cfg.azimuth_steps {
             // lint:allow(lossy-cast) azimuth index and step count are < 2^32, exact in f64
             let phi = i as f64 * TAU / cfg.azimuth_steps as f64;
-            values.push(accumulate(
-                &p,
-                phi,
-                cg,
-                kind,
-                cfg.sigma,
-                cfg.weight_inflation,
-            ));
+            values.push(accumulate(&p, &mut scratch, phi, cg, kind, likelihood));
         }
     }
     Spectrum3D {
@@ -555,21 +667,18 @@ pub fn spectrum_3d(
 /// so the steering term is `sᵢ = (4πr/λᵢ)·(u(βᵢ)·d̂)`. For a horizontal
 /// disk `u(β)·d̂ = cos(β−φ)·cos γ`, recovering the paper's Eqn 10 exactly
 /// (verified in tests).
-#[allow(clippy::needless_range_loop)] // parallel indexing over k_r/radials
 fn accumulate_oriented(
     p: &Prepared,
+    scratch: &mut Scratch,
     radials: &[tagspin_geom::Vec3],
     dir: tagspin_geom::Vec3,
     kind: ProfileKind,
-    sigma: f64,
-    inflation: f64,
+    likelihood: Likelihood,
 ) -> f64 {
-    let n = p.beta.len();
-    let mut steer = Vec::with_capacity(n);
-    for i in 0..n {
-        steer.push(p.k_r[i] * radials[i].dot(dir));
+    for ((s, &k_r), radial) in scratch.steer.iter_mut().zip(&p.k_r).zip(radials) {
+        *s = k_r * radial.dot(dir);
     }
-    profile_power(p, &steer, kind, sigma, inflation)
+    profile_power(p, scratch, kind, likelihood)
 }
 
 /// Compute a 3D angle spectrum for a disk of *any* orientation (the
@@ -599,6 +708,8 @@ pub fn spectrum_3d_for_disk(
     disk.validate().expect("invalid disk config");
     let p = prepare(set, disk.radius, cfg);
     let radials: Vec<tagspin_geom::Vec3> = p.beta.iter().map(|&b| disk.radial(b)).collect();
+    let mut scratch = Scratch::new(&p);
+    let likelihood = Likelihood::new(cfg);
     let mut values = Vec::with_capacity(cfg.azimuth_steps * cfg.polar_steps);
     for j in 0..cfg.polar_steps {
         // lint:allow(lossy-cast) polar index and step count are < 2^32, exact in f64
@@ -609,11 +720,11 @@ pub fn spectrum_3d_for_disk(
             let dir = tagspin_geom::Vec3::from_spherical(phi, gamma);
             values.push(accumulate_oriented(
                 &p,
+                &mut scratch,
                 &radials,
                 dir,
                 kind,
-                cfg.sigma,
-                cfg.weight_inflation,
+                likelihood,
             ));
         }
     }

@@ -32,8 +32,8 @@
 //! `docs/SPECTRUM_ENGINE.md`).
 
 use super::{
-    prepare, profile_power, spectrum_2d, spectrum_3d, spectrum_3d_for_disk, Prepared, ProfileKind,
-    Spectrum2D, Spectrum3D, SpectrumConfig,
+    prepare, profile_power, spectrum_2d, spectrum_3d, spectrum_3d_for_disk, Likelihood, Prepared,
+    ProfileKind, Scratch, Spectrum2D, Spectrum3D, SpectrumConfig,
 };
 use crate::obs::{Event, ObsHandle, Observer, Stage};
 use crate::snapshot::SnapshotSet;
@@ -279,16 +279,15 @@ struct EvalContext<'a> {
     ap: &'a Aperture,
     table: &'a SteeringTable,
     kind: ProfileKind,
-    sigma: f64,
-    inflation: f64,
+    likelihood: Likelihood,
     azimuth_steps: usize,
     three_d: bool,
 }
 
 impl EvalContext<'_> {
     /// Power at linear cell index `cell` (2D: azimuth index; 3D: row-major
-    /// `[polar][azimuth]`), using `steer` as scratch.
-    fn value_at(&self, cell: usize, steer: &mut [f64]) -> f64 {
+    /// `[polar][azimuth]`), using the worker's `scratch`.
+    fn value_at(&self, cell: usize, scratch: &mut Scratch) -> f64 {
         let (az_idx, cg, sg) = if self.three_d {
             let po = cell / self.azimuth_steps;
             (
@@ -300,10 +299,10 @@ impl EvalContext<'_> {
             (cell, 1.0, 0.0)
         };
         let (cp, sp) = (self.table.cos_phi[az_idx], self.table.sin_phi[az_idx]);
-        for (i, s) in steer.iter_mut().enumerate() {
+        for (i, s) in scratch.steer.iter_mut().enumerate() {
             *s = cg * (self.ap.ax[i] * cp + self.ap.ay[i] * sp) + sg * self.ap.az[i];
         }
-        profile_power(self.p, steer, self.kind, self.sigma, self.inflation)
+        profile_power(self.p, scratch, self.kind, self.likelihood)
     }
 }
 
@@ -319,9 +318,9 @@ fn eval_cells(ctx: &EvalContext<'_>, workers: usize, cells: &[usize], values: &m
     let n = ctx.p.beta.len();
     let workers = workers.min(cells.len());
     if workers <= 1 || cells.len().saturating_mul(n) < PAR_MIN_WORK {
-        let mut steer = vec![0.0; n];
+        let mut scratch = Scratch::new(ctx.p);
         for &c in cells {
-            values[c] = ctx.value_at(c, &mut steer);
+            values[c] = ctx.value_at(c, &mut scratch);
         }
         return;
     }
@@ -332,10 +331,10 @@ fn eval_cells(ctx: &EvalContext<'_>, workers: usize, cells: &[usize], values: &m
             .iter()
             .map(|&chunk| {
                 scope.spawn(move |_| {
-                    let mut steer = vec![0.0; n];
+                    let mut scratch = Scratch::new(ctx.p);
                     chunk
                         .iter()
-                        .map(|&c| ctx.value_at(c, &mut steer))
+                        .map(|&c| ctx.value_at(c, &mut scratch))
                         .collect::<Vec<f64>>()
                 })
             })
@@ -646,8 +645,7 @@ impl SpectrumEngine {
             ap: &ap,
             table: &table,
             kind,
-            sigma: cfg.sigma,
-            inflation: cfg.weight_inflation,
+            likelihood: Likelihood::new(cfg),
             azimuth_steps: cfg.azimuth_steps,
             three_d: false,
         };
@@ -718,8 +716,7 @@ impl SpectrumEngine {
             ap: &ap,
             table: &table,
             kind,
-            sigma: cfg.sigma,
-            inflation: cfg.weight_inflation,
+            likelihood: Likelihood::new(cfg),
             azimuth_steps: cfg.azimuth_steps,
             three_d: true,
         };
@@ -771,8 +768,7 @@ impl SpectrumEngine {
             ap: &ap,
             table: &table,
             kind: k,
-            sigma: cfg.sigma,
-            inflation: cfg.weight_inflation,
+            likelihood: Likelihood::new(cfg),
             azimuth_steps: cfg.azimuth_steps,
             three_d: false,
         };
@@ -976,8 +972,7 @@ impl SpectrumEngine {
             ap,
             table: &table,
             kind: k,
-            sigma: cfg.sigma,
-            inflation: cfg.weight_inflation,
+            likelihood: Likelihood::new(cfg),
             azimuth_steps: cfg.azimuth_steps,
             three_d: true,
         };
@@ -1369,8 +1364,7 @@ mod tests {
             ap: &ap,
             table: &table,
             kind: ProfileKind::Enhanced,
-            sigma: cfg.sigma,
-            inflation: cfg.weight_inflation,
+            likelihood: Likelihood::new(&cfg),
             azimuth_steps: cfg.azimuth_steps,
             three_d: false,
         };

@@ -20,8 +20,8 @@
 //! the accumulators in O(grid) — `abs()` + divide per cell — without
 //! touching the snapshot buffer.
 //!
-//! **Anchoring.** A full rebuild ("anchor") replays the reference fold
-//! order exactly, so a freshly anchored state reduces **bit-identically**
+//! **Anchoring.** A full rebuild ("anchor") runs the free functions' own
+//! cell kernel, so a freshly anchored state reduces **bit-identically**
 //! to the exhaustive free functions in [`crate::spectrum`]. Between
 //! anchors the two families degrade differently. Traditional sums see
 //! only float drift from downdates (cancellation error, ~machine epsilon
@@ -45,7 +45,9 @@
 //! path wholesale, so `NaN` can never linger in the running sums.
 
 use super::engine::SpectrumEngine;
-use super::{ProfileKind, Spectrum2D, Spectrum3D, SpectrumConfig};
+use super::{
+    cell_sums, prepare, Likelihood, ProfileKind, Scratch, Spectrum2D, Spectrum3D, SpectrumConfig,
+};
 use crate::obs::FixKind;
 use crate::snapshot::{Snapshot, SnapshotSet};
 use crate::spinning::DiskConfig;
@@ -53,7 +55,6 @@ use std::collections::VecDeque;
 use std::f64::consts::{FRAC_PI_2, PI, TAU};
 use tagspin_dsp::complex::Complex;
 use tagspin_dsp::peak::PeakEstimate;
-use tagspin_geom::angle;
 use tagspin_geom::vec3::Direction3;
 use tagspin_geom::Vec3;
 
@@ -408,77 +409,54 @@ impl IncrementalState {
         }
     }
 
-    /// Exact rebuild: replay the reference evaluators' float expressions
-    /// and fold order over the finite subset of `set`, so an immediately
+    /// Exact rebuild: run the reference evaluators' cell kernel over the
+    /// finite subset of `set` and keep its sums, so an immediately
     /// following reduction is bit-identical to the free functions (and to
     /// the clean-subset recompute when non-finite columns are resident).
-    #[allow(clippy::needless_range_loop)] // parallel indexing over SoA scratch
     fn anchor(&mut self, set: &SnapshotSet) {
         self.cols.clear();
         for s in set.snapshots() {
             self.cols.push_back(Column::new(s, &self.disk));
         }
         self.nonfinite = self.cols.iter().filter(|c| !c.finite).count();
-        // Flat SoA scratch over the finite subsequence.
-        let n = self.cols.len() - self.nonfinite;
-        let mut phase = Vec::with_capacity(n);
-        let mut phasor = Vec::with_capacity(n);
-        let mut k_r = Vec::with_capacity(n);
-        let mut beta = Vec::with_capacity(n);
-        let mut radial = Vec::with_capacity(n);
-        for c in self.cols.iter().filter(|c| c.finite) {
-            phase.push(c.phase);
-            phasor.push(c.phasor);
-            k_r.push(c.k_r);
-            beta.push(c.beta);
-            radial.push(c.radial);
-        }
-        // Reference indices: the reference expression over the finite
-        // subsequence.
-        let count = self.cfg.references.min(n);
-        let refs: Vec<usize> = (0..count).map(|k| k * n / count).collect();
+        let finite = SnapshotSet::from_snapshots(
+            set.snapshots()
+                .iter()
+                .filter(|s| s.phase.is_finite())
+                .copied()
+                .collect(),
+        );
+        let p = prepare(&finite, self.disk.radius, &self.cfg);
+        let radial: Vec<Vec3> = p.beta.iter().map(|&b| self.disk.radial(b)).collect();
         let cells = self.grid.cells();
-        let nrefs = refs.len();
+        let nrefs = p.references.len();
         if self.needs_trad() {
             self.trad.clear();
             self.trad.resize(cells, Complex::ZERO);
         }
-        if self.needs_enh() {
-            self.enh_phase_r = refs.iter().map(|&r| phase[r]).collect();
+        let likelihood = self.needs_enh().then(|| Likelihood::new(&self.cfg));
+        if likelihood.is_some() {
+            self.enh_phase_r = p.references.iter().map(|&r| p.phase[r]).collect();
             self.enh_steer_r.clear();
             self.enh_steer_r.resize(nrefs * cells, 0.0);
             self.enh_acc.clear();
             self.enh_acc.resize(nrefs * cells, Complex::ZERO);
         }
-        let sig = std::f64::consts::SQRT_2 * self.cfg.sigma * self.cfg.weight_inflation;
-        let norm = 1.0 / (sig * TAU.sqrt() / std::f64::consts::SQRT_2); // 1/(σ√(2π))
-        let mut steer = vec![0.0; n];
+        let mut scratch = Scratch::new(&p);
         for cell in 0..cells {
-            for i in 0..n {
-                steer[i] = self.grid.steer(cell, k_r[i], beta[i], radial[i]);
+            for (i, s) in scratch.steer.iter_mut().enumerate() {
+                *s = self.grid.steer(cell, p.k_r[i], p.beta[i], radial[i]);
             }
+            let span = cell * nrefs..(cell + 1) * nrefs;
+            let enhanced = likelihood.map(|likelihood| {
+                for (s_r, &r) in self.enh_steer_r[span.clone()].iter_mut().zip(&p.references) {
+                    *s_r = scratch.steer[r];
+                }
+                (likelihood, &mut self.enh_acc[span])
+            });
+            let trad = cell_sums(&p, &scratch.steer, &mut scratch.steered, enhanced);
             if self.needs_trad() {
-                let mut acc = Complex::ZERO;
-                for i in 0..n {
-                    acc += phasor[i] * Complex::cis(steer[i]);
-                }
-                self.trad[cell] = acc;
-            }
-            if self.needs_enh() {
-                for (ri, &r) in refs.iter().enumerate() {
-                    let s_r = steer[r];
-                    let p_r = phase[r];
-                    self.enh_steer_r[cell * nrefs + ri] = s_r;
-                    let mut acc = Complex::ZERO;
-                    for i in 0..n {
-                        let c_i = s_r - steer[i];
-                        let dev = angle::wrap_pi((phase[i] - p_r) - c_i);
-                        let z = dev / sig;
-                        let w = norm * (-0.5 * z * z).exp();
-                        acc += w * (phasor[i] * Complex::cis(steer[i]));
-                    }
-                    self.enh_acc[cell * nrefs + ri] = acc;
-                }
+                self.trad[cell] = trad;
             }
         }
         self.ops_since_anchor = 0;
@@ -491,8 +469,7 @@ impl IncrementalState {
     fn apply(&mut self, col: &Column, add: bool) {
         let cells = self.grid.cells();
         let nrefs = self.enh_phase_r.len();
-        let sig = std::f64::consts::SQRT_2 * self.cfg.sigma * self.cfg.weight_inflation;
-        let norm = 1.0 / (sig * TAU.sqrt() / std::f64::consts::SQRT_2); // 1/(σ√(2π))
+        let likelihood = Likelihood::new(&self.cfg);
         let (trad, enh) = (self.needs_trad(), self.needs_enh());
         for cell in 0..cells {
             let s = self.grid.steer(cell, col.k_r, col.beta, col.radial);
@@ -506,10 +483,10 @@ impl IncrementalState {
             }
             if enh {
                 for ri in 0..nrefs {
-                    let c_i = self.enh_steer_r[cell * nrefs + ri] - s;
-                    let dev = angle::wrap_pi((col.phase - self.enh_phase_r[ri]) - c_i);
-                    let z = dev / sig;
-                    let w = norm * (-0.5 * z * z).exp();
+                    let w = likelihood.weight(
+                        col.phase - self.enh_phase_r[ri],
+                        self.enh_steer_r[cell * nrefs + ri] - s,
+                    );
                     let wc = w * contrib;
                     if add {
                         self.enh_acc[cell * nrefs + ri] += wc;
@@ -581,7 +558,11 @@ impl IncrementalState {
 mod tests {
     use super::*;
     use crate::spectrum::engine::SpectrumEngineConfig;
-    use crate::spectrum::{spectrum_2d, spectrum_3d, spectrum_3d_for_disk};
+    use crate::spectrum::{
+        profile_power, profile_power_oracle, spectrum_2d, spectrum_3d, spectrum_3d_for_disk,
+    };
+    use proptest::prelude::*;
+    use tagspin_geom::angle;
 
     const LAMBDA: f64 = 0.325;
 
@@ -777,6 +758,113 @@ mod tests {
         let out = st.sync(&set, 42, 43, &policy);
         assert!(!st.fallback_needed());
         assert!(out.reanchored, "delta >= resident must re-anchor");
+    }
+
+    /// The profile kinds an anchored state of `profile` can reduce to.
+    fn reducible(profile: ProfileKind) -> &'static [ProfileKind] {
+        match profile {
+            ProfileKind::Traditional => &[ProfileKind::Traditional],
+            ProfileKind::Enhanced => &[ProfileKind::Enhanced],
+            ProfileKind::Hybrid => &[ProfileKind::Hybrid, ProfileKind::Traditional],
+        }
+    }
+
+    proptest! {
+        /// The cell kernel — through `profile_power` for every profile kind
+        /// and through an anchored state's reduction — equals the textbook
+        /// Definition 4.1 loop bit for bit, on arbitrary snapshot sets
+        /// (steering amplitudes large enough to reach the `rem_euclid`
+        /// fall-through of the phase wrap).
+        #[test]
+        fn prop_kernel_matches_textbook_oracle(
+            reads in collection::vec((0.0..TAU, 0.0..TAU, 0.30..0.36), 1..=400),
+            radius in 0.01f64..0.3,
+            references in 1usize..=32,
+            sigma in 0.02f64..1.0,
+            inflation in 0.25f64..4.0,
+            azimuth_steps in 8usize..=12,
+            fix_kind in 0usize..3,
+            profile in 0usize..3,
+            normal_azimuth in 0.0..TAU,
+        ) {
+            let set = SnapshotSet::from_snapshots(
+                reads
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(phase, disk_angle, lambda))| Snapshot {
+                        t_s: i as f64 * 0.01,
+                        phase,
+                        disk_angle,
+                        lambda,
+                        rssi_dbm: -60.0,
+                    })
+                    .collect(),
+            );
+            let cfg = SpectrumConfig {
+                azimuth_steps,
+                polar_steps: 3,
+                sigma,
+                references,
+                weight_inflation: inflation,
+            };
+            let (fix_kind, disk) = match fix_kind {
+                0 => (FixKind::Fix2D, DiskConfig::paper_default(Vec3::ZERO)),
+                1 => (FixKind::Fix3D, DiskConfig::paper_default(Vec3::ZERO)),
+                _ => (FixKind::Fix3DAided, DiskConfig::vertical(Vec3::ZERO, normal_azimuth)),
+            };
+            let disk = DiskConfig { radius, ..disk };
+            let profile = [
+                ProfileKind::Traditional,
+                ProfileKind::Enhanced,
+                ProfileKind::Hybrid,
+            ][profile];
+            let mut st = IncrementalState::new(fix_kind, profile, &cfg, &disk);
+            st.sync(&set, 0, set.len() as u64, &IncrementalPolicy::default());
+            let reduced: Vec<(ProfileKind, Vec<f64>)> = reducible(profile)
+                .iter()
+                .map(|&k| (k, st.reduce_values(k)))
+                .collect();
+
+            let p = prepare(&set, disk.radius, &cfg);
+            let radial: Vec<Vec3> = p.beta.iter().map(|&b| disk.radial(b)).collect();
+            let mut scratch = Scratch::new(&p);
+            for cell in 0..st.grid.cells() {
+                for (i, s) in scratch.steer.iter_mut().enumerate() {
+                    *s = st.grid.steer(cell, p.k_r[i], p.beta[i], radial[i]);
+                }
+                for kind in [
+                    ProfileKind::Traditional,
+                    ProfileKind::Enhanced,
+                    ProfileKind::Hybrid,
+                ] {
+                    let oracle = profile_power_oracle(&p, &scratch.steer, kind, &cfg);
+                    let kernel = profile_power(&p, &mut scratch, kind, Likelihood::new(&cfg));
+                    prop_assert_eq!(
+                        kernel.to_bits(),
+                        oracle.to_bits(),
+                        "profile_power {:?} cell {}: {} vs oracle {}",
+                        kind,
+                        cell,
+                        kernel,
+                        oracle
+                    );
+                    for (k, values) in &reduced {
+                        if *k == kind {
+                            prop_assert_eq!(
+                                values[cell].to_bits(),
+                                oracle.to_bits(),
+                                "anchored {:?} state reduced to {:?}, cell {}: {} vs oracle {}",
+                                profile,
+                                kind,
+                                cell,
+                                values[cell],
+                                oracle
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,33 @@ use std::f64::consts::{PI, TAU};
 /// ```
 #[inline]
 pub fn wrap_tau(theta: f64) -> f64 {
-    // The one blessed raw wrap: every other call site routes through here.
+    // `rem_euclid` is `θ % TAU` — exactly ±(|θ| − k·TAU), signed like θ, so
+    // a negative multiple of TAU gives -0.0 — plus TAU when negative. For
+    // k ≤ 2 the subtraction is exact too (Sterbenz; TAU and 2·TAU are exact
+    // floats), so |θ| < 3·TAU gets the same bits without the libm `fmod`.
+    // The k = 2 result is below TAU exactly when |θ| < 3·TAU.
+    let a = theta.abs();
+    let k_tau = if a < TAU {
+        0.0
+    } else if a < 2.0 * TAU {
+        TAU
+    } else {
+        2.0 * TAU
+    };
+    let r = a - k_tau;
+    // The one blessed raw wrap (for |θ| ≥ 3·TAU, NaN and ±∞): every other
+    // call site routes through here.
     #[allow(clippy::disallowed_methods)]
-    let w = theta.rem_euclid(TAU);
+    let w = if r < TAU {
+        let rem = r.copysign(theta);
+        if rem < 0.0 {
+            rem + TAU
+        } else {
+            rem
+        }
+    } else {
+        theta.rem_euclid(TAU)
+    };
     // rem_euclid can return TAU itself for inputs like -1e-17 due to rounding.
     if w >= TAU {
         0.0
@@ -116,6 +140,110 @@ pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::hint::black_box;
+
+    /// The `fmod`-for-every-input formula `wrap_tau` must reproduce bit
+    /// for bit.
+    fn wrap_tau_oracle(theta: f64) -> f64 {
+        #[allow(clippy::disallowed_methods)]
+        let w = theta.rem_euclid(TAU);
+        if w >= TAU {
+            0.0
+        } else {
+            w
+        }
+    }
+
+    fn assert_wrap_tau_exact(x: f64) {
+        let x = black_box(x);
+        let (fast, oracle) = (wrap_tau(x), wrap_tau_oracle(x));
+        assert_eq!(
+            fast.to_bits(),
+            oracle.to_bits(),
+            "wrap_tau({x:e} = {:#x}) = {fast:e}, rem_euclid gives {oracle:e}",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn wrap_tau_is_exact_near_multiples_of_tau() {
+        // ±k·TAU ± 64 ulps for |k| ≤ 4: every fast-path branch boundary
+        // (TAU, 2·TAU, 3·TAU) and the first fall-through band, both signs.
+        for k in -4i32..=4 {
+            let base = f64::from(k) * TAU;
+            let (mut up, mut down) = (base, base);
+            for _ in 0..=64 {
+                assert_wrap_tau_exact(up);
+                assert_wrap_tau_exact(down);
+                assert_wrap_tau_exact(-up);
+                assert_wrap_tau_exact(-down);
+                up = up.next_up();
+                down = down.next_down();
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_tau_is_exact_on_special_values() {
+        let specials = [
+            0.0,
+            -0.0,
+            PI,
+            -PI,
+            TAU,
+            -TAU,
+            2.0 * TAU,
+            -2.0 * TAU,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -f64::MIN_POSITIVE / 4.0,
+            f64::EPSILON,
+            -1e-17,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for x in specials {
+            assert_wrap_tau_exact(x);
+        }
+        // A negative multiple of TAU keeps fmod's sign: -0.0, not +0.0.
+        assert_eq!(wrap_tau(black_box(-TAU)).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            wrap_tau(black_box(-2.0 * TAU)).to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    proptest! {
+        /// Arbitrary bit patterns: every sign, exponent, subnormal, NaN
+        /// payload and infinity.
+        #[test]
+        fn wrap_tau_is_exact_on_random_bit_patterns(
+            bits in collection::vec(proptest::num::u64::ANY, 1024)
+        ) {
+            for b in bits {
+                let x = f64::from_bits(b);
+                prop_assert_eq!(wrap_tau(x).to_bits(), wrap_tau_oracle(x).to_bits(), "x = {:#x}", b);
+            }
+        }
+
+        /// Dense values across the fast path and the start of the
+        /// fall-through, (−5·TAU, 5·TAU).
+        #[test]
+        fn wrap_tau_is_exact_on_dense_values(
+            xs in collection::vec(-5.0 * TAU..5.0 * TAU, 1024)
+        ) {
+            for x in xs {
+                prop_assert_eq!(wrap_tau(x).to_bits(), wrap_tau_oracle(x).to_bits(), "x = {:e}", x);
+            }
+        }
+    }
 
     #[test]
     fn wrap_tau_range() {

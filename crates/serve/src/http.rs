@@ -16,12 +16,13 @@
 //! property the end-to-end equivalence test leans on.
 
 use crate::daemon::{track, Shared};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
-/// Per-request socket timeout: queries are loopback-fast; anything
-/// slower is a wedged peer.
+/// Per-request time budget: the whole request head must arrive within it,
+/// and each response write gets it too. Queries are loopback-fast;
+/// anything slower is a wedged peer.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The HTTP accept loop. One thread per request (queries are rare and
@@ -49,21 +50,63 @@ pub(crate) fn run_http(shared: &std::sync::Arc<Shared>, listener: &TcpListener) 
     }
 }
 
-/// Read the request head (start line + headers) up to a sane cap.
-fn read_head(stream: &mut TcpStream) -> Option<String> {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while head.len() < 8192 {
-        match stream.read(&mut byte) {
-            Ok(0) => return None,
-            Ok(_) => head.push(byte[0]),
-            Err(_) => return None,
+/// Why no request head could be parsed from a connection.
+#[derive(Debug, Clone, Copy)]
+enum HeadError {
+    /// The peer closed or reset the connection, or sent a head that is
+    /// not UTF-8; nothing is answered.
+    Dropped,
+    /// The whole head did not arrive within [`REQUEST_TIMEOUT`]: 408.
+    TimedOut,
+    /// The head passed 8 KiB without its blank line: 431.
+    TooLarge,
+}
+
+/// One `read` bounded by `deadline`: a `TimedOut` error once it passed.
+fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> std::io::Result<usize> {
+    // A connection deadline is a socket timeout, not pipeline timing.
+    #[allow(clippy::disallowed_methods)]
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(ErrorKind::TimedOut.into());
+    }
+    stream.set_read_timeout(Some(left))?;
+    stream.read(buf)
+}
+
+/// Read the request head (start line + headers), at most 8 KiB, in
+/// buffered chunks. `deadline` bounds the whole head, not each read, so a
+/// peer trickling bytes cannot hold the handler thread.
+fn read_head(stream: &mut TcpStream, deadline: Instant) -> Result<String, HeadError> {
+    let mut head = [0u8; 8192];
+    let mut len = 0;
+    loop {
+        if let Some(end) = head[..len].windows(4).position(|w| w == b"\r\n\r\n") {
+            return String::from_utf8(head[..end + 4].to_vec()).map_err(|_| HeadError::Dropped);
         }
-        if head.ends_with(b"\r\n\r\n") {
-            return String::from_utf8(head).ok();
+        if len == head.len() {
+            return Err(HeadError::TooLarge);
+        }
+        match read_by(stream, &mut head[len..], deadline) {
+            Ok(0) => return Err(HeadError::Dropped),
+            Ok(n) => len += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(HeadError::TimedOut);
+            }
+            Err(_) => return Err(HeadError::Dropped),
         }
     }
-    None
+}
+
+/// Answer a refused head, then discard whatever the peer still sends
+/// until it closes or `deadline` passes: closing with unread input would
+/// reset the connection and could destroy the answer before it is read.
+fn refuse(stream: &mut TcpStream, status: &str, body: &str, deadline: Instant) {
+    respond(stream, status, "text/plain", body);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut sink = [0u8; 1024];
+    while matches!(read_by(stream, &mut sink, deadline), Ok(n) if n > 0) {}
 }
 
 fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
@@ -77,10 +120,26 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
 }
 
 fn handle_request(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
     let _ = stream.set_write_timeout(Some(REQUEST_TIMEOUT));
-    let Some(head) = read_head(&mut stream) else {
-        return;
+    // A connection deadline is a socket timeout, not pipeline timing.
+    #[allow(clippy::disallowed_methods)]
+    let deadline = Instant::now() + REQUEST_TIMEOUT;
+    let head = match read_head(&mut stream, deadline) {
+        Ok(head) => head,
+        Err(HeadError::Dropped) => return,
+        Err(HeadError::TimedOut) => {
+            let body = "request head timed out\n";
+            return refuse(&mut stream, "408 Request Timeout", body, deadline);
+        }
+        Err(HeadError::TooLarge) => {
+            let body = "request head over 8 KiB\n";
+            return refuse(
+                &mut stream,
+                "431 Request Header Fields Too Large",
+                body,
+                deadline,
+            );
+        }
     };
     let Some(start_line) = head.lines().next() else {
         return;
