@@ -1,14 +1,8 @@
 //! Criterion benchmarks for the streaming session front-end: per-report
-//! ingest cost and fix-refresh latency under bounded windows.
-//!
-//! Besides the criterion-style console output, this bench emits the
-//! machine-readable `BENCH_ingest.json` artifact (schema
-//! `tagspin-bench-ingest/v1`): session ingest throughput (reports/s) and
-//! mean fix-refresh latency versus sliding-window size. Set
-//! `TAGSPIN_BENCH_INGEST_JSON` to move the artifact,
-//! `TAGSPIN_BENCH_QUICK=1` to shrink iteration counts (CI).
+//! ingest cost and fix-refresh latency under bounded windows. The gated
+//! `BENCH_ingest.json` artifact comes from `reproduce --bench ingest`.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tagspin_bench::ingest_bench;
 use tagspin_core::prelude::*;
 
@@ -48,18 +42,4 @@ fn bench_fix_refresh(c: &mut Criterion) {
 
 criterion_group!(benches, bench_session_ingest, bench_fix_refresh);
 
-fn main() {
-    benches();
-
-    let quick = std::env::var_os("TAGSPIN_BENCH_QUICK").is_some_and(|v| v == "1");
-    let results = ingest_bench::run(quick);
-    println!("\nsession ingest (throughput and fix refresh vs window):");
-    println!("{}", ingest_bench::report(&results));
-    let path = std::env::var_os("TAGSPIN_BENCH_INGEST_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_ingest.json"));
-    match ingest_bench::write_json(&path, &results) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
+criterion_main!(benches);

@@ -1,17 +1,11 @@
 //! Criterion benchmarks for the observability layer: the streaming-ingest
 //! fixture under the disabled (`NullObserver`), `MetricsObserver` and
-//! `RecordingObserver` arms.
-//!
-//! Besides the criterion-style console output, this bench emits the
-//! machine-readable `BENCH_obs.json` artifact (schema
-//! `tagspin-bench-obs/v1`): per-arm ingest and fix-refresh means plus the
-//! informational ingest overhead relative to the disabled arm. Set
-//! `TAGSPIN_BENCH_OBS_JSON` to move the artifact, `TAGSPIN_BENCH_QUICK=1`
-//! to shrink iteration counts (CI).
+//! `RecordingObserver` arms. The gated `BENCH_obs.json` artifact comes from
+//! `reproduce --bench obs`.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
-use tagspin_bench::{ingest_bench, obs_bench};
+use tagspin_bench::ingest_bench;
 use tagspin_core::prelude::*;
 
 fn bench_observer_arms(c: &mut Criterion) {
@@ -46,18 +40,4 @@ fn bench_observer_arms(c: &mut Criterion) {
 
 criterion_group!(benches, bench_observer_arms);
 
-fn main() {
-    benches();
-
-    let quick = std::env::var_os("TAGSPIN_BENCH_QUICK").is_some_and(|v| v == "1");
-    let results = obs_bench::run(quick);
-    println!("\nobservability overhead (per observer arm):");
-    println!("{}", obs_bench::report(&results));
-    let path = std::env::var_os("TAGSPIN_BENCH_OBS_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_obs.json"));
-    match obs_bench::write_json(&path, &results) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
+criterion_main!(benches);

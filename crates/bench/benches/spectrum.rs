@@ -1,15 +1,9 @@
 //! Criterion benchmarks for the angle-spectrum kernels (Figs. 1, 6, 8):
-//! the computational heart of Tagspin.
-//!
-//! Besides the criterion-style console output, this bench emits the
-//! machine-readable `BENCH_spectrum.json` artifact (schema
-//! `tagspin-bench-spectrum/v1`) comparing the `SpectrumEngine`'s
-//! coarse-to-fine peak search against the exhaustive reference path. Set
-//! `TAGSPIN_BENCH_JSON` to move the artifact, `TAGSPIN_BENCH_QUICK=1` to
-//! shrink iteration counts (CI).
+//! the computational heart of Tagspin. The gated `BENCH_spectrum.json`
+//! artifact comes from `reproduce --bench spectrum`.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use tagspin_bench::{spectrum_bench, synthetic_snapshots};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use tagspin_bench::synthetic_snapshots;
 use tagspin_core::spectrum::engine::{SpectrumEngine, SpectrumEngineConfig};
 use tagspin_core::spectrum::{spectrum_2d, spectrum_3d, ProfileKind, SpectrumConfig};
 use tagspin_geom::Vec3;
@@ -100,18 +94,4 @@ criterion_group!(
     bench_engine_peaks
 );
 
-fn main() {
-    benches();
-
-    let quick = std::env::var_os("TAGSPIN_BENCH_QUICK").is_some_and(|v| v == "1");
-    let results = spectrum_bench::run(quick);
-    println!("\nspectrum engine (coarse-to-fine vs exhaustive):");
-    println!("{}", spectrum_bench::report(&results));
-    let path = std::env::var_os("TAGSPIN_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_spectrum.json"));
-    match spectrum_bench::write_json(&path, &results) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
+criterion_main!(benches);

@@ -7,23 +7,13 @@
 //! reproduce --csv out/    # also write each report as CSV under out/
 //! reproduce --trials 25   # override the per-configuration trial count
 //! reproduce --list        # show the registry
-//! reproduce --bench-spectrum [path]  # only the spectrum-engine bench,
-//!                                    # JSON to path (default BENCH_spectrum.json)
-//! reproduce --bench-ingest [path]    # only the streaming-ingest bench,
-//!                                    # JSON to path (default BENCH_ingest.json)
-//! reproduce --bench-robustness [path] # only the fault-injection robustness
-//!                                     # sweep (default BENCH_robustness.json)
-//! reproduce --bench-obs [path]       # only the observability-overhead bench,
-//!                                    # JSON to path (default BENCH_obs.json)
-//! reproduce --bench-estimator [path] # only the estimator shootout sweep
-//!                                    # (default BENCH_estimator.json)
-//! reproduce --bench-serve [path]     # only the serve fleet load bench,
-//!                                    # JSON to path (default BENCH_serve.json)
-//! reproduce --bench-store [path]     # only the calibration-store boot bench,
-//!                                    # JSON to path (default BENCH_store.json)
-//! reproduce --metrics-out <path>     # with --bench-obs: also export the
-//!                                    # metrics arm's registry as
-//!                                    # tagspin-metrics/v1 JSON
+//! reproduce --bench <name> [path]   # one artifact bench instead: spectrum,
+//!                                   # ingest, robustness, obs, estimator,
+//!                                   # serve or store; JSON to path
+//!                                   # (default BENCH_<name>.json)
+//! reproduce --metrics-out <path>    # with --bench obs: also export the
+//!                                   # metrics arm's registry as
+//!                                   # tagspin-metrics/v1 JSON
 //! ```
 //!
 //! Output goes to stdout in the `Report` text format; a copy of each full
@@ -35,157 +25,78 @@
 // crate proper, its clock reads are the product, not pipeline overhead.
 #![allow(clippy::disallowed_methods)]
 
+use std::path::PathBuf;
 use std::time::Instant;
 use tagspin_sim::experiments::{registry, run, Fidelity};
+use xtask::bench_check::BenchDoc;
+
+/// `reproduce --bench <name> [path]`: run one artifact bench, print its
+/// report, and write its artifact to `path` (default `BENCH_<name>.json`).
+/// Exits 1 on an unknown name, a failed case or a failed write.
+fn bench(name: &str, path: Option<PathBuf>, quick: bool, args: &[String]) {
+    let Some((bench, spec)) = tagspin_bench::find(name) else {
+        let names: Vec<&str> = tagspin_bench::BENCHES.iter().map(|b| b.name).collect();
+        eprintln!(
+            "error: unknown bench `{name}`; expected one of {}",
+            names.join(", ")
+        );
+        std::process::exit(1);
+    };
+    let path = path.unwrap_or_else(|| PathBuf::from(spec.file));
+    println!("{}:", bench.title);
+    let (report, cases) = match (bench.run)(quick) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("error: {name} bench {e}");
+            std::process::exit(1);
+        }
+    };
+    println!("{report}");
+    let doc = BenchDoc {
+        schema: spec.schema.to_string(),
+        cases,
+    };
+    write_or_exit(&path, &doc.to_json());
+    if bench.name == "obs" {
+        if let Some(metrics_path) = args
+            .iter()
+            .position(|a| a == "--metrics-out")
+            .and_then(|i| args.get(i + 1))
+        {
+            let registry = tagspin_bench::obs_bench::collect_metrics(quick);
+            write_or_exit(&PathBuf::from(metrics_path), &registry.export_json());
+        }
+    }
+}
+
+/// Write `text` to `path` (creating its directory), or exit 1.
+fn write_or_exit(path: &std::path::Path, text: &str) {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    let written = dir
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, text));
+    if let Err(e) = written {
+        eprintln!("error: could not write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    println!("wrote {}", path.display());
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let list = args.iter().any(|a| a == "--list");
-    if let Some(i) = args.iter().position(|a| a == "--bench-spectrum") {
-        let path = args
-            .get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map_or_else(
-                || std::path::PathBuf::from("BENCH_spectrum.json"),
-                std::path::PathBuf::from,
-            );
-        let results = tagspin_bench::spectrum_bench::run(quick);
-        println!("spectrum engine (coarse-to-fine vs exhaustive):");
-        println!("{}", tagspin_bench::spectrum_bench::report(&results));
-        if let Err(e) = tagspin_bench::spectrum_bench::write_json(&path, &results) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-ingest") {
-        let path = args
-            .get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map_or_else(
-                || std::path::PathBuf::from("BENCH_ingest.json"),
-                std::path::PathBuf::from,
-            );
-        let results = tagspin_bench::ingest_bench::run(quick);
-        println!("session ingest (throughput and fix refresh vs window):");
-        println!("{}", tagspin_bench::ingest_bench::report(&results));
-        if let Err(e) = tagspin_bench::ingest_bench::write_json(&path, &results) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-robustness") {
-        let path = args
-            .get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map_or_else(
-                || std::path::PathBuf::from("BENCH_robustness.json"),
-                std::path::PathBuf::from,
-            );
-        let results = tagspin_bench::robustness_bench::run(quick);
-        println!("robustness (2D accuracy vs fault rate, quarantine on/off):");
-        println!("{}", tagspin_bench::robustness_bench::report(&results));
-        if let Err(e) = tagspin_bench::robustness_bench::write_json(&path, &results) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-estimator") {
-        let path = args
-            .get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map_or_else(
-                || std::path::PathBuf::from("BENCH_estimator.json"),
-                std::path::PathBuf::from,
-            );
-        let results = tagspin_bench::estimator_bench::run(quick);
-        println!("estimator shootout (2D accuracy vs fault rate, spectrum/ml/hybrid):");
-        println!("{}", tagspin_bench::estimator_bench::report(&results));
-        if let Err(e) = tagspin_bench::estimator_bench::write_json(&path, &results) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-serve") {
-        let path = args
-            .get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map_or_else(
-                || std::path::PathBuf::from("BENCH_serve.json"),
-                std::path::PathBuf::from,
-            );
-        let results = tagspin_bench::serve_bench::run(quick);
-        println!("serve fleet load (closed loop over loopback TCP):");
-        println!("{}", tagspin_bench::serve_bench::report(&results));
-        if let Err(e) = tagspin_bench::serve_bench::write_json(&path, &results) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-store") {
-        let path = args
-            .get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map_or_else(
-                || std::path::PathBuf::from("BENCH_store.json"),
-                std::path::PathBuf::from,
-            );
-        let results = tagspin_bench::store_bench::run(quick);
-        println!("calibration store (cold vs warm boot):");
-        println!("{}", tagspin_bench::store_bench::report(&results));
-        if let Err(e) = tagspin_bench::store_bench::write_json(&path, &results) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-obs") {
-        let path = args
-            .get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map_or_else(
-                || std::path::PathBuf::from("BENCH_obs.json"),
-                std::path::PathBuf::from,
-            );
-        let results = tagspin_bench::obs_bench::run(quick);
-        println!("observability overhead (per observer arm):");
-        println!("{}", tagspin_bench::obs_bench::report(&results));
-        if let Err(e) = tagspin_bench::obs_bench::write_json(&path, &results) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-        if let Some(metrics_path) = args
-            .iter()
-            .position(|a| a == "--metrics-out")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from)
-        {
-            let registry = tagspin_bench::obs_bench::collect_metrics(quick);
-            if let Err(e) = std::fs::write(&metrics_path, registry.export_json()) {
-                eprintln!("error: could not write {}: {e}", metrics_path.display());
-                std::process::exit(1);
-            }
-            println!("wrote {}", metrics_path.display());
-        }
+    if let Some(i) = args.iter().position(|a| a == "--bench") {
+        let name = args.get(i + 1).map_or("", String::as_str);
+        let path = args.get(i + 2).filter(|a| !a.starts_with("--"));
+        bench(name, path.map(PathBuf::from), quick, &args);
         return;
     }
     let csv_dir = args
         .iter()
         .position(|a| a == "--csv")
         .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
+        .map(PathBuf::from);
     let trials_override: Option<usize> = args
         .iter()
         .position(|a| a == "--trials")
@@ -275,7 +186,7 @@ fn main() {
     log.push_str(&footer);
     log.push('\n');
 
-    let log_dir = csv_dir.unwrap_or_else(|| std::path::PathBuf::from("reproduce_csv"));
+    let log_dir = csv_dir.unwrap_or_else(|| PathBuf::from("reproduce_csv"));
     let log_path = log_dir.join(format!(
         "reproduce_{}.log",
         if quick { "quick" } else { "full" }

@@ -1,6 +1,7 @@
 //! Machine-readable estimator shootout: 2D accuracy and fix latency of
 //! the spectrum, ML, and hybrid backends across the fault matrix, emitted
-//! as `BENCH_estimator.json` (schema `tagspin-bench-estimator/v1`).
+//! by `reproduce --bench estimator` as `BENCH_estimator.json` (schema
+//! `tagspin-bench-estimator/v1`).
 //!
 //! Each rate point runs seeded trials over
 //! [`tagspin_sim::estimator_ab::prepare_trial`]: one simulated observation
@@ -19,7 +20,7 @@
 //!
 //! Trials that produce no fix are scored with the same bounded room-scale
 //! penalty the robustness bench uses, so medians stay comparable across
-//! arms and the JSON stays numeric.
+//! arms and every artifact field stays numeric.
 
 use std::time::Instant;
 use tagspin_core::prelude::*;
@@ -27,6 +28,7 @@ use tagspin_geom::Vec2;
 use tagspin_sim::estimator_ab::prepare_trial;
 use tagspin_sim::metrics::TrialError;
 use tagspin_sim::{FaultPlan, Scenario};
+use xtask::bench_check::BenchCase;
 
 /// Error charged to an arm that produced no fix (same bound as the
 /// robustness bench).
@@ -176,50 +178,31 @@ pub fn run(quick: bool) -> Vec<RatePoint> {
         .collect()
 }
 
-/// Serialize results as the `tagspin-bench-estimator/v1` JSON document.
-pub fn to_json(results: &[RatePoint]) -> String {
-    let mut out =
-        String::from("{\n  \"schema\": \"tagspin-bench-estimator/v1\",\n  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"rate_{:03}\", \"fault_rate\": {:.2}, \"trials\": {}, \
-             \"median_err_spectrum_m\": {:.4}, \"median_err_ml_m\": {:.4}, \
-             \"median_err_hybrid_m\": {:.4}, \
-             \"mean_fix_ns_spectrum\": {:.0}, \"mean_fix_ns_ml\": {:.0}, \
-             \"mean_fix_ns_hybrid\": {:.0}, \
-             \"fails_spectrum\": {}, \"fails_ml\": {}, \"fails_hybrid\": {}, \
-             \"ml_accepted\": {}, \"hybrid_accepted\": {}}}{}\n",
-            (r.rate * 100.0).round() as u32,
-            r.rate,
-            r.trials,
-            r.median_err_spectrum_m,
-            r.median_err_ml_m,
-            r.median_err_hybrid_m,
-            r.mean_fix_ns_spectrum,
-            r.mean_fix_ns_ml,
-            r.mean_fix_ns_hybrid,
-            r.fails_spectrum,
-            r.fails_ml,
-            r.fails_hybrid,
-            r.ml_accepted,
-            r.hybrid_accepted,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write the JSON document to `path`.
-///
-/// # Errors
-///
-/// Propagates the filesystem error when `path` is not writable.
-pub fn write_json(path: &std::path::Path, results: &[RatePoint]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, to_json(results))
+/// The artifact's cases, one per rate point, named `rate_<percent>`.
+pub fn cases(results: &[RatePoint]) -> Vec<BenchCase> {
+    results
+        .iter()
+        .map(|r| {
+            BenchCase::new(
+                format!("rate_{:03}", (r.rate * 100.0).round() as u32),
+                &[
+                    ("fault_rate", r.rate),
+                    ("trials", r.trials as f64),
+                    ("median_err_spectrum_m", r.median_err_spectrum_m),
+                    ("median_err_ml_m", r.median_err_ml_m),
+                    ("median_err_hybrid_m", r.median_err_hybrid_m),
+                    ("mean_fix_ns_spectrum", r.mean_fix_ns_spectrum),
+                    ("mean_fix_ns_ml", r.mean_fix_ns_ml),
+                    ("mean_fix_ns_hybrid", r.mean_fix_ns_hybrid),
+                    ("fails_spectrum", r.fails_spectrum as f64),
+                    ("fails_ml", r.fails_ml as f64),
+                    ("fails_hybrid", r.fails_hybrid as f64),
+                    ("ml_accepted", r.ml_accepted as f64),
+                    ("hybrid_accepted", r.hybrid_accepted as f64),
+                ],
+            )
+        })
+        .collect()
 }
 
 /// One human-readable line per rate point.
@@ -267,16 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let cases = vec![point(0.0), point(0.2)];
-        let json = to_json(&cases);
-        assert!(json.contains("\"schema\": \"tagspin-bench-estimator/v1\""));
-        assert!(json.contains("\"name\": \"rate_000\""));
-        assert!(json.contains("\"name\": \"rate_020\""));
-        assert!(json.contains("\"median_err_ml_m\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!report(&cases).is_empty());
+    fn record_feeds_the_gate() {
+        let results = [point(0.0), point(0.2)];
+        crate::assert_gate_reads("estimator", cases(&results), &["rate_000", "rate_020"]);
+        assert!(!report(&results).is_empty());
     }
 
     #[test]

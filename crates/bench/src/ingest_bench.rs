@@ -1,6 +1,7 @@
 //! Machine-readable streaming-ingest benchmark: session ingest throughput
-//! and fix-refresh latency versus sliding-window size, emitted as
-//! `BENCH_ingest.json` (schema `tagspin-bench-ingest/v1`).
+//! and fix-refresh latency versus sliding-window size, emitted by
+//! `reproduce --bench ingest` as `BENCH_ingest.json` (schema
+//! `tagspin-bench-ingest/v1`).
 //!
 //! The question this artifact answers: how fast can a [`ReaderSession`]
 //! drain an LLRP report stream, and how expensive is a fix refresh once the
@@ -8,9 +9,8 @@
 //! per spectrum and therefore cheaper refreshes — the artifact quantifies
 //! that trade against the unbounded (batch-equivalent) window.
 //!
-//! Like `spectrum_bench`, the JSON is hand-rolled (no serde_json in the
-//! vendored set) and the timing loop is `Instant`-based so the criterion
-//! stand-in's lack of programmatic means does not matter.
+//! Like `spectrum_bench`, the timing loop is `Instant`-based so the
+//! criterion stand-in's lack of programmatic means does not matter.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,6 +21,7 @@ use tagspin_epc::{InventoryLog, TagReport};
 use tagspin_geom::{Pose, Vec3};
 use tagspin_rf::channel::Environment;
 use tagspin_rf::{TagInstance, TagModel};
+use xtask::bench_check::BenchCase;
 
 /// One measured window configuration.
 #[derive(Debug, Clone)]
@@ -164,42 +165,29 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
         .collect()
 }
 
-/// Serialize results as the `tagspin-bench-ingest/v1` JSON document.
-pub fn to_json(results: &[CaseResult]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"tagspin-bench-ingest/v1\",\n  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let max_reports = match r.max_reports {
-            Some(n) => n.to_string(),
-            None => "null".into(),
-        };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"max_reports\": {}, \"reports\": {}, \
-             \"mean_ingest_ns\": {:.0}, \"reports_per_sec\": {:.0}, \
-             \"mean_fix_refresh_ns\": {:.0}, \"buffered\": {}}}{}\n",
-            r.name,
-            max_reports,
-            r.reports,
-            r.mean_ingest_ns,
-            r.reports_per_sec,
-            r.mean_fix_refresh_ns,
-            r.buffered,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write the JSON document to `path`.
-///
-/// # Errors
-///
-/// Propagates the filesystem error when `path` is not writable.
-pub fn write_json(path: &std::path::Path, results: &[CaseResult]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, to_json(results))
+/// The artifact's cases, one per window; the unbounded window has no
+/// `max_reports` field.
+pub fn cases(results: &[CaseResult]) -> Vec<BenchCase> {
+    results
+        .iter()
+        .map(|r| {
+            let mut case = BenchCase::new(
+                &r.name,
+                &[
+                    ("reports", r.reports as f64),
+                    ("mean_ingest_ns", r.mean_ingest_ns),
+                    ("reports_per_sec", r.reports_per_sec),
+                    ("mean_fix_refresh_ns", r.mean_fix_refresh_ns),
+                    ("buffered", r.buffered as f64),
+                ],
+            );
+            if let Some(n) = r.max_reports {
+                case.metrics
+                    .insert(0, ("max_reports".to_string(), n as f64));
+            }
+            case
+        })
+        .collect()
 }
 
 /// One human-readable line per case.
@@ -231,8 +219,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let cases = vec![
+    fn record_feeds_the_gate() {
+        let results = [
             CaseResult {
                 name: "window_unbounded".into(),
                 max_reports: None,
@@ -252,12 +240,10 @@ mod tests {
                 buffered: 128,
             },
         ];
-        let json = to_json(&cases);
-        assert!(json.contains("\"schema\": \"tagspin-bench-ingest/v1\""));
-        assert!(json.contains("\"max_reports\": null"));
-        assert!(json.contains("\"max_reports\": 64"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let records = cases(&results);
+        assert_eq!(records[0].metric("max_reports"), None);
+        assert_eq!(records[1].metric("max_reports"), Some(64.0));
+        crate::assert_gate_reads("ingest", records, &["window_unbounded", "window_64"]);
     }
 
     #[test]

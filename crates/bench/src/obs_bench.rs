@@ -1,6 +1,6 @@
 //! Machine-readable observability-overhead benchmark: the streaming-ingest
-//! fixture measured under three observer arms, emitted as `BENCH_obs.json`
-//! (schema `tagspin-bench-obs/v1`).
+//! fixture measured under three observer arms, emitted by `reproduce
+//! --bench obs` as `BENCH_obs.json` (schema `tagspin-bench-obs/v1`).
 //!
 //! The question this artifact answers: what does the observability layer
 //! cost? Three arms run the *same* fixture through the *same* session
@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tagspin_core::prelude::*;
 use tagspin_epc::{InventoryLog, TagReport};
+use xtask::bench_check::BenchCase;
 
 /// Which observer a case attaches to the session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,37 +237,23 @@ pub fn collect_metrics(quick: bool) -> Arc<MetricsRegistry> {
     registry
 }
 
-/// Serialize results as the `tagspin-bench-obs/v1` JSON document.
-pub fn to_json(results: &[CaseResult]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"tagspin-bench-obs/v1\",\n  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"reports\": {}, \"mean_ingest_ns\": {:.0}, \
-             \"min_fix_refresh_ns\": {:.0}, \"events\": {}, \
-             \"ingest_overhead_frac\": {:.4}}}{}\n",
-            r.name,
-            r.reports,
-            r.mean_ingest_ns,
-            r.min_fix_refresh_ns,
-            r.events,
-            r.ingest_overhead_frac,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write the JSON document to `path`.
-///
-/// # Errors
-///
-/// Propagates the filesystem error when `path` is not writable.
-pub fn write_json(path: &std::path::Path, results: &[CaseResult]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, to_json(results))
+/// The artifact's cases, one per observer arm.
+pub fn cases(results: &[CaseResult]) -> Vec<BenchCase> {
+    results
+        .iter()
+        .map(|r| {
+            BenchCase::new(
+                &r.name,
+                &[
+                    ("reports", r.reports as f64),
+                    ("mean_ingest_ns", r.mean_ingest_ns),
+                    ("min_fix_refresh_ns", r.min_fix_refresh_ns),
+                    ("events", r.events as f64),
+                    ("ingest_overhead_frac", r.ingest_overhead_frac),
+                ],
+            )
+        })
+        .collect()
 }
 
 /// One human-readable line per case.
@@ -293,33 +280,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let cases = vec![
-            CaseResult {
-                name: "null".into(),
-                reports: 500,
-                mean_ingest_ns: 120.0,
-                min_fix_refresh_ns: 2.5e6,
-                events: 0,
-                ingest_overhead_frac: 0.0,
-            },
-            CaseResult {
-                name: "recording".into(),
-                reports: 500,
-                mean_ingest_ns: 180.0,
-                min_fix_refresh_ns: 2.9e6,
-                events: 530,
-                ingest_overhead_frac: 0.5,
-            },
-        ];
-        let json = to_json(&cases);
-        assert!(json.contains("\"schema\": \"tagspin-bench-obs/v1\""));
-        assert!(json.contains("\"ingest_overhead_frac\": 0.5000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
     fn arms_observe_what_they_should() {
         let results = run(true);
         assert_eq!(results.len(), 3);
@@ -335,5 +295,6 @@ mod tests {
         // The recording arm sees every event, including zero-counter ones,
         // and both enabled arms see at least one event per ingested report.
         assert!(by_name("recording").events >= by_name("null").reports as u64);
+        crate::assert_gate_reads("obs", cases(&results), &["null", "metrics", "recording"]);
     }
 }

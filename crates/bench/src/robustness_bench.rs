@@ -1,6 +1,7 @@
 //! Machine-readable robustness benchmark: 2D accuracy versus fault rate,
-//! with and without the ingest quarantine, emitted as
-//! `BENCH_robustness.json` (schema `tagspin-bench-robustness/v1`).
+//! with and without the ingest quarantine, emitted by `reproduce --bench
+//! robustness` as `BENCH_robustness.json` (schema
+//! `tagspin-bench-robustness/v1`).
 //!
 //! Each rate point runs seeded [`tagspin_sim::fault::run_trial_2d_ab`]
 //! trials: one simulated observation corrupted by
@@ -14,12 +15,13 @@
 //!
 //! Trials that fail to produce a fix (for the permissive arm under NaN
 //! bombardment that is common) are scored as a bounded room-scale penalty
-//! rather than dropped, so medians stay comparable across arms and the
-//! JSON stays numeric.
+//! rather than dropped, so medians stay comparable across arms and every
+//! artifact field stays numeric.
 
 use tagspin_geom::Vec2;
 use tagspin_sim::fault::run_trial_2d_ab;
 use tagspin_sim::{FaultPlan, Scenario};
+use xtask::bench_check::BenchCase;
 
 /// Error charged to a trial arm that produced no fix: a room-diagonal
 /// miss, far beyond any real fix in the paper's office scenario.
@@ -114,42 +116,26 @@ pub fn run(quick: bool) -> Vec<RatePoint> {
         .collect()
 }
 
-/// Serialize results as the `tagspin-bench-robustness/v1` JSON document.
-pub fn to_json(results: &[RatePoint]) -> String {
-    let mut out =
-        String::from("{\n  \"schema\": \"tagspin-bench-robustness/v1\",\n  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"rate_{:03}\", \"fault_rate\": {:.2}, \"trials\": {}, \
-             \"median_err_on_m\": {:.4}, \"median_err_off_m\": {:.4}, \
-             \"mean_err_on_m\": {:.4}, \"mean_err_off_m\": {:.4}, \
-             \"fails_on\": {}, \"fails_off\": {}}}{}\n",
-            (r.rate * 100.0).round() as u32,
-            r.rate,
-            r.trials,
-            r.median_err_on_m,
-            r.median_err_off_m,
-            r.mean_err_on_m,
-            r.mean_err_off_m,
-            r.fails_on,
-            r.fails_off,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write the JSON document to `path`.
-///
-/// # Errors
-///
-/// Propagates the filesystem error when `path` is not writable.
-pub fn write_json(path: &std::path::Path, results: &[RatePoint]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, to_json(results))
+/// The artifact's cases, one per rate point, named `rate_<percent>`.
+pub fn cases(results: &[RatePoint]) -> Vec<BenchCase> {
+    results
+        .iter()
+        .map(|r| {
+            BenchCase::new(
+                format!("rate_{:03}", (r.rate * 100.0).round() as u32),
+                &[
+                    ("fault_rate", r.rate),
+                    ("trials", r.trials as f64),
+                    ("median_err_on_m", r.median_err_on_m),
+                    ("median_err_off_m", r.median_err_off_m),
+                    ("mean_err_on_m", r.mean_err_on_m),
+                    ("mean_err_off_m", r.mean_err_off_m),
+                    ("fails_on", r.fails_on as f64),
+                    ("fails_off", r.fails_off as f64),
+                ],
+            )
+        })
+        .collect()
 }
 
 /// One human-readable line per rate point.
@@ -178,36 +164,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let cases = vec![
-            RatePoint {
-                rate: 0.0,
-                trials: 6,
-                median_err_on_m: 0.05,
-                median_err_off_m: 0.05,
-                mean_err_on_m: 0.06,
-                mean_err_off_m: 0.06,
-                fails_on: 0,
-                fails_off: 0,
-            },
-            RatePoint {
-                rate: 0.2,
-                trials: 6,
-                median_err_on_m: 0.08,
-                median_err_off_m: 4.2,
-                mean_err_on_m: 0.09,
-                mean_err_off_m: 6.0,
-                fails_on: 0,
-                fails_off: 3,
-            },
-        ];
-        let json = to_json(&cases);
-        assert!(json.contains("\"schema\": \"tagspin-bench-robustness/v1\""));
-        assert!(json.contains("\"name\": \"rate_000\""));
-        assert!(json.contains("\"name\": \"rate_020\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!report(&cases).is_empty());
+    fn record_feeds_the_gate() {
+        let results = [RatePoint {
+            rate: 0.2,
+            trials: 6,
+            median_err_on_m: 0.08,
+            median_err_off_m: 4.2,
+            mean_err_on_m: 0.09,
+            mean_err_off_m: 6.0,
+            fails_on: 0,
+            fails_off: 3,
+        }];
+        crate::assert_gate_reads("robustness", cases(&results), &["rate_020"]);
+        assert!(!report(&results).is_empty());
     }
 
     #[test]

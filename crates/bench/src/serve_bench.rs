@@ -1,11 +1,14 @@
 //! Closed-loop load benchmark for the `tagspin-serve` fleet daemon,
-//! emitted as `BENCH_serve.json` (schema `tagspin-bench-serve/v1`).
+//! emitted by `reproduce --bench serve` as `BENCH_serve.json` (schema
+//! `tagspin-bench-serve/v1`).
 //!
 //! The loop is closed over the daemon's own wire surfaces: paced reader
 //! threads stream framed LLRP reports over real loopback TCP, a query
 //! thread measures `GET /fix/2d` latency over HTTP while the load runs,
 //! and the drive settles by polling `GET /stats` until every sent frame
-//! is on the books. Three cases:
+//! is on the books. Only `200` answers are fix-latency samples; any other
+//! answer (a `409` from a session still below `min_snapshots`) is counted
+//! in `fix_errors`. Three cases:
 //!
 //! * `peak` — unthrottled readers against full-speed shards: the raw
 //!   sustained ingest rate of the sharded service.
@@ -19,12 +22,15 @@
 //!   the p99 fix latency must stay bounded (queries ride the same shard
 //!   queues; a full queue may delay a fix but never starve it).
 //!
-//! Like the sibling benches the JSON is hand-rolled and timing is
-//! `Instant`-based; `quick` shrinks readers and capture length for CI.
+//! Like the sibling benches timing is `Instant`-based; `quick` shrinks
+//! readers and capture length for CI.
 
+use crate::CaseFailed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::f64::consts::TAU;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 use tagspin_core::prelude::*;
 use tagspin_epc::inventory::{run_inventory, ReaderConfig, Transponder};
@@ -33,6 +39,7 @@ use tagspin_geom::{Pose, Vec3};
 use tagspin_rf::channel::Environment;
 use tagspin_rf::{ReaderAntenna, TagInstance, TagModel};
 use tagspin_serve::{http_get, ReaderClient, ServeConfig, ServeDaemon};
+use xtask::bench_check::BenchCase;
 
 /// Reports per wire frame in the generated load.
 const FRAME_REPORTS: usize = 64;
@@ -42,6 +49,9 @@ const SERVICE_DELAY: Duration = Duration::from_millis(10);
 /// Minimum fix-latency samples per case (topped up after the drive if the
 /// in-flight query loop came up short on a fast machine).
 const MIN_FIXES: usize = 16;
+/// Queries the top-up may spend reaching [`MIN_FIXES`]: a daemon that
+/// never answers `200` fails the case instead of spinning.
+const MAX_TOPUP_QUERIES: usize = 4 * MIN_FIXES;
 
 /// One measured load case.
 #[derive(Debug, Clone)]
@@ -64,8 +74,10 @@ pub struct CaseResult {
     pub shed_rate: f64,
     /// Accepted reports per wall-clock second, connection to drained.
     pub sustained_reports_per_sec: f64,
-    /// Fix queries answered while the load ran.
+    /// Fix queries answered `200`, during the load or in the top-up.
     pub fixes: usize,
+    /// Fix queries answered otherwise, or not answered at all.
+    pub fix_errors: usize,
     /// Median `GET /fix/2d` round-trip, nanoseconds.
     pub p50_fix_latency_ns: f64,
     /// 99th-percentile `GET /fix/2d` round-trip, nanoseconds.
@@ -120,15 +132,31 @@ fn percentile_ns(samples: &mut [f64], p: f64) -> f64 {
     samples[rank.min(samples.len() - 1)]
 }
 
+/// One timed `GET /fix/2d`: the round-trip nanoseconds of a `200`
+/// answer, or else the status (0 when no HTTP answer came back).
+fn query_fix(http_addr: SocketAddr, antenna: u8) -> Result<f64, u16> {
+    let q0 = Instant::now();
+    match http_get(http_addr, &format!("/fix/2d?antenna={antenna}")) {
+        Ok((200, _)) => Ok(q0.elapsed().as_nanos() as f64),
+        Ok((status, _)) => Err(status),
+        Err(_) => Err(0),
+    }
+}
+
 /// Drive one case: stream every reader's frames (optionally paced),
 /// query fixes concurrently, settle via `/stats`, drain, and account.
+///
+/// # Errors
+///
+/// The case fails when fewer than [`MIN_FIXES`] queries are answered `200`
+/// within the top-up budget.
 fn run_case(
     name: &str,
     server: LocalizationServer,
     streams: &[Vec<InventoryLog>],
     config: &ServeConfig,
     pace: Option<Duration>,
-) -> CaseResult {
+) -> Result<CaseResult, CaseFailed> {
     // lint:allow(no-panic) loopback listeners bind or the bench is moot
     let daemon = ServeDaemon::start(server, config).expect("daemon boots on loopback");
     let frames_sent: u64 = streams.iter().map(|f| f.len() as u64).sum();
@@ -138,9 +166,8 @@ fn run_case(
     let ingest_addr = daemon.ingest_addr();
 
     let t0 = Instant::now();
-    let mut latencies: Vec<f64> = Vec::new();
     let driving = std::sync::atomic::AtomicBool::new(true);
-    std::thread::scope(|scope| {
+    let (mut latencies, mut errors) = std::thread::scope(|scope| {
         let driving = &driving;
         for frames in streams {
             scope.spawn(move || {
@@ -157,20 +184,21 @@ fn run_case(
             });
         }
         let fix_latencies = scope.spawn(move || {
-            let mut samples = Vec::new();
+            // 200 round-trips, and the other answers counted by status.
+            let (mut samples, mut errors) = (Vec::new(), BTreeMap::<u16, usize>::new());
             let mut antenna: u64 = 0;
             // ordering: relaxed — stop flag for a measurement loop; no data published through it
             while driving.load(std::sync::atomic::Ordering::Relaxed) {
                 antenna += 1;
                 // lint:allow(lossy-cast) modulo keeps the value in 1..=readers
                 let target = (antenna % readers as u64 + 1) as u8;
-                let q0 = Instant::now();
-                if http_get(http_addr, &format!("/fix/2d?antenna={target}")).is_ok() {
-                    samples.push(q0.elapsed().as_nanos() as f64);
+                match query_fix(http_addr, target) {
+                    Ok(ns) => samples.push(ns),
+                    Err(status) => *errors.entry(status).or_default() += 1,
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
-            samples
+            (samples, errors)
         });
         // The readers' scope-joins close the drive; settle the books, then
         // release the query thread.
@@ -188,28 +216,41 @@ fn run_case(
             // ordering: Relaxed — same stop flag as above.
             driving.store(false, std::sync::atomic::Ordering::Relaxed);
         });
-        // lint:allow(no-panic) the sampling thread only pushes to a Vec
-        latencies = fix_latencies.join().expect("query thread");
+        // lint:allow(no-panic) the sampling thread only fills its tallies
+        fix_latencies.join().expect("query thread")
     });
     let elapsed_s = t0.elapsed().as_secs_f64();
 
     // Top up the latency sample after the drive if the run was too short
     // for the in-flight loop to gather a stable percentile.
-    while latencies.len() < MIN_FIXES {
+    for query in 0..MAX_TOPUP_QUERIES {
+        if latencies.len() >= MIN_FIXES {
+            break;
+        }
         // lint:allow(lossy-cast) modulo keeps the value in 1..=readers
-        let target = (latencies.len() % readers + 1) as u8;
-        let q0 = Instant::now();
-        if http_get(http_addr, &format!("/fix/2d?antenna={target}")).is_ok() {
-            latencies.push(q0.elapsed().as_nanos() as f64);
+        let target = (query % readers + 1) as u8;
+        match query_fix(http_addr, target) {
+            Ok(ns) => latencies.push(ns),
+            Err(status) => *errors.entry(status).or_default() += 1,
         }
     }
 
     let stats = daemon.stats();
     daemon.shutdown();
     let fixes = latencies.len();
+    if fixes < MIN_FIXES {
+        return Err(CaseFailed {
+            case: name.to_string(),
+            detail: format!(
+                "only {fixes} fix queries answered 200 (want {MIN_FIXES}) after \
+                 the drive and {MAX_TOPUP_QUERIES} top-up queries; other answers \
+                 by status (0 = none): {errors:?}"
+            ),
+        });
+    }
     let p50 = percentile_ns(&mut latencies, 50.0);
     let p99 = percentile_ns(&mut latencies, 99.0);
-    CaseResult {
+    Ok(CaseResult {
         name: name.to_string(),
         readers,
         shards: config.shards,
@@ -222,14 +263,19 @@ fn run_case(
         // lint:allow(lossy-cast) report counts are far below 2^53
         sustained_reports_per_sec: stats.reports_enqueued as f64 / elapsed_s.max(1e-9),
         fixes,
+        fix_errors: errors.values().sum(),
         p50_fix_latency_ns: p50,
         p99_fix_latency_ns: p99,
-    }
+    })
 }
 
 /// Run the serve load suite. `quick` shrinks the fleet and the capture
 /// for CI; the three cases and their invariants are identical either way.
-pub fn run(quick: bool) -> Vec<CaseResult> {
+///
+/// # Errors
+///
+/// The first case that gathers too few `200` fix answers.
+pub fn run(quick: bool) -> Result<Vec<CaseResult>, CaseFailed> {
     let (readers, rotations) = if quick { (4u8, 0.25) } else { (8u8, 1.0) };
     let shards = 2;
     // Pinned service capacity for the paced cases, in batches/second
@@ -251,7 +297,7 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
             window,
             ..ServeConfig::default()
         };
-        run_case("peak", server, &streams, &config, None)
+        run_case("peak", server, &streams, &config, None)?
     };
     let rated = {
         let (server, streams) = fleet_fixture(readers, rotations);
@@ -262,7 +308,7 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
             shard_delay: Some(SERVICE_DELAY),
             ..ServeConfig::default()
         };
-        run_case("rated", server, &streams, &config, Some(gap_for(0.5)))
+        run_case("rated", server, &streams, &config, Some(gap_for(0.5)))?
     };
     let overload = {
         let (server, streams) = fleet_fixture(readers, rotations);
@@ -273,51 +319,35 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
             shard_delay: Some(SERVICE_DELAY),
             ..ServeConfig::default()
         };
-        run_case("overload_2x", server, &streams, &config, Some(gap_for(2.0)))
+        run_case("overload_2x", server, &streams, &config, Some(gap_for(2.0)))?
     };
-    vec![peak, rated, overload]
+    Ok(vec![peak, rated, overload])
 }
 
-/// Serialize results as the `tagspin-bench-serve/v1` JSON document.
-pub fn to_json(results: &[CaseResult]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"tagspin-bench-serve/v1\",\n  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"readers\": {}, \"shards\": {}, \
-             \"queue_capacity\": {}, \"reports_sent\": {}, \
-             \"reports_accepted\": {}, \"reports_shed\": {}, \
-             \"shed_rate\": {:.4}, \"sustained_reports_per_sec\": {:.0}, \
-             \"fixes\": {}, \"p50_fix_latency_ns\": {:.0}, \
-             \"p99_fix_latency_ns\": {:.0}}}{}\n",
-            r.name,
-            r.readers,
-            r.shards,
-            r.queue_capacity,
-            r.reports_sent,
-            r.reports_accepted,
-            r.reports_shed,
-            r.shed_rate,
-            r.sustained_reports_per_sec,
-            r.fixes,
-            r.p50_fix_latency_ns,
-            r.p99_fix_latency_ns,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write the JSON document to `path`.
-///
-/// # Errors
-///
-/// Propagates the filesystem error when `path` is not writable.
-pub fn write_json(path: &std::path::Path, results: &[CaseResult]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, to_json(results))
+/// The artifact's cases, one per load case.
+pub fn cases(results: &[CaseResult]) -> Vec<BenchCase> {
+    results
+        .iter()
+        .map(|r| {
+            BenchCase::new(
+                &r.name,
+                &[
+                    ("readers", r.readers as f64),
+                    ("shards", r.shards as f64),
+                    ("queue_capacity", r.queue_capacity as f64),
+                    ("reports_sent", r.reports_sent as f64),
+                    ("reports_accepted", r.reports_accepted as f64),
+                    ("reports_shed", r.reports_shed as f64),
+                    ("shed_rate", r.shed_rate),
+                    ("sustained_reports_per_sec", r.sustained_reports_per_sec),
+                    ("fixes", r.fixes as f64),
+                    ("fix_errors", r.fix_errors as f64),
+                    ("p50_fix_latency_ns", r.p50_fix_latency_ns),
+                    ("p99_fix_latency_ns", r.p99_fix_latency_ns),
+                ],
+            )
+        })
+        .collect()
 }
 
 /// One human-readable line per case.
@@ -351,43 +381,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let cases = vec![
-            CaseResult {
-                name: "rated".into(),
-                readers: 8,
-                shards: 2,
-                queue_capacity: 16,
-                reports_sent: 23000,
-                reports_accepted: 23000,
-                reports_shed: 0,
-                shed_rate: 0.0,
-                sustained_reports_per_sec: 6200.0,
-                fixes: 120,
-                p50_fix_latency_ns: 9.0e6,
-                p99_fix_latency_ns: 4.1e7,
-            },
-            CaseResult {
-                name: "overload_2x".into(),
-                readers: 8,
-                shards: 2,
-                queue_capacity: 16,
-                reports_sent: 23000,
-                reports_accepted: 12000,
-                reports_shed: 11000,
-                shed_rate: 0.478,
-                sustained_reports_per_sec: 11000.0,
-                fixes: 80,
-                p50_fix_latency_ns: 6.0e7,
-                p99_fix_latency_ns: 2.0e8,
-            },
-        ];
-        let json = to_json(&cases);
-        assert!(json.contains("\"schema\": \"tagspin-bench-serve/v1\""));
-        assert!(json.contains("\"name\": \"rated\""));
-        assert!(json.contains("\"shed_rate\": 0.0000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+    fn record_feeds_the_gate() {
+        let rated = CaseResult {
+            name: "rated".into(),
+            readers: 8,
+            shards: 2,
+            queue_capacity: 16,
+            reports_sent: 23000,
+            reports_accepted: 23000,
+            reports_shed: 0,
+            shed_rate: 0.0,
+            sustained_reports_per_sec: 6200.0,
+            fixes: 120,
+            fix_errors: 2,
+            p50_fix_latency_ns: 9.0e6,
+            p99_fix_latency_ns: 4.1e7,
+        };
+        let overload = CaseResult {
+            name: "overload_2x".into(),
+            reports_accepted: 12000,
+            reports_shed: 11000,
+            shed_rate: 0.478,
+            ..rated.clone()
+        };
+        crate::assert_gate_reads(
+            "serve",
+            cases(&[rated, overload]),
+            &["rated", "overload_2x"],
+        );
+    }
+
+    #[test]
+    fn a_daemon_that_never_answers_200_fails_the_case() {
+        // No registered tags: every fix query is a 409.
+        let (_, streams) = fleet_fixture(2, 0.05);
+        let server = LocalizationServer::new(PipelineConfig::default());
+        let config = ServeConfig {
+            shards: 1,
+            window: WindowConfig::last_reports(64),
+            ..ServeConfig::default()
+        };
+        let err = run_case("no_tags", server, &streams, &config, None)
+            .expect_err("no query can be answered 200");
+        assert_eq!(err.case, "no_tags");
+        assert!(err.detail.contains("{409: "), "{err}");
     }
 
     #[test]

@@ -1,20 +1,17 @@
 //! Machine-readable spectrum-engine benchmark: coarse-to-fine versus the
-//! exhaustive reference path, emitted as `BENCH_spectrum.json`.
+//! exhaustive reference path, emitted by `reproduce --bench spectrum` as
+//! `BENCH_spectrum.json` (schema `tagspin-bench-spectrum/v1`).
 //!
 //! The vendored criterion stand-in prints means but does not expose them
 //! programmatically, so this module carries its own `Instant`-based timing
-//! loop. Both the `spectrum` criterion bench and `reproduce
-//! --bench-spectrum` route through [`run`] so the JSON artifact and the
-//! human-readable bench agree on what was measured.
-//!
-//! The JSON is hand-rolled (no serde_json in the vendored set): flat
-//! structure, fixed schema tag `tagspin-bench-spectrum/v1`.
+//! loop.
 
 use crate::synthetic_snapshots;
 use std::time::Instant;
 use tagspin_core::spectrum::engine::{SpectrumEngine, SpectrumEngineConfig};
 use tagspin_core::spectrum::{ProfileKind, SpectrumConfig};
 use tagspin_geom::Vec3;
+use xtask::bench_check::BenchCase;
 
 /// One measured configuration: the same peak search on the same inputs,
 /// fast path versus exhaustive path.
@@ -119,38 +116,24 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
     results
 }
 
-/// Serialize results as the `tagspin-bench-spectrum/v1` JSON document.
-pub fn to_json(results: &[CaseResult]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"tagspin-bench-spectrum/v1\",\n  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"azimuth_steps\": {}, \"polar_steps\": {}, \
-             \"snapshots\": {}, \"mean_ns_exhaustive\": {:.0}, \"mean_ns_fast\": {:.0}, \
-             \"speedup\": {:.3}}}{}\n",
-            r.name,
-            r.azimuth_steps,
-            r.polar_steps,
-            r.snapshots,
-            r.mean_ns_exhaustive,
-            r.mean_ns_fast,
-            r.speedup(),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write the JSON document to `path`.
-///
-/// # Errors
-///
-/// Propagates the filesystem error when `path` is not writable.
-pub fn write_json(path: &std::path::Path, results: &[CaseResult]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, to_json(results))
+/// The artifact's cases, one per measured configuration.
+pub fn cases(results: &[CaseResult]) -> Vec<BenchCase> {
+    results
+        .iter()
+        .map(|r| {
+            BenchCase::new(
+                r.name,
+                &[
+                    ("azimuth_steps", r.azimuth_steps as f64),
+                    ("polar_steps", r.polar_steps as f64),
+                    ("snapshots", r.snapshots as f64),
+                    ("mean_ns_exhaustive", r.mean_ns_exhaustive),
+                    ("mean_ns_fast", r.mean_ns_fast),
+                    ("speedup", r.speedup()),
+                ],
+            )
+        })
+        .collect()
 }
 
 /// One human-readable line per case.
@@ -177,21 +160,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let cases = vec![CaseResult {
-            name: "x",
+    fn record_feeds_the_gate() {
+        let results = [CaseResult {
+            name: "peak_2d_hybrid_720",
             azimuth_steps: 720,
             polar_steps: 1,
             snapshots: 400,
             mean_ns_exhaustive: 6e6,
             mean_ns_fast: 1e6,
         }];
-        let json = to_json(&cases);
-        assert!(json.contains("\"schema\": \"tagspin-bench-spectrum/v1\""));
-        assert!(json.contains("\"speedup\": 6.000"));
-        assert!(json.trim_end().ends_with('}'));
-        // Balanced braces/brackets — cheap sanity without a JSON parser.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        crate::assert_gate_reads("spectrum", cases(&results), &["peak_2d_hybrid_720"]);
     }
 }

@@ -1,5 +1,6 @@
-//! Cold-vs-warm boot benchmark for the calibration store, emitted as
-//! `BENCH_store.json` (schema `tagspin-bench-store/v1`).
+//! Cold-vs-warm boot benchmark for the calibration store, emitted by
+//! `reproduce --bench store` as `BENCH_store.json` (schema
+//! `tagspin-bench-store/v1`).
 //!
 //! Two cases over one on-disk [`FileStore`]:
 //!
@@ -17,8 +18,8 @@
 //! required to be exactly zero: a store (cold, warm, or corrupt) must
 //! never change a fix.
 //!
-//! Like the sibling benches the JSON is hand-rolled and timing is
-//! `Instant`-based; `quick` shrinks grids and the capture for CI.
+//! Like the sibling benches timing is `Instant`-based; `quick` shrinks
+//! grids and the capture for CI.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,6 +33,7 @@ use tagspin_epc::InventoryLog;
 use tagspin_geom::{Pose, Vec3};
 use tagspin_rf::channel::Environment;
 use tagspin_rf::{TagInstance, TagModel};
+use xtask::bench_check::BenchCase;
 
 /// Polar grid size for the prewarmed tables (odd keeps γ = 0 on-grid).
 const POLAR_STEPS: usize = 33;
@@ -176,41 +178,26 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
     results
 }
 
-/// Serialize results as the `tagspin-bench-store/v1` JSON document.
-pub fn to_json(results: &[CaseResult]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"tagspin-bench-store/v1\",\n  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"tables\": {}, \"azimuth_steps\": {}, \
-             \"polar_steps\": {}, \"boot_ns\": {}, \"ns_per_table\": {:.0}, \
-             \"store_hits\": {}, \"store_persisted\": {}, \
-             \"fix_bits_mismatches\": {}}}{}\n",
-            r.name,
-            r.tables,
-            r.azimuth_steps,
-            r.polar_steps,
-            r.boot_ns,
-            r.ns_per_table,
-            r.store_hits,
-            r.store_persisted,
-            r.fix_bits_mismatches,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write the JSON document to `path`.
-///
-/// # Errors
-///
-/// Propagates the filesystem error when `path` is not writable.
-pub fn write_json(path: &std::path::Path, results: &[CaseResult]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, to_json(results))
+/// The artifact's cases, `cold` then `warm`.
+pub fn cases(results: &[CaseResult]) -> Vec<BenchCase> {
+    results
+        .iter()
+        .map(|r| {
+            BenchCase::new(
+                &r.name,
+                &[
+                    ("tables", r.tables as f64),
+                    ("azimuth_steps", r.azimuth_steps as f64),
+                    ("polar_steps", r.polar_steps as f64),
+                    ("boot_ns", r.boot_ns as f64),
+                    ("ns_per_table", r.ns_per_table),
+                    ("store_hits", r.store_hits as f64),
+                    ("store_persisted", r.store_persisted as f64),
+                    ("fix_bits_mismatches", r.fix_bits_mismatches as f64),
+                ],
+            )
+        })
+        .collect()
 }
 
 /// One human-readable line per case.
@@ -243,40 +230,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let cases = vec![
-            CaseResult {
-                name: "cold".into(),
-                tables: 6,
-                azimuth_steps: 16_384,
-                polar_steps: 33,
-                boot_ns: 42_000_000,
-                ns_per_table: 7_000_000.0,
-                store_hits: 0,
-                store_persisted: 6,
-                fix_bits_mismatches: 0,
-            },
-            CaseResult {
-                name: "warm".into(),
-                tables: 6,
-                azimuth_steps: 16_384,
-                polar_steps: 33,
-                boot_ns: 9_000_000,
-                ns_per_table: 1_500_000.0,
-                store_hits: 6,
-                store_persisted: 0,
-                fix_bits_mismatches: 0,
-            },
-        ];
-        let json = to_json(&cases);
-        assert!(json.contains("\"schema\": \"tagspin-bench-store/v1\""));
-        assert!(json.contains("\"name\": \"warm\""));
-        assert!(json.contains("\"fix_bits_mismatches\": 0"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
     fn quick_suite_upholds_the_store_invariants() {
         let results = run(true);
         assert_eq!(results.len(), 2);
@@ -296,5 +249,6 @@ mod tests {
             warm.boot_ns,
             cold.boot_ns
         );
+        crate::assert_gate_reads("store", cases(&results), &["cold", "warm"]);
     }
 }

@@ -97,51 +97,32 @@ impl std::str::FromStr for EstimatorBackend {
     }
 }
 
-/// Tuning knobs for the maximum-likelihood refinement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MlConfig {
-    /// Damped Gauss–Newton iteration budget.
-    pub max_iterations: u32,
-    /// Initial Levenberg damping factor.
-    pub damping_init: f64,
-    /// Convergence threshold on the position step, meters.
-    pub step_tol_m: f64,
-    /// Snapshot budget per tag: larger windows are stride-decimated to
-    /// this many residuals, keeping refinement cost flat.
-    pub max_snapshots_per_tag: usize,
-    /// Robust-weight scale as a multiple of the phase-noise σ. The Welsch
-    /// weight `exp(-e²/2(cσ)²)` at `c = 3` keeps ~95% Gaussian efficiency
-    /// while still suppressing wrapped-uniform outliers to near zero;
-    /// `c = 1` trades most of that efficiency for a harder redescend.
-    pub robust_scale: f64,
-    /// Hybrid acceptance floor on the mean inlier weight (`[0, 1]`): below
-    /// it the capture is considered too corrupted for the phase model and
-    /// the hybrid backend serves the spectrum fix.
-    pub hybrid_min_mean_weight: f64,
-}
+/// Damped Gauss–Newton iteration budget of the ML refinement.
+const ML_MAX_ITERATIONS: u32 = 64;
+/// Initial Levenberg damping factor.
+const ML_DAMPING_INIT: f64 = 1e-3;
+/// Convergence threshold on the position step, meters.
+const ML_STEP_TOL_M: f64 = 1e-5;
+/// Snapshot budget per tag: larger windows are stride-decimated to this
+/// many residuals, keeping refinement cost flat.
+const ML_MAX_SNAPSHOTS_PER_TAG: usize = 1536;
+/// Robust-weight scale as a multiple of the phase-noise σ. The Welsch
+/// weight `exp(-e²/2(cσ)²)` at `c = 3` keeps ~95% Gaussian efficiency
+/// while still suppressing wrapped-uniform outliers to near zero; `c = 1`
+/// would trade most of that efficiency for a harder redescend.
+const ML_ROBUST_SCALE: f64 = 3.0;
+/// Hybrid acceptance floor on the mean inlier weight (`[0, 1]`): below it
+/// the capture is considered too corrupted for the phase model and the
+/// hybrid backend serves the spectrum fix.
+const HYBRID_MIN_MEAN_WEIGHT: f64 = 0.5;
 
-impl Default for MlConfig {
-    fn default() -> Self {
-        MlConfig {
-            max_iterations: 64,
-            damping_init: 1e-3,
-            step_tol_m: 1e-5,
-            max_snapshots_per_tag: 1536,
-            robust_scale: 3.0,
-            hybrid_min_mean_weight: 0.5,
-        }
-    }
-}
-
-/// Estimator backend selection plus ML tuning, carried on
-/// [`PipelineConfig`]. The default ([`EstimatorBackend::Spectrum`]) keeps
-/// every existing pipeline output bit-identical.
+/// Estimator backend selection, carried on [`PipelineConfig`]. The default
+/// ([`EstimatorBackend::Spectrum`]) keeps every existing pipeline output
+/// bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct EstimatorConfig {
     /// Which backend resolves fixes.
     pub backend: EstimatorBackend,
-    /// ML refinement knobs (used by the `ml` and `hybrid` backends).
-    pub ml: MlConfig,
 }
 
 /// One tag's windowed, calibrated snapshot view, handed to estimators
@@ -507,8 +488,8 @@ impl Estimator for MlEstimator {
 }
 
 /// Hybrid estimator: serves the ML refinement on captures the phase model
-/// explains well (mean inlier weight ≥
-/// [`MlConfig::hybrid_min_mean_weight`]) and the spectrum fix otherwise.
+/// explains well (mean inlier weight ≥ 0.5) and the spectrum fix
+/// otherwise.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HybridEstimator;
 
@@ -523,13 +504,12 @@ impl Estimator for HybridEstimator {
         observations: &[TagObservation],
         config: &PipelineConfig,
     ) -> Result<Estimate2D, ServerError> {
-        let floor = config.estimator.ml.hybrid_min_mean_weight;
         ml_estimate_2d(
             bearings,
             observations,
             config,
             EstimatorBackend::Hybrid,
-            Some(floor),
+            Some(HYBRID_MIN_MEAN_WEIGHT),
         )
     }
 
@@ -539,13 +519,12 @@ impl Estimator for HybridEstimator {
         observations: &[TagObservation],
         config: &PipelineConfig,
     ) -> Result<Estimate3D, ServerError> {
-        let floor = config.estimator.ml.hybrid_min_mean_weight;
         ml_estimate_3d(
             bearings,
             observations,
             config,
             EstimatorBackend::Hybrid,
-            Some(floor),
+            Some(HYBRID_MIN_MEAN_WEIGHT),
         )
     }
 
@@ -555,13 +534,12 @@ impl Estimator for HybridEstimator {
         observations: &[TagObservation],
         config: &PipelineConfig,
     ) -> Result<EstimateAided, ServerError> {
-        let floor = config.estimator.ml.hybrid_min_mean_weight;
         ml_estimate_aided(
             bearings,
             observations,
             config,
             EstimatorBackend::Hybrid,
-            Some(floor),
+            Some(HYBRID_MIN_MEAN_WEIGHT),
         )
     }
 }
@@ -745,9 +723,8 @@ struct MlFit {
 }
 
 /// Build the per-tag residual blocks: calibrated snapshots decimated to
-/// the configured budget, with non-finite phases dropped.
-fn build_blocks(observations: &[TagObservation], config: &PipelineConfig) -> Vec<TagBlock> {
-    let budget = config.estimator.ml.max_snapshots_per_tag.max(8);
+/// [`ML_MAX_SNAPSHOTS_PER_TAG`], with non-finite phases dropped.
+fn build_blocks(observations: &[TagObservation]) -> Vec<TagBlock> {
     observations
         .iter()
         .filter_map(|obs| {
@@ -755,7 +732,7 @@ fn build_blocks(observations: &[TagObservation], config: &PipelineConfig) -> Vec
             if snaps.is_empty() {
                 return None;
             }
-            let stride = snaps.len().div_ceil(budget).max(1);
+            let stride = snaps.len().div_ceil(ML_MAX_SNAPSHOTS_PER_TAG).max(1);
             let samples: Vec<PhaseSample> = snaps
                 .iter()
                 .step_by(stride)
@@ -993,16 +970,15 @@ fn ml_fit(
     observations: &[TagObservation],
     config: &PipelineConfig,
 ) -> Option<MlFit> {
-    let blocks = build_blocks(observations, config);
+    let blocks = build_blocks(observations);
     if blocks.len() < 2 {
         return None;
     }
-    let ml = &config.estimator.ml;
     let sigma = config.spectrum.sigma.max(1e-3);
     // Weights redescend at `robust_scale`·σ; the covariance below keeps
     // the raw noise σ — the weights inside the normal matrix already
     // account for the (slight) efficiency loss.
-    let scale = (ml.robust_scale * sigma).max(sigma);
+    let scale = ML_ROBUST_SCALE * sigma;
     let dims = if planar { 2 } else { 3 };
 
     let seed_eval = eval_at(seed, planar, &blocks, scale, false);
@@ -1011,10 +987,10 @@ fn ml_fit(
     }
     let mut p = seed;
     let mut cost = seed_eval.cost;
-    let mut mu = ml.damping_init.max(1e-12);
+    let mut mu = ML_DAMPING_INIT;
     let mut iterations = 0u32;
     let mut converged = false;
-    while iterations < ml.max_iterations {
+    while iterations < ML_MAX_ITERATIONS {
         iterations += 1;
         let cur = eval_at(p, planar, &blocks, scale, true);
         let Some(step) = solve_damped(&cur.normal, &cur.rhs, mu, dims) else {
@@ -1027,7 +1003,7 @@ fn ml_fit(
             p = candidate;
             cost = cand_eval.cost;
             mu = (mu / 3.0).max(1e-12);
-            if delta.norm() < ml.step_tol_m {
+            if delta.norm() < ML_STEP_TOL_M {
                 converged = true;
                 break;
             }

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::diagnostics::CaptureQuality;
     pub use crate::estimator::{
         ConfidenceError, Estimate2D, Estimate3D, EstimateAided, Estimator, EstimatorBackend,
-        EstimatorConfig, FixConfidence, MlConfig, MlReport, TagObservation,
+        EstimatorConfig, FixConfidence, MlReport, TagObservation,
     };
     pub use crate::locate::plane::{Bearing2D, Fix2D};
     pub use crate::locate::space::{Bearing3D, Fix3D};

@@ -59,66 +59,71 @@
 //! `--bless` copies the current artifacts over the baselines instead of
 //! comparing, after validating that each parses with the expected schema.
 //!
-//! The JSON involved is the flat hand-rolled dialect the bench crate
-//! emits, read with the dependency-free parser in [`crate::json`] rather
-//! than a serde dependency.
+//! Every artifact is a [`BenchDoc`]: the bench crate writes it with
+//! [`BenchDoc::to_json`] and the gate reads it back with [`parse_doc`],
+//! both through the dependency-free dialect in [`crate::json`] rather than
+//! a serde dependency. Each [`ARTIFACTS`] row names its bench, its gated
+//! metrics and its hard invariant, if it has one.
 
 use crate::json::{self, Value};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+/// A bench's hard invariant: appends one problem per broken claim.
+pub type Invariant = fn(&BenchDoc, &mut Vec<String>);
+
 /// A bench artifact the gate knows how to compare.
 #[derive(Debug, Clone, Copy)]
 pub struct ArtifactSpec {
-    /// File name, identical under the baselines and current directories.
+    /// Bench name: `reproduce --bench <name>` writes this artifact.
+    pub name: &'static str,
+    /// File name (`BENCH_<name>.json`), identical under the baselines and
+    /// current directories.
     pub file: &'static str,
-    /// Required value of the document's `schema` field.
+    /// Required value of the document's `schema` field
+    /// (`tagspin-bench-<name>/v1`).
     pub schema: &'static str,
     /// Lower-is-better numeric per-case metrics held to the baseline.
     pub metrics: &'static [&'static str],
+    /// Checked on the current artifact, independent of any baseline.
+    pub invariant: Option<Invariant>,
+}
+
+/// One [`ARTIFACTS`] row; the file and schema names follow from the bench
+/// name.
+macro_rules! artifact {
+    ($name:literal, $metrics:expr, $invariant:expr) => {
+        ArtifactSpec {
+            name: $name,
+            file: concat!("BENCH_", $name, ".json"),
+            schema: concat!("tagspin-bench-", $name, "/v1"),
+            metrics: $metrics,
+            invariant: $invariant,
+        }
+    };
 }
 
 /// The seven gated artifacts.
 pub const ARTIFACTS: [ArtifactSpec; 7] = [
-    ArtifactSpec {
-        file: "BENCH_spectrum.json",
-        schema: "tagspin-bench-spectrum/v1",
-        metrics: &["mean_ns_fast"],
-    },
-    ArtifactSpec {
-        file: "BENCH_ingest.json",
-        schema: "tagspin-bench-ingest/v1",
-        metrics: &["mean_ingest_ns", "mean_fix_refresh_ns"],
-    },
-    ArtifactSpec {
-        file: "BENCH_robustness.json",
-        schema: "tagspin-bench-robustness/v1",
-        metrics: &["median_err_on_m"],
-    },
-    ArtifactSpec {
-        file: "BENCH_obs.json",
-        schema: "tagspin-bench-obs/v1",
-        metrics: &["mean_ingest_ns", "min_fix_refresh_ns"],
-    },
-    ArtifactSpec {
-        file: "BENCH_estimator.json",
-        schema: "tagspin-bench-estimator/v1",
-        metrics: &[
+    artifact!("spectrum", &["mean_ns_fast"], None),
+    artifact!("ingest", &["mean_ingest_ns", "mean_fix_refresh_ns"], None),
+    artifact!(
+        "robustness",
+        &["median_err_on_m"],
+        Some(robustness_invariant)
+    ),
+    artifact!("obs", &["mean_ingest_ns", "min_fix_refresh_ns"], None),
+    artifact!(
+        "estimator",
+        &[
             "median_err_spectrum_m",
             "median_err_ml_m",
             "median_err_hybrid_m",
         ],
-    },
-    ArtifactSpec {
-        file: "BENCH_serve.json",
-        schema: "tagspin-bench-serve/v1",
-        metrics: &["shed_rate"],
-    },
-    ArtifactSpec {
-        file: "BENCH_store.json",
-        schema: "tagspin-bench-store/v1",
-        metrics: &["fix_bits_mismatches"],
-    },
+        Some(estimator_invariant)
+    ),
+    artifact!("serve", &["shed_rate"], Some(serve_invariant)),
+    artifact!("store", &["fix_bits_mismatches"], Some(store_invariant)),
 ];
 
 /// How the gate runs: where to find files and how much slack to allow.
@@ -270,7 +275,7 @@ impl fmt::Display for BenchCheckError {
 impl std::error::Error for BenchCheckError {}
 
 /// One bench case: its name and every numeric field.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchCase {
     /// The case's `name` field.
     pub name: String,
@@ -279,6 +284,14 @@ pub struct BenchCase {
 }
 
 impl BenchCase {
+    /// A case from its name and its numeric fields, in document order.
+    pub fn new(name: impl Into<String>, metrics: &[(&str, f64)]) -> Self {
+        BenchCase {
+            name: name.into(),
+            metrics: metrics.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        }
+    }
+
     /// Look up a numeric field by name.
     pub fn metric(&self, name: &str) -> Option<f64> {
         self.metrics
@@ -288,8 +301,8 @@ impl BenchCase {
     }
 }
 
-/// A parsed bench artifact: schema tag plus flat cases.
-#[derive(Debug, Clone)]
+/// A bench artifact: schema tag plus flat cases.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchDoc {
     /// The document's `schema` field.
     pub schema: String,
@@ -297,9 +310,40 @@ pub struct BenchDoc {
     pub cases: Vec<BenchCase>,
 }
 
-/// Parse a bench artifact from its JSON text. Internal: callers go
-/// through [`check`]/[`bless`], which wrap the error with the file path.
-fn parse_doc(text: &str) -> Result<BenchDoc, String> {
+impl BenchDoc {
+    /// Serialize through [`json::to_string`]; [`parse_doc`] reads it back.
+    /// Each case is an object holding its `name`, then its metrics in
+    /// order. A non-finite metric is written as `null`, so the gate reports
+    /// the case as lacking it.
+    pub fn to_json(&self) -> String {
+        let cases = self
+            .cases
+            .iter()
+            .map(|case| {
+                let mut pairs = vec![("name".to_string(), Value::Str(case.name.clone()))];
+                pairs.extend(
+                    case.metrics
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Value::Num(*v))),
+                );
+                Value::Obj(pairs)
+            })
+            .collect();
+        json::to_string(&Value::Obj(vec![
+            ("schema".to_string(), Value::Str(self.schema.clone())),
+            ("cases".to_string(), Value::Arr(cases)),
+        ]))
+    }
+}
+
+/// Parse a bench artifact from its JSON text: every numeric case field
+/// becomes a metric; `null` and non-numeric fields are skipped.
+///
+/// # Errors
+///
+/// A description of the first structural problem (bad JSON, a missing
+/// `schema` or `cases`, a case that is not an object or has no `name`).
+pub fn parse_doc(text: &str) -> Result<BenchDoc, String> {
     let root = json::parse(text)?;
     let schema = root
         .get("schema")
@@ -585,17 +629,8 @@ pub fn check(opts: &CheckOptions) -> Result<CheckReport, BenchCheckError> {
                 });
             }
         }
-        if spec.schema == "tagspin-bench-robustness/v1" {
-            robustness_invariant(&cur, &mut report.problems);
-        }
-        if spec.schema == "tagspin-bench-estimator/v1" {
-            estimator_invariant(&cur, &mut report.problems);
-        }
-        if spec.schema == "tagspin-bench-serve/v1" {
-            serve_invariant(&cur, &mut report.problems);
-        }
-        if spec.schema == "tagspin-bench-store/v1" {
-            store_invariant(&cur, &mut report.problems);
+        if let Some(invariant) = spec.invariant {
+            invariant(&cur, &mut report.problems);
         }
     }
     Ok(report)

@@ -1,13 +1,15 @@
-//! The dependency-free JSON reader shared by the artifact gates.
+//! The dependency-free JSON reader and writer shared by the artifact gates.
 //!
-//! The workspace's machine-readable artifacts — `BENCH_*.json` from the
-//! bench crate and `tagspin-metrics/v1` exports from the observability
-//! layer — are written by hand-rolled serializers in a deliberately flat
-//! dialect. This module is the matching reader: strings, numbers, bools,
-//! `null`, arrays and objects, nothing exotic (no unicode escapes, no
-//! duplicate-key policy beyond first-wins lookup). It exists so the gate
-//! binaries stay dependency-free, and it is public so the workspace's
-//! round-trip tests can parse what the serializers emit.
+//! The workspace's machine-readable artifacts share one deliberately flat
+//! dialect. `BENCH_*.json` artifacts are written by [`to_string`] (through
+//! `bench_check::BenchDoc::to_json`); `tagspin-metrics/v1` exports are
+//! hand-rolled by the observability layer, which cannot depend on this
+//! crate. The dialect is strings, numbers, bools, `null`, arrays and
+//! objects, nothing exotic (no unicode escapes, no duplicate-key policy
+//! beyond first-wins lookup). This module exists so the gate binaries stay
+//! dependency-free, and it is public so the bench crate writes through it
+//! and the workspace's round-trip tests can parse what the serializers
+//! emit.
 
 /// A parsed JSON value, covering exactly the artifact dialect.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +64,8 @@ impl Value {
 
 /// Serialize a value in the artifact dialect: pretty-printed with
 /// two-space indents, keys in document order, numbers in shortest-f64
-/// form. Everything this emits round-trips through [`parse`].
+/// form. Everything this emits round-trips through [`parse`]; JSON has no
+/// spelling for NaN or ±inf, so non-finite numbers are written as `null`.
 pub fn to_string(value: &Value) -> String {
     let mut out = String::new();
     write_value(value, 0, &mut out);
@@ -124,7 +127,9 @@ fn push_indent(levels: usize, out: &mut String) {
 }
 
 fn write_num(n: f64, out: &mut String) {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
         out.push_str(&format!("{}", n as i64));
     } else {
         out.push_str(&format!("{n}"));
@@ -398,5 +403,48 @@ mod tests {
         ]);
         let text = to_string(&v);
         assert_eq!(parse(&text).expect("round-trip"), v);
+    }
+
+    /// What a number should read back as after `to_string` then `parse`.
+    fn read_back(n: f64) -> Value {
+        if n.is_finite() {
+            Value::Num(n)
+        } else {
+            Value::Null
+        }
+    }
+
+    #[test]
+    fn numbers_round_trip_and_non_finite_reads_back_null() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            1e300,
+            -1e300,
+            f64::MAX,
+            1e-7,
+            1e15,
+            0.1,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for n in edges {
+            let text = to_string(&Value::Arr(vec![Value::Num(n)]));
+            let back = parse(&text).unwrap_or_else(|e| panic!("{n:e} wrote {text:?}: {e}"));
+            assert_eq!(back, Value::Arr(vec![read_back(n)]), "{n:e}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_bit_pattern_round_trips(bits in proptest::num::u64::ANY) {
+            let n = f64::from_bits(bits);
+            let back = parse(&to_string(&Value::Num(n)));
+            proptest::prop_assert_eq!(back, Ok(read_back(n)));
+        }
     }
 }
