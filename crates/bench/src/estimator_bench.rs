@@ -141,7 +141,7 @@ pub fn run(quick: bool) -> Vec<RatePoint> {
                         session.ingest(report);
                     }
                     let t0 = Instant::now();
-                    let result = session.fix_2d_estimate();
+                    let result = session.estimate::<TwoD>();
                     arm.fix_ns += t0.elapsed().as_nanos() as f64;
                     match result {
                         Ok(est) => {

@@ -7,10 +7,8 @@
 //! drain an LLRP report stream, and how expensive is a fix refresh once the
 //! window bounds the per-tag buffers? Smaller windows mean fewer snapshots
 //! per spectrum and therefore cheaper refreshes — the artifact quantifies
-//! that trade against the unbounded (batch-equivalent) window.
-//!
-//! Like `spectrum_bench`, the timing loop is `Instant`-based so the
-//! criterion stand-in's lack of programmatic means does not matter.
+//! that trade against the unbounded (batch-equivalent) window. Like
+//! `spectrum_bench`, the timing loop is `Instant`-based.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +36,7 @@ pub struct CaseResult {
     /// Ingest throughput, reports per second.
     pub reports_per_sec: f64,
     /// Mean wall-clock nanoseconds per fix refresh (a small burst of new
-    /// reports dirties every stream, then `fix_2d` recomputes them).
+    /// reports dirties every stream, then `fix::<TwoD>` recomputes them).
     pub mean_fix_refresh_ns: f64,
     /// Snapshots buffered across all streams after the full ingest — shows
     /// the window actually bounding memory.
@@ -137,7 +135,7 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
                 for r in warmup {
                     session.ingest(r);
                 }
-                let _ = session.fix_2d();
+                let _ = session.fix::<TwoD>();
             }
             let mut fix_ns = 0.0;
             let mut timed = 0u32;
@@ -146,7 +144,7 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
                     session.ingest(r);
                 }
                 let t0 = Instant::now();
-                let _ = session.fix_2d();
+                let _ = session.fix::<TwoD>();
                 fix_ns += t0.elapsed().as_nanos() as f64;
                 timed += 1;
             }

@@ -157,7 +157,7 @@ fn measure(
         for r in warmup {
             session.ingest(r);
         }
-        let _ = session.fix_2d();
+        let _ = session.fix::<TwoD>();
     }
     let mut min_fix_refresh_ns = f64::INFINITY;
     for chunk in chunks.take(refreshes as usize) {
@@ -165,7 +165,7 @@ fn measure(
             session.ingest(r);
         }
         let t0 = Instant::now();
-        let _ = session.fix_2d();
+        let _ = session.fix::<TwoD>();
         min_fix_refresh_ns = min_fix_refresh_ns.min(t0.elapsed().as_nanos() as f64);
     }
     if !min_fix_refresh_ns.is_finite() {
@@ -232,7 +232,7 @@ pub fn collect_metrics(quick: bool) -> Arc<MetricsRegistry> {
         for r in chunk {
             session.ingest(r);
         }
-        let _ = session.fix_2d();
+        let _ = session.fix::<TwoD>();
     }
     registry
 }

@@ -1,10 +1,7 @@
 //! Machine-readable spectrum-engine benchmark: coarse-to-fine versus the
 //! exhaustive reference path, emitted by `reproduce --bench spectrum` as
-//! `BENCH_spectrum.json` (schema `tagspin-bench-spectrum/v1`).
-//!
-//! The vendored criterion stand-in prints means but does not expose them
-//! programmatically, so this module carries its own `Instant`-based timing
-//! loop.
+//! `BENCH_spectrum.json` (schema `tagspin-bench-spectrum/v1`), timed by
+//! its own `Instant`-based loop.
 
 use crate::synthetic_snapshots;
 use std::time::Instant;

@@ -118,12 +118,12 @@ fn fix_server(disks: &[DiskConfig; 2]) -> LocalizationServer {
 fn fix_bits_mismatches(dir: &Path, log: &InventoryLog, disks: &[DiskConfig; 2]) -> u64 {
     let baseline = fix_server(disks);
     // lint:allow(no-panic) the two-tag capture always yields a fix
-    let want = baseline.locate_2d(log).expect("baseline fix");
+    let want = baseline.fix::<TwoD>(log).expect("baseline fix");
 
     let mut stored = fix_server(disks);
     stored.set_store(open_store(dir));
     // lint:allow(no-panic) the two-tag capture always yields a fix
-    let got = stored.locate_2d(log).expect("stored fix");
+    let got = stored.fix::<TwoD>(log).expect("stored fix");
 
     u64::from(want.position.x.to_bits() != got.position.x.to_bits())
         + u64::from(want.position.y.to_bits() != got.position.y.to_bits())

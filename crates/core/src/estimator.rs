@@ -144,7 +144,7 @@ pub struct TagObservation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfidenceError {
     /// No snapshot observations were supplied (the fast fix path skips
-    /// confidence; use the `*_estimate` session entry points).
+    /// confidence; use the `estimate::<K>` entry points).
     NotComputed,
     /// Fewer than two bearings carry position information.
     TooFewBearings {
@@ -282,11 +282,13 @@ pub struct MlReport {
     pub mean_weight: f64,
 }
 
-/// A 2D fix with confidence and backend provenance.
+/// A fix with confidence and backend provenance: what
+/// [`crate::session::ReaderSession::estimate`] and its manager and server
+/// counterparts serve, for a fix of type `F`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Estimate2D {
+pub struct Estimate<F> {
     /// The served fix.
-    pub fix: Fix2D,
+    pub fix: F,
     /// Position covariance, or a typed refusal.
     pub confidence: Result<FixConfidence, ConfidenceError>,
     /// The backend that produced `fix`.
@@ -295,31 +297,15 @@ pub struct Estimate2D {
     pub ml: Option<MlReport>,
 }
 
-/// A 3D fix with confidence and backend provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Estimate3D {
-    /// The served fix (with its mirror candidate).
-    pub fix: Fix3D,
-    /// Position covariance, or a typed refusal.
-    pub confidence: Result<FixConfidence, ConfidenceError>,
-    /// The backend that produced `fix`.
-    pub backend: EstimatorBackend,
-    /// ML refinement diagnostics (`None` on the pure spectrum backend).
-    pub ml: Option<MlReport>,
-}
+/// A 2D fix with confidence and backend provenance.
+pub type Estimate2D = Estimate<Fix2D>;
+
+/// A 3D fix (with its mirror candidate) with confidence and backend
+/// provenance.
+pub type Estimate3D = Estimate<Fix3D>;
 
 /// An ambiguity-resolved 3D fix with confidence and backend provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EstimateAided {
-    /// The served fix.
-    pub fix: ResolvedFix,
-    /// Position covariance, or a typed refusal.
-    pub confidence: Result<FixConfidence, ConfidenceError>,
-    /// The backend that produced `fix`.
-    pub backend: EstimatorBackend,
-    /// ML refinement diagnostics (`None` on the pure spectrum backend).
-    pub ml: Option<MlReport>,
-}
+pub type EstimateAided = Estimate<ResolvedFix>;
 
 /// A multi-tag fix resolver: turns per-tag bearings (and, for backends
 /// that consume raw phases, the windowed snapshot views behind them) into

@@ -54,7 +54,7 @@
 //! let mut server = LocalizationServer::new(PipelineConfig::default());
 //! server.register(1, d1).unwrap();
 //! server.register(2, d2).unwrap();
-//! let fix = server.locate_2d(&log).unwrap();
+//! let fix = server.fix::<TwoD>(&log).unwrap();
 //! assert!((fix.position - truth.xy()).norm() < 0.15);
 //! ```
 
@@ -79,8 +79,8 @@ pub mod prelude {
     pub use crate::calib::orientation::OrientationCalibration;
     pub use crate::diagnostics::CaptureQuality;
     pub use crate::estimator::{
-        ConfidenceError, Estimate2D, Estimate3D, EstimateAided, Estimator, EstimatorBackend,
-        EstimatorConfig, FixConfidence, MlReport, TagObservation,
+        ConfidenceError, Estimate, Estimate2D, Estimate3D, EstimateAided, Estimator,
+        EstimatorBackend, EstimatorConfig, FixConfidence, MlReport, TagObservation,
     };
     pub use crate::locate::plane::{Bearing2D, Fix2D};
     pub use crate::locate::space::{Bearing3D, Fix3D};
@@ -96,7 +96,9 @@ pub mod prelude {
         IncrementalCounts, SessionStats, SkipCounts, StageTimes, TagStreamStats,
     };
     pub use crate::session::window::WindowConfig;
-    pub use crate::session::{IngestOutcome, ReaderSession, SessionManager};
+    pub use crate::session::{
+        Aided, FixPath, IngestOutcome, ReaderSession, SessionManager, ThreeD, TwoD,
+    };
     pub use crate::snapshot::{Snapshot, SnapshotSet};
     pub use crate::spectrum::engine::{
         SpectrumEngine, SpectrumEngineConfig, SteeringTable, StoreStats,

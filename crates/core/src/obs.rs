@@ -87,11 +87,11 @@ impl Stage {
 /// Which fix/bearing family an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FixKind {
-    /// 2D bearings / [`crate::session::ReaderSession::fix_2d`].
+    /// 2D bearings and fixes ([`crate::session::TwoD`]).
     Fix2D,
-    /// 3D bearings / [`crate::session::ReaderSession::fix_3d`].
+    /// 3D bearings and fixes ([`crate::session::ThreeD`]).
     Fix3D,
-    /// Orientation-aided 3D / [`crate::session::ReaderSession::fix_3d_aided`].
+    /// Orientation-aided 3D bearings and fixes ([`crate::session::Aided`]).
     Fix3DAided,
 }
 

@@ -14,7 +14,8 @@
 //! 3. compute the angle spectrum (Section IV),
 //! 4. intersect the bearings (Section V).
 //!
-//! The batch `locate_*` entry points are thin wrappers over a one-shot
+//! The batch entry points, [`LocalizationServer::fix`] and
+//! [`LocalizationServer::estimate`], are thin wrappers over a one-shot
 //! [`ReaderSession`] with an unbounded window: they ingest the log
 //! report-by-report and query the fix once, taking exactly the code path a
 //! live stream takes. [`LocalizationServer::session`] hands out long-lived
@@ -23,15 +24,13 @@
 //! antennas at once.
 
 use crate::calib::orientation::OrientationCalibration;
-use crate::estimator::{Estimate2D, Estimate3D, EstimateAided, EstimatorConfig};
-use crate::locate::aided::ResolvedFix;
-use crate::locate::plane::{Bearing2D, Fix2D};
+use crate::estimator::{Estimate, EstimatorConfig};
 use crate::locate::space::Fix3D;
 use crate::locate::LocateError;
 use crate::registry::TagRegistry;
-use crate::session::pipeline::{self, TwoD};
+use crate::session::pipeline;
 use crate::session::quarantine::{IngestPolicy, QualityGate};
-use crate::session::{window::WindowConfig, ReaderSession, SessionManager};
+use crate::session::{window::WindowConfig, FixPath, ReaderSession, SessionManager, ThreeD};
 use crate::snapshot::{SnapshotError, SnapshotSet};
 use crate::spectrum::engine::{SpectrumEngine, SpectrumEngineConfig};
 use crate::spectrum::incremental::IncrementalPolicy;
@@ -70,8 +69,8 @@ pub struct PipelineConfig {
     /// Incremental spectrum accumulators for streaming sessions: after a
     /// stream's first fresh recompute, fix refreshes reduce running
     /// per-direction sums in O(grid) instead of re-evaluating the whole
-    /// window. One-shot batch paths (`locate_*`) never re-fix a stream, so
-    /// they stay on the reference path bit-for-bit.
+    /// window. One-shot batch paths ([`LocalizationServer::fix`]) never
+    /// re-fix a stream, so they stay on the reference path bit-for-bit.
     pub incremental: IncrementalPolicy,
     /// Which fix estimator backend resolves multi-tag fixes (and the ML
     /// refinement knobs). The default spectrum backend keeps the fix path
@@ -200,7 +199,8 @@ impl LocalizationServer {
     /// Attach an observer to the server's engine. Sessions and managers
     /// created *after* this call ([`LocalizationServer::session`],
     /// [`LocalizationServer::session_manager`]) inherit it, as do the
-    /// one-shot `locate_*` entry points; previously created sessions keep
+    /// one-shot [`LocalizationServer::fix`] and
+    /// [`LocalizationServer::estimate`]; previously created sessions keep
     /// their own handle. The default is [`crate::obs::NullObserver`],
     /// which keeps every pipeline output bit-identical to an
     /// uninstrumented server.
@@ -253,8 +253,8 @@ impl LocalizationServer {
     /// A streaming session for one reader antenna, sharing this server's
     /// registry and steering-table cache. With
     /// [`WindowConfig::unbounded`], feeding the session a log
-    /// report-by-report reproduces the batch `locate_*` results
-    /// bit-for-bit.
+    /// report-by-report reproduces the batch [`LocalizationServer::fix`]
+    /// results bit-for-bit.
     pub fn session(&self, window: WindowConfig) -> ReaderSession {
         ReaderSession::with_engine(
             Arc::clone(&self.registry),
@@ -289,107 +289,49 @@ impl LocalizationServer {
         Ok(pipeline::checked_calibrated(tag, &set, &self.config)?.into_owned())
     }
 
-    /// Compute the 2D bearing for one registered tag without materializing
-    /// the full spectrum: the engine's coarse-to-fine peak search (hybrid:
-    /// enhanced detection, traditional refinement).
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::UnknownTag`] plus the snapshot-stage errors.
-    pub fn bearing_2d_peak(&self, log: &InventoryLog, epc: u128) -> Result<Bearing2D, ServerError> {
-        let tag = self.registry.get(epc).ok_or(ServerError::UnknownTag(epc))?;
-        let set = SnapshotSet::from_log(log, tag.epc, &tag.disk).map_err(ServerError::Snapshot)?;
-        pipeline::bearing::<TwoD>(&self.engine, tag, &self.config, &set)
-    }
-
-    /// End-to-end 2D localization of the reader that produced `log`.
+    /// End-to-end localization of kind `K` ([`TwoD`](crate::session::TwoD),
+    /// [`ThreeD`] or [`Aided`](crate::session::Aided)) of the reader that
+    /// produced `log`.
     ///
     /// Tags with degenerate input — missing from the log, too few reads,
     /// or an empty angle spectrum — are skipped; at least two usable
-    /// bearings are required.
+    /// bearings are required. The aided kind resolves the ±z ambiguity from
+    /// each disk's own orientation: with at least one non-horizontal disk
+    /// registered the per-tag mirror planes disagree and the resolver picks
+    /// the consistent candidates; with only horizontal disks the fix's
+    /// `runner_up_residual_m` reveals the unresolved ambiguity.
     ///
     /// # Errors
     ///
     /// [`ServerError::NotEnoughBearings`] / [`ServerError::Locate`].
-    pub fn locate_2d(&self, log: &InventoryLog) -> Result<Fix2D, ServerError> {
-        self.one_shot(log, ReaderSession::fix_2d)
+    pub fn fix<K: FixPath>(&self, log: &InventoryLog) -> Result<K::Fix, ServerError> {
+        self.one_shot(log, ReaderSession::fix::<K>)
     }
 
-    /// End-to-end 3D localization.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LocalizationServer::locate_2d`].
-    pub fn locate_3d(&self, log: &InventoryLog) -> Result<Fix3D, ServerError> {
-        self.one_shot(log, ReaderSession::fix_3d)
-    }
-
-    /// Ambiguity-resolving 3D localization using each disk's *own*
-    /// orientation (the paper's future-work vertical-disk aid).
-    ///
-    /// With at least one non-horizontal disk registered, the per-tag mirror
-    /// planes disagree and the resolver selects the consistent candidate
-    /// combination — no dead-space prior required. With only horizontal
-    /// disks this still works but the returned fix's
-    /// `runner_up_residual_m` will reveal the unresolved ±z ambiguity.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LocalizationServer::locate_3d`].
-    pub fn locate_3d_aided(&self, log: &InventoryLog) -> Result<ResolvedFix, ServerError> {
-        self.one_shot(log, ReaderSession::fix_3d_aided)
-    }
-
-    /// End-to-end 2D localization through the configured estimator
-    /// backend, returning the fix together with its typed
+    /// End-to-end localization of kind `K` through the configured
+    /// estimator backend, returning the fix together with its typed
     /// [`crate::estimator::FixConfidence`] and backend provenance. With the
     /// default spectrum backend the served fix equals
-    /// [`LocalizationServer::locate_2d`] bit-for-bit.
+    /// [`LocalizationServer::fix`] bit-for-bit.
     ///
     /// # Errors
     ///
-    /// Same as [`LocalizationServer::locate_2d`].
-    pub fn locate_2d_estimate(&self, log: &InventoryLog) -> Result<Estimate2D, ServerError> {
-        self.one_shot(log, ReaderSession::fix_2d_estimate)
-    }
-
-    /// End-to-end 3D localization through the configured estimator backend.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LocalizationServer::locate_3d`].
-    pub fn locate_3d_estimate(&self, log: &InventoryLog) -> Result<Estimate3D, ServerError> {
-        self.one_shot(log, ReaderSession::fix_3d_estimate)
-    }
-
-    /// Ambiguity-resolving 3D localization through the configured
-    /// estimator backend.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LocalizationServer::locate_3d_aided`].
-    pub fn locate_3d_aided_estimate(
+    /// Same as [`LocalizationServer::fix`].
+    pub fn estimate<K: FixPath>(
         &self,
         log: &InventoryLog,
-    ) -> Result<EstimateAided, ServerError> {
-        self.one_shot(log, ReaderSession::fix_3d_aided_estimate)
+    ) -> Result<Estimate<K::Fix>, ServerError> {
+        self.one_shot(log, ReaderSession::estimate::<K>)
     }
 
-    /// Localize every reader antenna present in the log simultaneously
-    /// (2D): the paper's multi-antenna claim — "simultaneously locate even
-    /// multiple target antennas".
+    /// `fix::<ThreeD>(log)` under its old name, kept only because the
+    /// `perfbench` benchmark package calls it.
     ///
-    /// Returns `(antenna_id, fix)` for each antenna with enough data,
-    /// ordered by ascending antenna id so callers get a deterministic
-    /// result regardless of report interleaving; antennas whose sub-log
-    /// is unusable are reported with the error.
+    /// # Errors
     ///
-    /// Internally a one-shot [`SessionManager`]: reports are routed to
-    /// per-antenna sessions instead of cloning the log once per antenna.
-    pub fn locate_all_2d(&self, log: &InventoryLog) -> Vec<(u8, Result<Fix2D, ServerError>)> {
-        let mut manager = self.session_manager(WindowConfig::unbounded());
-        manager.ingest_log(log);
-        manager.fix_all_2d()
+    /// Same as [`LocalizationServer::fix`].
+    pub fn locate_3d(&self, log: &InventoryLog) -> Result<Fix3D, ServerError> {
+        self.fix::<ThreeD>(log)
     }
 
     /// Run `fix` on a one-shot session with an unbounded window fed the
@@ -409,6 +351,7 @@ impl LocalizationServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::TwoD;
     use tagspin_geom::Vec3;
 
     fn server_with_two_tags() -> LocalizationServer {
@@ -433,9 +376,8 @@ mod tests {
     #[test]
     fn unknown_tag_errors() {
         let s = server_with_two_tags();
-        let log = InventoryLog::new();
         assert!(matches!(
-            s.bearing_2d_peak(&log, 99),
+            s.session(WindowConfig::unbounded()).tag_bearing_2d(99),
             Err(ServerError::UnknownTag(99))
         ));
     }
@@ -445,7 +387,7 @@ mod tests {
         let s = server_with_two_tags();
         let log = InventoryLog::new();
         assert_eq!(
-            s.locate_2d(&log),
+            s.fix::<TwoD>(&log),
             Err(ServerError::NotEnoughBearings { usable: 0 })
         );
     }

@@ -11,9 +11,10 @@
 //!   per-tag incremental snapshot buffers,
 //! * each buffer is bounded by a sliding [`WindowConfig`] (time and/or
 //!   count), so memory stays flat over unbounded streams,
-//! * fixes ([`ReaderSession::fix_2d`] and friends) recompute bearings only
-//!   for tags whose buffers changed since the last query — unchanged tags
-//!   reuse their cached bearing,
+//! * fixes ([`ReaderSession::fix`] and [`ReaderSession::estimate`], generic
+//!   over the fix kind [`FixPath`]: [`TwoD`], [`ThreeD`] or [`Aided`])
+//!   recompute bearings only for tags whose buffers changed since the last
+//!   query — unchanged tags reuse their cached bearing,
 //! * [`stats::SessionStats`] / [`stats::TagStreamStats`] expose freshness
 //!   and throughput counters without touching the math.
 //!
@@ -32,19 +33,15 @@ pub mod stats;
 pub mod window;
 
 use crate::diagnostics::CaptureQuality;
-use crate::estimator::{
-    backend_impl, Estimate2D, Estimate3D, EstimateAided, EstimatorBackend, MlReport, TagObservation,
-};
-use crate::locate::aided::{AmbiguousBearing, ResolvedFix};
+use crate::estimator::{backend_impl, Estimate, EstimatorBackend, MlReport, TagObservation};
 use crate::locate::plane::{Bearing2D, Fix2D};
-use crate::locate::space::{Bearing3D, Fix3D};
 use crate::obs::{Event, FixKind, ObsHandle, Observer, Stage};
 use crate::registry::{RegisteredTag, TagRegistry};
 use crate::server::{PipelineConfig, ServerError};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotSet};
 use crate::spectrum::engine::SpectrumEngine;
-use crate::spectrum::incremental::{fits_budget, IncrementalState, SyncOutcome};
-use pipeline::{Aided, FixPath, ThreeD, TwoD};
+use pipeline::Slots;
+pub use pipeline::{Aided, FixPath, ThreeD, TwoD};
 use quarantine::{RejectCounts, RejectReason};
 use stats::{IncrementalCounts, SessionStats, SkipCounts, StageTimes, TagStreamStats};
 use std::collections::{BTreeMap, HashMap};
@@ -115,84 +112,6 @@ impl TagStream {
     fn dirty(&self) -> bool {
         let s = &self.slots;
         s.two_d.cached.is_none() && s.three_d.cached.is_none() && s.aided.cached.is_none()
-    }
-}
-
-/// The per-kind slots of one [`TagStream`], one per [`FixPath`] kind.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Slots {
-    two_d: Slot<Bearing2D>,
-    three_d: Slot<Bearing3D>,
-    aided: Slot<AmbiguousBearing>,
-}
-
-/// One fix kind's slot on a [`TagStream`]: the bearing cache plus the
-/// incremental accumulators.
-///
-/// A `None` cache means *dirty*: the buffer changed (ingest or eviction)
-/// since this kind was last computed, and the next fix recomputes it. A
-/// `Some` cache holds the last result verbatim — including per-tag errors,
-/// which are just as cacheable as bearings. `recomputes` counts the fresh
-/// recomputes served so far (the engagement counter); `state` is the
-/// accumulator state once engaged, boxed because it holds O(grid) sums.
-#[derive(Debug, Clone)]
-pub(crate) struct Slot<B> {
-    cached: Option<Result<B, ServerError>>,
-    recomputes: u32,
-    state: Option<Box<IncrementalState>>,
-}
-
-impl<B> Default for Slot<B> {
-    fn default() -> Self {
-        Slot {
-            cached: None,
-            recomputes: 0,
-            state: None,
-        }
-    }
-}
-
-impl<B> Slot<B> {
-    /// Decide whether this fresh recompute is served by the incremental
-    /// accumulators, advancing the engagement counter either way. The
-    /// caller only invokes this once the buffer and gate checks passed, so
-    /// withheld attempts never advance engagement.
-    fn engage(&mut self, kind: FixKind, config: &PipelineConfig) -> bool {
-        let policy = &config.incremental;
-        let engaged = policy.enabled
-            && self.recomputes >= policy.engage_after_recomputes
-            && fits_budget(kind, config.profile, &config.spectrum);
-        self.recomputes = self.recomputes.saturating_add(1);
-        engaged
-    }
-
-    /// Ensure the slot holds accumulator state matching the current
-    /// configuration, sync it against the stream's calibrated window, and
-    /// report what the sync did plus whether the reduction must fall back
-    /// to the reference path (non-finite columns resident).
-    fn sync(
-        &mut self,
-        kind: FixKind,
-        tag: &RegisteredTag,
-        config: &PipelineConfig,
-        set: &SnapshotSet,
-        evicted: u64,
-        ingested: u64,
-    ) -> (SyncOutcome, bool) {
-        if !matches!(&self.state, Some(s) if s.matches(config.profile, &config.spectrum, &tag.disk))
-        {
-            self.state = None;
-        }
-        let state = self.state.get_or_insert_with(|| {
-            Box::new(IncrementalState::new(
-                kind,
-                config.profile,
-                &config.spectrum,
-                &tag.disk,
-            ))
-        });
-        let outcome = state.sync(set, evicted, ingested, &config.incremental);
-        (outcome, state.fallback_needed())
     }
 }
 
@@ -543,9 +462,11 @@ impl ReaderSession {
     }
 
     /// One registered tag's bearing of kind `K` from its current window.
-    /// A clean slot serves its cached result; a dirty one recomputes —
-    /// through the incremental accumulators once engaged, else (or while
-    /// non-finite phases are resident) a fresh peak search.
+    /// A clean slot serves its cached result; a dirty one recomputes over
+    /// the calibrated window — through the incremental accumulators once
+    /// engaged, else (or while non-finite phases are resident) a fresh peak
+    /// search. Engagement advances only for attempts that pass the buffer,
+    /// gate and snapshot-floor checks.
     fn bearing_cached<K: FixPath>(
         &mut self,
         tag: &RegisteredTag,
@@ -567,51 +488,49 @@ impl ReaderSession {
         let t0 = self.obs.clock_start();
         let result = match pipeline::check_buffer(tag, &stream.buf)
             .and_then(|()| pipeline::gate(tag, &self.config, &stream.buf))
+            .and_then(|()| pipeline::checked_calibrated(tag, &stream.buf, &self.config))
         {
             Err(e) => Err(e),
-            Ok(()) if slot.engage(K::KIND, &self.config) => {
-                match pipeline::checked_calibrated(tag, &stream.buf, &self.config) {
-                    Err(e) => Err(e),
-                    Ok(set) => {
-                        let (outcome, fallback) = slot.sync(
-                            K::KIND,
-                            tag,
-                            &self.config,
-                            &set,
-                            stream.evicted,
-                            stream.ingested,
-                        );
-                        self.incremental.applied += outcome.applied;
-                        self.incremental.downdated += outcome.downdated;
-                        if outcome.reanchored {
-                            self.incremental.reanchors += 1;
-                        }
-                        if fallback {
-                            self.incremental.fallbacks += 1;
-                        }
-                        let epc = tag.epc;
-                        self.obs.emit_batch(|| {
-                            vec![Event::IncrementalSync {
-                                epc,
-                                kind: K::KIND,
-                                applied: outcome.applied,
-                                downdated: outcome.downdated,
-                                reanchored: outcome.reanchored,
-                                fallback,
-                            }]
-                        });
-                        if fallback {
-                            pipeline::bearing::<K>(&self.engine, tag, &self.config, &stream.buf)
-                        } else {
-                            slot.state
-                                .as_deref()
-                                .and_then(|state| K::reduce(state, tag))
-                                .ok_or(ServerError::EmptySpectrum { epc: tag.epc })
-                        }
+            Ok(set) => {
+                let reduce = if slot.engage(K::KIND, &self.config) {
+                    let (outcome, fallback) = slot.sync(
+                        K::KIND,
+                        tag,
+                        &self.config,
+                        &set,
+                        stream.evicted,
+                        stream.ingested,
+                    );
+                    self.incremental.applied += outcome.applied;
+                    self.incremental.downdated += outcome.downdated;
+                    if outcome.reanchored {
+                        self.incremental.reanchors += 1;
                     }
-                }
+                    if fallback {
+                        self.incremental.fallbacks += 1;
+                    }
+                    let epc = tag.epc;
+                    self.obs.emit_batch(|| {
+                        vec![Event::IncrementalSync {
+                            epc,
+                            kind: K::KIND,
+                            applied: outcome.applied,
+                            downdated: outcome.downdated,
+                            reanchored: outcome.reanchored,
+                            fallback,
+                        }]
+                    });
+                    !fallback
+                } else {
+                    false
+                };
+                let bearing = if reduce {
+                    K::reduce(slot, tag)
+                } else {
+                    K::fresh(&self.engine, tag, &self.config, &set)
+                };
+                bearing.ok_or(ServerError::EmptySpectrum { epc: tag.epc })
             }
-            Ok(()) => pipeline::bearing::<K>(&self.engine, tag, &self.config, &stream.buf),
         };
         slot.cached = Some(result.clone());
         let gated = matches!(result, Err(ServerError::QualityGated { .. }));
@@ -619,79 +538,44 @@ impl ReaderSession {
         result
     }
 
-    /// 2D fix of this session's reader antenna from the current windows.
+    /// Fix of kind `K` ([`TwoD`], [`ThreeD`] or [`Aided`]) of this
+    /// session's reader antenna from the current windows.
     ///
     /// Tags with degenerate input (no reads, too few snapshots, empty
-    /// spectrum) are skipped; at least two usable bearings are required.
-    /// Only dirty tags are recomputed.
+    /// spectrum, withheld by the quality gate) are skipped; at least two
+    /// usable bearings are required. Only dirty tags are recomputed. With
+    /// the default spectrum backend this never builds the per-tag
+    /// observations that confidence needs.
     ///
     /// # Errors
     ///
     /// [`ServerError::NotEnoughBearings`] / [`ServerError::Locate`], plus
     /// non-skippable per-tag errors (e.g. a bad disk config).
-    pub fn fix_2d(&mut self) -> Result<Fix2D, ServerError> {
-        self.fix::<TwoD>(false).map(|e| e.fix)
+    pub fn fix<K: FixPath>(&mut self) -> Result<K::Fix, ServerError> {
+        self.resolve::<K>(false).map(|e| e.fix)
     }
 
-    /// Like [`ReaderSession::fix_2d`], but returns the full
-    /// [`Estimate2D`]: the fix plus its typed
-    /// [`crate::estimator::FixConfidence`], backend provenance, and (on
-    /// the ml/hybrid backends) the refinement report. Unlike the plain
-    /// fix, this entry point always materializes the per-tag observations
-    /// confidence needs.
+    /// Like [`ReaderSession::fix`], but returns the full [`Estimate`]: the
+    /// fix plus its typed [`crate::estimator::FixConfidence`], backend
+    /// provenance, and (on the ml/hybrid backends) the refinement report.
+    /// Unlike the plain fix, this always builds the per-tag observations
+    /// confidence needs, which costs time on every refresh.
     ///
     /// # Errors
     ///
-    /// Same as [`ReaderSession::fix_2d`].
-    pub fn fix_2d_estimate(&mut self) -> Result<Estimate2D, ServerError> {
-        self.fix::<TwoD>(true)
+    /// Same as [`ReaderSession::fix`].
+    pub fn estimate<K: FixPath>(&mut self) -> Result<Estimate<K::Fix>, ServerError> {
+        self.resolve::<K>(true)
     }
 
-    /// 3D fix of this session's reader antenna from the current windows.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReaderSession::fix_2d`].
-    pub fn fix_3d(&mut self) -> Result<Fix3D, ServerError> {
-        self.fix::<ThreeD>(false).map(|e| e.fix)
-    }
-
-    /// Like [`ReaderSession::fix_3d`], but returns the full [`Estimate3D`]
-    /// (fix + typed confidence + backend provenance).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReaderSession::fix_2d`].
-    pub fn fix_3d_estimate(&mut self) -> Result<Estimate3D, ServerError> {
-        self.fix::<ThreeD>(true)
-    }
-
-    /// Ambiguity-resolving 3D fix using each disk's own orientation (the
-    /// streaming counterpart of
-    /// [`crate::server::LocalizationServer::locate_3d_aided`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReaderSession::fix_2d`].
-    pub fn fix_3d_aided(&mut self) -> Result<ResolvedFix, ServerError> {
-        self.fix::<Aided>(false).map(|e| e.fix)
-    }
-
-    /// Like [`ReaderSession::fix_3d_aided`], but returns the full
-    /// [`EstimateAided`] (fix + typed confidence + backend provenance).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ReaderSession::fix_2d`].
-    pub fn fix_3d_aided_estimate(&mut self) -> Result<EstimateAided, ServerError> {
-        self.fix::<Aided>(true)
-    }
-
-    /// The one multi-tag fix: age the windows, collect every registered
-    /// tag's bearing of kind `K` (skipping degenerate tags, aborting on any
-    /// other per-tag error), and resolve at least two of them through the
-    /// configured estimator backend.
-    fn fix<K: FixPath>(&mut self, want_confidence: bool) -> Result<K::Estimate, ServerError> {
+    /// The one multi-tag fix body: age the windows, collect every
+    /// registered tag's bearing of kind `K` (skipping degenerate tags,
+    /// aborting on any other per-tag error), and resolve at least two of
+    /// them through the configured estimator backend.
+    fn resolve<K: FixPath>(
+        &mut self,
+        want_confidence: bool,
+    ) -> Result<Estimate<K::Fix>, ServerError> {
         let t0 = self.obs.clock_start();
         self.evict_all();
         let registry = Arc::clone(&self.registry);
@@ -733,7 +617,7 @@ impl ReaderSession {
                     &observations,
                     &self.config,
                 );
-                let ml = result.as_ref().ok().and_then(K::ml);
+                let ml = result.as_ref().ok().and_then(|e| e.ml);
                 self.note_estimate(K::KIND, backend, refine_t0, ml, result.is_ok());
                 result
             }
@@ -770,11 +654,11 @@ impl ReaderSession {
     }
 
     /// Whether this fix must materialize per-tag snapshot observations:
-    /// always for phase-consuming backends, and on the `*_estimate` entry
-    /// points for confidence. The default spectrum fast path
-    /// ([`ReaderSession::fix_2d`] with `EstimatorConfig::default()`) never
-    /// does, keeping it allocation- and cost-identical to the historical
-    /// pipeline.
+    /// always for phase-consuming backends, and on the
+    /// [`ReaderSession::estimate`] path for confidence. The default
+    /// spectrum fast path ([`ReaderSession::fix`] with
+    /// `EstimatorConfig::default()`) never does, keeping it allocation- and
+    /// cost-identical to the historical pipeline.
     fn want_observations(&self, want_confidence: bool) -> bool {
         want_confidence || self.config.estimator.backend != EstimatorBackend::Spectrum
     }
@@ -1074,43 +958,38 @@ impl SessionManager {
         self.sessions.get_mut(&antenna_id)
     }
 
-    /// 2D fix for one antenna. An antenna with no session yields
+    /// Fix of kind `K` for one antenna. An antenna with no session yields
     /// [`ServerError::NotEnoughBearings`] with zero usable bearings, the
     /// same as an empty log.
     ///
     /// # Errors
     ///
-    /// Same as [`ReaderSession::fix_2d`].
+    /// Same as [`ReaderSession::fix`].
+    pub fn fix<K: FixPath>(&mut self, antenna_id: u8) -> Result<K::Fix, ServerError> {
+        self.with_session(antenna_id, ReaderSession::fix::<K>)
+    }
+
+    /// Estimate of kind `K` (fix + confidence + backend provenance) for
+    /// one antenna; see [`ReaderSession::estimate`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SessionManager::fix`].
+    pub fn estimate<K: FixPath>(
+        &mut self,
+        antenna_id: u8,
+    ) -> Result<Estimate<K::Fix>, ServerError> {
+        self.with_session(antenna_id, ReaderSession::estimate::<K>)
+    }
+
+    /// `fix::<TwoD>(antenna_id)` under its old name, kept only because the
+    /// `perfbench` benchmark package calls it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SessionManager::fix`].
     pub fn fix_2d(&mut self, antenna_id: u8) -> Result<Fix2D, ServerError> {
-        self.with_session(antenna_id, ReaderSession::fix_2d)
-    }
-
-    /// 3D fix for one antenna.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SessionManager::fix_2d`].
-    pub fn fix_3d(&mut self, antenna_id: u8) -> Result<Fix3D, ServerError> {
-        self.with_session(antenna_id, ReaderSession::fix_3d)
-    }
-
-    /// Ambiguity-resolving 3D fix for one antenna.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SessionManager::fix_2d`].
-    pub fn fix_3d_aided(&mut self, antenna_id: u8) -> Result<ResolvedFix, ServerError> {
-        self.with_session(antenna_id, ReaderSession::fix_3d_aided)
-    }
-
-    /// 2D estimate (fix + confidence + backend provenance) for one
-    /// antenna.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SessionManager::fix_2d`].
-    pub fn fix_2d_estimate(&mut self, antenna_id: u8) -> Result<Estimate2D, ServerError> {
-        self.with_session(antenna_id, ReaderSession::fix_2d_estimate)
+        self.fix::<TwoD>(antenna_id)
     }
 
     /// The shared fix dispatch: route to the antenna's session, or report
@@ -1125,17 +1004,6 @@ impl SessionManager {
             Some(s) => fix(s),
             None => Err(ServerError::NotEnoughBearings { usable: 0 }),
         }
-    }
-
-    /// 2D fixes for every live antenna, ascending by antenna id — the
-    /// streaming counterpart of
-    /// [`crate::server::LocalizationServer::locate_all_2d`].
-    pub fn fix_all_2d(&mut self) -> Vec<(u8, Result<Fix2D, ServerError>)> {
-        let antennas = self.antennas();
-        antennas
-            .into_iter()
-            .map(|ant| (ant, self.fix_2d(ant)))
-            .collect()
     }
 }
 
@@ -1258,7 +1126,7 @@ mod tests {
         // Skippable: the fix degrades to NotEnoughBearings, not a hard
         // QualityGated error.
         assert_eq!(
-            session.fix_2d(),
+            session.fix::<TwoD>(),
             Err(ServerError::NotEnoughBearings { usable: 0 })
         );
     }
@@ -1293,7 +1161,7 @@ mod tests {
         session.ingest(&report(2, 2_000_000, 1));
         // Tag 1's buffer is untouched until a fix forces session-wide aging.
         assert_eq!(session.tag_stats(1).unwrap().buffered, 1);
-        let _ = session.fix_2d();
+        let _ = session.fix::<TwoD>();
         assert_eq!(session.tag_stats(1).unwrap().buffered, 0);
         assert_eq!(session.tag_stats(1).unwrap().evicted, 1);
         // Tag 2's own early read aged out on ingest already.
@@ -1311,7 +1179,7 @@ mod tests {
         // Too few snapshots everywhere → NotEnoughBearings, but the per-tag
         // error results are now cached (streams clean).
         assert_eq!(
-            session.fix_2d(),
+            session.fix::<TwoD>(),
             Err(ServerError::NotEnoughBearings { usable: 0 })
         );
         assert!(!session.tag_stats(1).unwrap().dirty);
@@ -1366,9 +1234,8 @@ mod tests {
         );
         // No-session antenna behaves like an empty log.
         assert_eq!(
-            mgr.fix_2d(99),
+            mgr.fix::<TwoD>(99),
             Err(ServerError::NotEnoughBearings { usable: 0 })
         );
-        assert_eq!(mgr.fix_all_2d().len(), 3);
     }
 }

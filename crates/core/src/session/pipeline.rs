@@ -1,28 +1,23 @@
 //! The single per-tag bearing pipeline shared by the batch server facade
 //! and the streaming session.
 //!
-//! Buffer checks, the quality gate, calibration and the fresh peak search
-//! are written once here, and [`FixPath`] names the one place the 2D, 3D
-//! and aided fixes differ. The batch entry point
-//! (`LocalizationServer::bearing_2d_peak`) feeds [`bearing`] sets extracted
-//! by [`SnapshotSet::from_log`]; the streaming session feeds it its
-//! windowed incremental buffers. Identical inputs take the identical code
-//! path, which is what makes the streaming/batch equivalence guarantee hold
-//! bit-for-bit.
+//! Buffer checks, the quality gate and calibration are written once here,
+//! and [`FixPath`] names the one place the 2D, 3D and aided fixes differ.
+//! The batch entry points (`LocalizationServer::fix::<K>`) run a one-shot
+//! session fed the whole log, so identical inputs take the identical code
+//! path, which is what makes the streaming/batch equivalence guarantee
+//! hold bit-for-bit.
 
-use super::{Slot, Slots};
-use crate::estimator::{
-    Estimate2D, Estimate3D, EstimateAided, Estimator, MlReport, TagObservation,
-};
-use crate::locate::aided::AmbiguousBearing;
-use crate::locate::plane::Bearing2D;
-use crate::locate::space::Bearing3D;
+use crate::estimator::{Estimate, Estimator, TagObservation};
+use crate::locate::aided::{AmbiguousBearing, ResolvedFix};
+use crate::locate::plane::{Bearing2D, Fix2D};
+use crate::locate::space::{Bearing3D, Fix3D};
 use crate::obs::FixKind;
 use crate::registry::RegisteredTag;
 use crate::server::{PipelineConfig, ServerError};
 use crate::snapshot::{SnapshotError, SnapshotSet};
 use crate::spectrum::engine::SpectrumEngine;
-use crate::spectrum::incremental::IncrementalState;
+use crate::spectrum::incremental::{fits_budget, IncrementalState, SyncOutcome};
 use std::borrow::Cow;
 
 /// Enforce the minimum-snapshot floor and apply the tag's orientation
@@ -90,25 +85,122 @@ pub(crate) fn gate(
     }
 }
 
-/// What distinguishes the 2D, 3D and orientation-aided fixes. The paper
-/// runs all three through one pipeline — per-tag spectrum peak, bearing,
-/// intersection (§IV–V) — and so does the session: caching, gating,
-/// incremental sync, skip accounting and estimator dispatch are written
-/// once, generic over this trait, and each kind supplies only its types,
-/// its slot on the tag stream, and the calls that differ.
-pub(crate) trait FixPath {
+/// The per-kind slots of one tag stream, one per [`FixPath`] kind.
+///
+/// `Slots` and [`Slot`] are `pub` only so the hidden items of the public
+/// [`FixPath`] may name them; this module is private to the crate, so
+/// neither is reachable outside it.
+#[derive(Debug, Clone, Default)]
+pub struct Slots {
+    pub(super) two_d: Slot<Bearing2D>,
+    pub(super) three_d: Slot<Bearing3D>,
+    pub(super) aided: Slot<AmbiguousBearing>,
+}
+
+/// One fix kind's slot on a tag stream: the bearing cache plus the
+/// incremental accumulators.
+///
+/// A `None` cache means *dirty*: the buffer changed (ingest or eviction)
+/// since this kind was last computed, and the next fix recomputes it. A
+/// `Some` cache holds the last result verbatim — including per-tag errors,
+/// which are just as cacheable as bearings. `recomputes` counts the fresh
+/// recomputes served so far (the engagement counter); `state` is the
+/// accumulator state once engaged, boxed because it holds O(grid) sums.
+#[derive(Debug, Clone)]
+pub struct Slot<B> {
+    pub(super) cached: Option<Result<B, ServerError>>,
+    pub(super) recomputes: u32,
+    pub(super) state: Option<Box<IncrementalState>>,
+}
+
+impl<B> Default for Slot<B> {
+    fn default() -> Self {
+        Slot {
+            cached: None,
+            recomputes: 0,
+            state: None,
+        }
+    }
+}
+
+impl<B> Slot<B> {
+    /// Decide whether this fresh recompute is served by the incremental
+    /// accumulators, advancing the engagement counter either way. The
+    /// caller only invokes this once the buffer, gate and snapshot-floor
+    /// checks passed, so withheld and below-floor attempts never advance
+    /// engagement.
+    pub(super) fn engage(&mut self, kind: FixKind, config: &PipelineConfig) -> bool {
+        let policy = &config.incremental;
+        let engaged = policy.enabled
+            && self.recomputes >= policy.engage_after_recomputes
+            && fits_budget(kind, config.profile, &config.spectrum);
+        self.recomputes = self.recomputes.saturating_add(1);
+        engaged
+    }
+
+    /// Ensure the slot holds accumulator state matching the current
+    /// configuration, sync it against the stream's calibrated window, and
+    /// report what the sync did plus whether the reduction must fall back
+    /// to the reference path (non-finite columns resident).
+    pub(super) fn sync(
+        &mut self,
+        kind: FixKind,
+        tag: &RegisteredTag,
+        config: &PipelineConfig,
+        set: &SnapshotSet,
+        evicted: u64,
+        ingested: u64,
+    ) -> (SyncOutcome, bool) {
+        if !matches!(&self.state, Some(s) if s.matches(config.profile, &config.spectrum, &tag.disk))
+        {
+            self.state = None;
+        }
+        let state = self.state.get_or_insert_with(|| {
+            Box::new(IncrementalState::new(
+                kind,
+                config.profile,
+                &config.spectrum,
+                &tag.disk,
+            ))
+        });
+        let outcome = state.sync(set, evicted, ingested, &config.incremental);
+        (outcome, state.fallback_needed())
+    }
+}
+
+mod sealed {
+    /// Implemented by [`super::TwoD`], [`super::ThreeD`] and
+    /// [`super::Aided`] only, so no other crate can add a fix kind.
+    pub trait Sealed {}
+}
+
+/// A fix kind: the type parameter of every layer's `fix::<K>` and
+/// `estimate::<K>` — [`TwoD`], [`ThreeD`] or [`Aided`].
+///
+/// The paper runs all three through one pipeline — per-tag spectrum peak,
+/// bearing, intersection (§IV–V) — and so does the session: caching,
+/// gating, incremental sync, skip accounting and estimator dispatch are
+/// written once, generic over this trait, and each kind supplies only its
+/// types, its slot on the tag stream, and the calls that differ. The trait
+/// is sealed; its hidden items are the crate's own plumbing.
+pub trait FixPath: sealed::Sealed {
     /// The event tag of this kind, which also keys its incremental grid.
     const KIND: FixKind;
+    /// The multi-tag fix this kind serves; its estimate is
+    /// [`Estimate<Self::Fix>`](Estimate).
+    type Fix;
+
     /// One tag's bearing.
+    #[doc(hidden)]
     type Bearing: Clone;
-    /// The multi-tag fix with confidence and backend provenance.
-    type Estimate;
 
     /// This kind's cache and accumulator slot on a tag stream.
+    #[doc(hidden)]
     fn slot(slots: &mut Slots) -> &mut Slot<Self::Bearing>;
 
     /// Fresh engine peak search over a calibrated window; `None` when the
     /// spectrum has no peak.
+    #[doc(hidden)]
     fn fresh(
         engine: &SpectrumEngine,
         tag: &RegisteredTag,
@@ -116,38 +208,44 @@ pub(crate) trait FixPath {
         set: &SnapshotSet,
     ) -> Option<Self::Bearing>;
 
-    /// The bearing of an incremental state's reduced accumulators.
-    fn reduce(state: &IncrementalState, tag: &RegisteredTag) -> Option<Self::Bearing>;
+    /// The bearing of a slot's reduced incremental accumulators; `None`
+    /// when the slot holds no state or its spectrum has no peak.
+    #[doc(hidden)]
+    fn reduce(slot: &Slot<Self::Bearing>, tag: &RegisteredTag) -> Option<Self::Bearing>;
 
     /// Resolve the multi-tag fix through `estimator`.
     ///
     /// # Errors
     ///
     /// The estimator's [`ServerError::Locate`] on degenerate geometry.
+    #[doc(hidden)]
     fn estimate(
         estimator: &dyn Estimator,
         bearings: &[Self::Bearing],
         observations: &[TagObservation],
         config: &PipelineConfig,
-    ) -> Result<Self::Estimate, ServerError>;
-
-    /// The estimate's ML refinement report (`None` on the spectrum backend).
-    fn ml(estimate: &Self::Estimate) -> Option<MlReport>;
+    ) -> Result<Estimate<Self::Fix>, ServerError>;
 }
 
-/// The 2D fix: azimuth bearings intersected in the horizontal plane.
-pub(crate) struct TwoD;
+/// The 2D fix ([`Fix2D`]): azimuth bearings intersected in the horizontal
+/// plane.
+pub struct TwoD;
 
-/// The 3D fix: horizontal-disk bearings with their ±z mirror.
-pub(crate) struct ThreeD;
+/// The 3D fix ([`Fix3D`]): horizontal-disk bearings with their ±z mirror.
+pub struct ThreeD;
 
-/// The ambiguity-resolving 3D fix from each disk's own orientation.
-pub(crate) struct Aided;
+/// The ambiguity-resolving 3D fix ([`ResolvedFix`]) from each disk's own
+/// orientation (the paper's future-work vertical-disk aid).
+pub struct Aided;
+
+impl sealed::Sealed for TwoD {}
+impl sealed::Sealed for ThreeD {}
+impl sealed::Sealed for Aided {}
 
 impl FixPath for TwoD {
     const KIND: FixKind = FixKind::Fix2D;
+    type Fix = Fix2D;
     type Bearing = Bearing2D;
-    type Estimate = Estimate2D;
 
     fn slot(slots: &mut Slots) -> &mut Slot<Bearing2D> {
         &mut slots.two_d
@@ -169,8 +267,8 @@ impl FixPath for TwoD {
         Some(Bearing2D::from_peak(tag.disk.center.xy(), &peak))
     }
 
-    fn reduce(state: &IncrementalState, tag: &RegisteredTag) -> Option<Bearing2D> {
-        let peak = state.peak_2d()?;
+    fn reduce(slot: &Slot<Bearing2D>, tag: &RegisteredTag) -> Option<Bearing2D> {
+        let peak = slot.state.as_deref()?.peak_2d()?;
         Some(Bearing2D::from_peak(tag.disk.center.xy(), &peak))
     }
 
@@ -179,19 +277,15 @@ impl FixPath for TwoD {
         bearings: &[Bearing2D],
         observations: &[TagObservation],
         config: &PipelineConfig,
-    ) -> Result<Estimate2D, ServerError> {
+    ) -> Result<Estimate<Fix2D>, ServerError> {
         estimator.estimate_2d(bearings, observations, config)
-    }
-
-    fn ml(estimate: &Estimate2D) -> Option<MlReport> {
-        estimate.ml
     }
 }
 
 impl FixPath for ThreeD {
     const KIND: FixKind = FixKind::Fix3D;
+    type Fix = Fix3D;
     type Bearing = Bearing3D;
-    type Estimate = Estimate3D;
 
     fn slot(slots: &mut Slots) -> &mut Slot<Bearing3D> {
         &mut slots.three_d
@@ -213,8 +307,8 @@ impl FixPath for ThreeD {
         Some(Bearing3D::from_peak(tag.disk.center, dir, power))
     }
 
-    fn reduce(state: &IncrementalState, tag: &RegisteredTag) -> Option<Bearing3D> {
-        let (dir, power) = state.peak_3d()?;
+    fn reduce(slot: &Slot<Bearing3D>, tag: &RegisteredTag) -> Option<Bearing3D> {
+        let (dir, power) = slot.state.as_deref()?.peak_3d()?;
         Some(Bearing3D::from_peak(tag.disk.center, dir, power))
     }
 
@@ -223,19 +317,15 @@ impl FixPath for ThreeD {
         bearings: &[Bearing3D],
         observations: &[TagObservation],
         config: &PipelineConfig,
-    ) -> Result<Estimate3D, ServerError> {
+    ) -> Result<Estimate<Fix3D>, ServerError> {
         estimator.estimate_3d(bearings, observations, config)
-    }
-
-    fn ml(estimate: &Estimate3D) -> Option<MlReport> {
-        estimate.ml
     }
 }
 
 impl FixPath for Aided {
     const KIND: FixKind = FixKind::Fix3DAided;
+    type Fix = ResolvedFix;
     type Bearing = AmbiguousBearing;
-    type Estimate = EstimateAided;
 
     fn slot(slots: &mut Slots) -> &mut Slot<AmbiguousBearing> {
         &mut slots.aided
@@ -253,8 +343,8 @@ impl FixPath for Aided {
         Some(AmbiguousBearing::from_disk_peak(disk, dir, power))
     }
 
-    fn reduce(state: &IncrementalState, tag: &RegisteredTag) -> Option<AmbiguousBearing> {
-        let (dir, power) = state.peak_3d()?;
+    fn reduce(slot: &Slot<AmbiguousBearing>, tag: &RegisteredTag) -> Option<AmbiguousBearing> {
+        let (dir, power) = slot.state.as_deref()?.peak_3d()?;
         Some(AmbiguousBearing::from_disk_peak(&tag.disk, dir, power))
     }
 
@@ -263,29 +353,9 @@ impl FixPath for Aided {
         bearings: &[AmbiguousBearing],
         observations: &[TagObservation],
         config: &PipelineConfig,
-    ) -> Result<EstimateAided, ServerError> {
+    ) -> Result<Estimate<ResolvedFix>, ServerError> {
         estimator.estimate_3d_aided(bearings, observations, config)
     }
-
-    fn ml(estimate: &EstimateAided) -> Option<MlReport> {
-        estimate.ml
-    }
-}
-
-/// One tag's bearing of kind `K` from an already-extracted snapshot set:
-/// calibrate, then run the fresh peak search.
-///
-/// # Errors
-///
-/// [`ServerError::TooFewSnapshots`] / [`ServerError::EmptySpectrum`].
-pub(crate) fn bearing<K: FixPath>(
-    engine: &SpectrumEngine,
-    tag: &RegisteredTag,
-    config: &PipelineConfig,
-    set: &SnapshotSet,
-) -> Result<K::Bearing, ServerError> {
-    let set = checked_calibrated(tag, set, config)?;
-    K::fresh(engine, tag, config, &set).ok_or(ServerError::EmptySpectrum { epc: tag.epc })
 }
 
 /// Whether a per-tag failure is degenerate-input noise the multi-tag fixes

@@ -4,8 +4,8 @@
 //! read history: at most `max_reports` snapshots, none older than
 //! `max_age_s` seconds behind the session's newest report. Either bound can
 //! be disabled; with both disabled the session buffers everything, which is
-//! exactly the batch pipeline's behavior (and what the batch `locate_*`
-//! wrappers use).
+//! exactly the batch pipeline's behavior (and what the batch
+//! `LocalizationServer::fix` and `estimate` use).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -70,8 +70,9 @@ pub struct IncrementalPolicy {
     pub reanchor_after_ops: u64,
     /// Number of fresh recomputes a per-tag stream serves through the
     /// legacy path before the incremental state engages. The default of 1
-    /// keeps every one-shot batch caller (`locate_*`, the sim trial
-    /// runners) on the legacy path, preserving their outputs bit-for-bit.
+    /// keeps every one-shot batch caller (`LocalizationServer::fix` and
+    /// `estimate`, the sim trial runners) on the legacy path, preserving
+    /// their outputs bit-for-bit.
     pub engage_after_recomputes: u32,
     /// Analytic float-drift bound: re-anchor once
     /// `ops_since_anchor · ε > drift_tol`. The default pairs with

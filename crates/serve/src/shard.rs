@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tagspin_core::locate::plane::Fix2D;
 use tagspin_core::obs::Gauge;
-use tagspin_core::session::SessionManager;
+use tagspin_core::session::{SessionManager, TwoD};
 use tagspin_epc::TagReport;
 
 /// One command on a shard queue.
@@ -100,7 +100,7 @@ pub(crate) fn run_worker(
             }
             ShardCmd::Fix2D { antenna_id, reply } => {
                 let fix = manager
-                    .fix_2d(antenna_id)
+                    .fix::<TwoD>(antenna_id)
                     .map_err(FixQueryError::Localization);
                 // A vanished requester is its own problem, not the shard's.
                 let _ = reply.try_send(fix);

@@ -90,7 +90,7 @@ pub fn run_backend_arm(
     for report in reports {
         session.ingest(report);
     }
-    match session.fix_2d_estimate() {
+    match session.estimate::<TwoD>() {
         Ok(est) => {
             let error = TrialError::planar(est.fix.position, scenario.reader_truth.position.xy());
             BackendArm {

@@ -235,7 +235,7 @@ pub fn abl_wobble(fid: &Fidelity) -> Report {
                 .map(|t| t.with_wobble(amp, WOBBLE_FREQ))
                 .collect::<Vec<SpinningTag>>();
             let log = observe(&scenario, &setup, &mut rng);
-            if let Ok(fix) = setup.server.locate_2d(&log) {
+            if let Ok(fix) = setup.server.fix::<TwoD>(&log) {
                 errs.push((fix.position - scenario.reader_truth.position.xy()).norm());
             }
         }
@@ -293,6 +293,7 @@ pub fn abl_hopping(fid: &Fidelity) -> Report {
 /// Ablation: the vertical third disk vs the dead-space prior (3D).
 pub fn abl_vertical(fid: &Fidelity) -> Report {
     use crate::trial::{observe, setup_trial};
+    use tagspin_core::session::Aided;
     let trials = fid.trials.min(if fid.quick { 4 } else { 15 });
     let mut margins = Vec::new();
     let mut errs_aided = Vec::new();
@@ -314,7 +315,7 @@ pub fn abl_vertical(fid: &Fidelity) -> Report {
             continue;
         };
         let log = observe(&scenario, &setup, &mut rng);
-        if let Ok(fix) = setup.server.locate_3d_aided(&log) {
+        if let Ok(fix) = setup.server.fix::<Aided>(&log) {
             errs_aided.push(fix.position.distance(scenario.reader_truth.position));
             margins.push(fix.runner_up_residual_m / fix.residual_m.max(1e-6));
         }
@@ -327,7 +328,7 @@ pub fn abl_vertical(fid: &Fidelity) -> Report {
             continue;
         };
         let log = observe(&flat, &setup, &mut rng);
-        if let Ok(fix) = setup.server.locate_3d_aided(&log) {
+        if let Ok(fix) = setup.server.fix::<Aided>(&log) {
             margins_flat.push(fix.runner_up_residual_m / fix.residual_m.max(1e-6));
         }
     }

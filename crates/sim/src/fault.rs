@@ -271,7 +271,7 @@ fn run_arm(
     for report in reports {
         session.ingest(report);
     }
-    let fix = session.fix_2d().map_err(TrialFailure::Server)?;
+    let fix = session.fix::<TwoD>().map_err(TrialFailure::Server)?;
     let error = TrialError::planar(fix.position, scenario.reader_truth.position.xy());
     Ok(Trial2DOutcome {
         fix,

@@ -175,61 +175,10 @@ pub fn run_trial_2d(scenario: &Scenario, seed: u64) -> Result<Trial2DOutcome, Tr
     let setup = setup_trial(scenario, &mut rng)?;
     let log = observe(scenario, &setup, &mut rng);
     let reads = log.len();
-    let fix = setup.server.locate_2d(&log).map_err(TrialFailure::Server)?;
-    let error = TrialError::planar(fix.position, scenario.reader_truth.position.xy());
-    Ok(Trial2DOutcome { fix, error, reads })
-}
-
-/// Run one full 2D trial through the *streaming* front-end: the same
-/// observation log is replayed report-by-report into a
-/// [`ReaderSession`] (unbounded window) and the fix is queried once at the
-/// end. Produces bit-identical results to [`run_trial_2d`] — both funnel
-/// into the one shared per-tag pipeline.
-///
-/// # Errors
-///
-/// Same as [`run_trial_2d`].
-pub fn run_trial_2d_streaming(
-    scenario: &Scenario,
-    seed: u64,
-) -> Result<Trial2DOutcome, TrialFailure> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let setup = setup_trial(scenario, &mut rng)?;
-    let log = observe(scenario, &setup, &mut rng);
-    let reads = log.len();
-    let mut session = setup.server.session(WindowConfig::unbounded());
-    for report in log.stream() {
-        session.ingest(report);
-    }
-    let fix = session.fix_2d().map_err(TrialFailure::Server)?;
-    let error = TrialError::planar(fix.position, scenario.reader_truth.position.xy());
-    Ok(Trial2DOutcome { fix, error, reads })
-}
-
-/// [`run_trial_2d_streaming`] with an observer attached to the trial's
-/// server before any report flows: every ingest decision, cache lookup,
-/// recompute and fix attempt of the trial reaches `observer`. The outcome
-/// is bit-identical to the unobserved variant at the same seed (pinned by
-/// a test below and by `tests/obs_conformance.rs`).
-///
-/// # Errors
-///
-/// [`TrialFailure`] when any pipeline stage fails.
-pub fn run_trial_2d_streaming_observed(
-    scenario: &Scenario,
-    seed: u64,
-    observer: std::sync::Arc<dyn Observer>,
-) -> Result<Trial2DOutcome, TrialFailure> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut setup = setup_trial(scenario, &mut rng)?;
-    setup.server.set_observer(observer);
-    let log = observe(scenario, &setup, &mut rng);
-    let reads = log.len();
-    let mut session = setup.server.session(WindowConfig::unbounded());
-    for report in log.stream() {
-        session.ingest(report);
-    }
-    let fix = session.fix_2d().map_err(TrialFailure::Server)?;
+    let fix = setup
+        .server
+        .fix::<TwoD>(&log)
+        .map_err(TrialFailure::Server)?;
     let error = TrialError::planar(fix.position, scenario.reader_truth.position.xy());
     Ok(Trial2DOutcome { fix, error, reads })
 }
@@ -246,39 +195,10 @@ pub fn run_trial_3d(scenario: &Scenario, seed: u64) -> Result<Trial3DOutcome, Tr
     let setup = setup_trial(scenario, &mut rng)?;
     let log = observe(scenario, &setup, &mut rng);
     let reads = log.len();
-    let fix = setup.server.locate_3d(&log).map_err(TrialFailure::Server)?;
-    let (lo, hi) = scenario.z_feasible;
-    let position = fix
-        .resolve(|p| p.z >= lo && p.z <= hi)
-        .ok_or(TrialFailure::AmbiguityUnresolved)?;
-    let error = TrialError::spatial(position, scenario.reader_truth.position);
-    Ok(Trial3DOutcome {
-        position,
-        fix,
-        error,
-        reads,
-    })
-}
-
-/// Run one full 3D trial through the streaming front-end (see
-/// [`run_trial_2d_streaming`]).
-///
-/// # Errors
-///
-/// Same as [`run_trial_3d`].
-pub fn run_trial_3d_streaming(
-    scenario: &Scenario,
-    seed: u64,
-) -> Result<Trial3DOutcome, TrialFailure> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let setup = setup_trial(scenario, &mut rng)?;
-    let log = observe(scenario, &setup, &mut rng);
-    let reads = log.len();
-    let mut session = setup.server.session(WindowConfig::unbounded());
-    for report in log.stream() {
-        session.ingest(report);
-    }
-    let fix = session.fix_3d().map_err(TrialFailure::Server)?;
+    let fix = setup
+        .server
+        .fix::<ThreeD>(&log)
+        .map_err(TrialFailure::Server)?;
     let (lo, hi) = scenario.z_feasible;
     let position = fix
         .resolve(|p| p.z >= lo && p.z <= hi)
@@ -320,31 +240,26 @@ mod tests {
     }
 
     #[test]
-    fn streaming_trial_matches_batch_bit_for_bit() {
+    fn observed_trial_is_bit_identical_and_sees_events() {
         let scenario = Scenario::paper_2d(Vec2::new(0.4, 1.8)).quick();
-        let batch = run_trial_2d(&scenario, 42).unwrap();
-        let streamed = run_trial_2d_streaming(&scenario, 42).unwrap();
-        assert_eq!(batch, streamed);
-    }
-
-    #[test]
-    fn observed_streaming_trial_is_bit_identical_and_sees_events() {
-        let scenario = Scenario::paper_2d(Vec2::new(0.4, 1.8)).quick();
-        let plain = run_trial_2d_streaming(&scenario, 42).unwrap();
+        let plain = run_trial_2d(&scenario, 42).unwrap();
+        // The same trial by hand, with an observer on the server before
+        // any report flows.
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut setup = setup_trial(&scenario, &mut rng).unwrap();
         let recorder = std::sync::Arc::new(RecordingObserver::new());
-        let observed = run_trial_2d_streaming_observed(
-            &scenario,
-            42,
-            std::sync::Arc::clone(&recorder) as std::sync::Arc<dyn Observer>,
-        )
-        .unwrap();
-        assert_eq!(plain, observed);
+        setup
+            .server
+            .set_observer(std::sync::Arc::clone(&recorder) as std::sync::Arc<dyn Observer>);
+        let log = observe(&scenario, &setup, &mut rng);
+        let fix = setup.server.fix::<TwoD>(&log).unwrap();
+        assert_eq!(plain.fix, fix);
         let events = recorder.take();
         let accepted = events
             .iter()
             .filter(|e| matches!(e, Event::IngestAccepted { .. }))
             .count();
-        assert_eq!(accepted, observed.reads, "one accept event per read");
+        assert_eq!(accepted, log.len(), "one accept event per read");
         assert!(
             events
                 .iter()

@@ -56,6 +56,13 @@ pub fn l6_guard_across_peak(engine: &SpectrumEngine, cache: &CacheLock) {
     engine.peak_3d(guard.len()); //~ L6
 }
 
+/// L6 sees through a turbofish: the guard is live across a generic fix.
+pub fn l6_guard_across_turbofish_fix(session: &mut ReaderSession, cache: &CacheLock) -> usize {
+    let guard = cache.lock();
+    let _ = session.fix::<TwoD>(); //~ L6
+    guard.len()
+}
+
 /// L7 fires on a memory ordering without a justification note.
 pub fn l7_unjustified(c: &std::sync::atomic::AtomicU64) {
     c.fetch_add(1, std::sync::atomic::Ordering::Relaxed); //~ L7

@@ -426,7 +426,9 @@ pub fn lossy_cast(ctx: &FileContext<'_>, out: &mut Sink) {
 
 /// Callees a live lock guard must not span (L6): observer emission and
 /// the spectrum recompute entry points, whose latency and re-entrancy
-/// must never be coupled to a held lock.
+/// must never be coupled to a held lock. `fix` and `estimate` are the
+/// generic fix calls (`fix::<TwoD>()`); `fix_2d` is the manager alias and
+/// the serve daemon's fix query.
 const GUARDED_CALLEES: [&str; 13] = [
     "emit",
     "on_event",
@@ -434,9 +436,9 @@ const GUARDED_CALLEES: [&str; 13] = [
     "spectrum_2d",
     "spectrum_3d",
     "spectrum_3d_for_disk",
+    "fix",
+    "estimate",
     "fix_2d",
-    "fix_3d",
-    "fix_3d_aided",
     "tag_bearing_2d",
     "peak_2d",
     "peak_3d",
@@ -633,7 +635,7 @@ pub fn lock_discipline(ctx: &FileContext<'_>, out: &mut Sink) {
                 .ts
                 .sig_token(j)
                 .is_none_or(|t| t.kind != TokenKind::Ident)
-                || ctx.t(j + 1) != "("
+                || ctx.t(skip_turbofish(ctx, j + 1)) != "("
             {
                 continue;
             }
@@ -656,6 +658,29 @@ pub fn lock_discipline(ctx: &FileContext<'_>, out: &mut Sink) {
             }
         }
     }
+}
+
+/// The index just past a turbofish (`::<…>`, nested generics included)
+/// starting at significant token `i`, or `i` itself when none starts
+/// there — so `fix::<TwoD>(` reads as a call to `fix`.
+fn skip_turbofish(ctx: &FileContext<'_>, i: usize) -> usize {
+    if ctx.t(i) != "::" || ctx.t(i + 1) != "<" {
+        return i;
+    }
+    let mut depth = 0i32;
+    for k in i + 1..ctx.ts.sig_len() {
+        depth += match ctx.t(k) {
+            "<" => 1,
+            "<<" => 2,
+            ">" => -1,
+            ">>" => -2,
+            _ => 0,
+        };
+        if depth <= 0 {
+            return k + 1;
+        }
+    }
+    i
 }
 
 /// L6 (workspace half, collection): lock-acquisition-order edges —
@@ -1342,6 +1367,11 @@ fn dropped(&self) {
     drop(g);
     self.obs.emit(|| Event::CacheLookup { hit: n > 0 });
 }
+fn turbofish(&self) {
+    let g = self.cache.lock().unwrap();
+    let e = self.session.estimate::<Wrap<Vec<u8>>>();
+    g.insert(e);
+}
 ";
         let out = run(
             "crates/core/src/spectrum/engine.rs",
@@ -1350,7 +1380,7 @@ fn dropped(&self) {
             lock_discipline,
         );
         let lines: Vec<usize> = out.iter().map(|f| f.0).collect();
-        assert_eq!(lines, vec![3, 8], "{out:?}");
+        assert_eq!(lines, vec![3, 8, 23], "{out:?}");
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn main() {
             d1.period_s() * 1.25,
             &mut trial_rng,
         );
-        let fix = server.locate_2d(&main_log).expect("both tags observed");
+        let fix = server.fix::<TwoD>(&main_log).expect("both tags observed");
         let err = (fix.position - truth.xy()).norm();
         println!(
             "{}: error {:.1} cm",

@@ -81,7 +81,7 @@ fn main() {
             .expect("registered");
     }
 
-    let fix = server.locate_2d(&log).expect("both tags observed");
+    let fix = server.fix::<TwoD>(&log).expect("both tags observed");
     let err = (fix.position - truth.xy()).norm();
     println!("estimated reader position: {}", fix.position);
     println!(

@@ -88,7 +88,7 @@ fn main() {
     );
 
     // Full fix: both z candidates, then dead-space resolution.
-    let fix = server.locate_3d(&log).expect("both tags observed");
+    let fix = server.fix::<ThreeD>(&log).expect("both tags observed");
     println!(
         "candidates: {} (above desk) / {} (mirror, below)",
         fix.position, fix.mirror

@@ -62,7 +62,7 @@ fn main() {
     println!("collected {} reads", log.len());
 
     // Dead-space-free localization: geometry alone resolves the mirror.
-    let fix = server.locate_3d_aided(&log).expect("all tags observed");
+    let fix = server.fix::<Aided>(&log).expect("all tags observed");
     let err = fix.position.distance(truth);
     println!(
         "resolved position: {} — error {:.1} cm",
@@ -82,7 +82,7 @@ fn main() {
     let mut flat = LocalizationServer::new(server.config);
     flat.register(1, disks[0]).expect("fresh registry");
     flat.register(2, disks[1]).expect("fresh registry");
-    let ambiguous = flat.locate_3d(&log).expect("tags observed");
+    let ambiguous = flat.fix::<ThreeD>(&log).expect("tags observed");
     println!(
         "horizontal-only candidates: {} / {} (needs a dead-space prior)",
         ambiguous.position, ambiguous.mirror

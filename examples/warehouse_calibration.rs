@@ -99,7 +99,7 @@ fn main() {
                 r
             })
             .collect();
-        match server.locate_2d(&rebased) {
+        match server.fix::<TwoD>(&rebased) {
             Ok(fix) => {
                 let err = (fix.position - truth.xy()).norm();
                 println!(

@@ -308,7 +308,7 @@ fn locate(args: &Args) -> Result<(), CliError> {
     let mut server = dep.build_server();
 
     // `--estimator` selects the fix backend; the session dispatch reads it
-    // from the pipeline config, so plain `locate_*` calls pick it up too.
+    // from the pipeline config, so plain `fix::<K>` calls pick it up too.
     if args.has("estimator") {
         let spec = args
             .flag("estimator")
@@ -356,34 +356,10 @@ fn locate_fix(
     server: &LocalizationServer,
     log: &tagspin::epc::InventoryLog,
 ) -> Result<(), CliError> {
-    // With `--estimator` the richer estimate APIs run (backend report +
-    // covariance confidence); without it the plain fix path is untouched.
-    let with_estimate = args.has("estimator");
     if args.has("aided") {
-        if with_estimate {
-            let est = server
-                .locate_3d_aided_estimate(log)
-                .map_err(|e| CliError::lib("locating (3D aided)", e))?;
-            print_backend(est.backend, est.ml.as_ref(), &est.confidence);
-            print_aided(&est.fix);
-        } else {
-            let fix = server
-                .locate_3d_aided(log)
-                .map_err(|e| CliError::lib("locating (3D aided)", e))?;
-            print_aided(&fix);
-        }
+        print_aided(&run_fix::<Aided>(args, server, log, "locating (3D aided)")?);
     } else if args.has("3d") {
-        let fix = if with_estimate {
-            let est = server
-                .locate_3d_estimate(log)
-                .map_err(|e| CliError::lib("locating (3D)", e))?;
-            print_backend(est.backend, est.ml.as_ref(), &est.confidence);
-            est.fix
-        } else {
-            server
-                .locate_3d(log)
-                .map_err(|e| CliError::lib("locating (3D)", e))?
-        };
+        let fix = run_fix::<ThreeD>(args, server, log, "locating (3D)")?;
         let (lo, hi) = dep.z_feasible;
         match fix.resolve(|p| p.z >= lo && p.z <= hi) {
             Some(p) => println!("position: {p}"),
@@ -396,21 +372,29 @@ fn locate_fix(
         println!("z spread between tags: {:.2} cm", to_cm(fix.z_spread_m));
         println!("horizontal residual: {:.2} cm", to_cm(fix.residual_m));
     } else {
-        let fix = if with_estimate {
-            let est = server
-                .locate_2d_estimate(log)
-                .map_err(|e| CliError::lib("locating (2D)", e))?;
-            print_backend(est.backend, est.ml.as_ref(), &est.confidence);
-            est.fix
-        } else {
-            server
-                .locate_2d(log)
-                .map_err(|e| CliError::lib("locating (2D)", e))?
-        };
+        let fix = run_fix::<TwoD>(args, server, log, "locating (2D)")?;
         println!("position: {}", fix.position);
         println!("residual: {:.2} cm", to_cm(fix.residual_m));
     }
     Ok(())
+}
+
+/// The fix of kind `K`. With `--estimator` the estimate path runs and its
+/// backend report and covariance confidence are printed; without it the
+/// plain fix path is untouched.
+fn run_fix<K: FixPath>(
+    args: &Args,
+    server: &LocalizationServer,
+    log: &tagspin::epc::InventoryLog,
+    what: &'static str,
+) -> Result<K::Fix, CliError> {
+    let failed = |e: ServerError| CliError::lib(what, e);
+    if !args.has("estimator") {
+        return server.fix::<K>(log).map_err(failed);
+    }
+    let est = server.estimate::<K>(log).map_err(failed)?;
+    print_backend(est.backend, est.ml.as_ref(), &est.confidence);
+    Ok(est.fix)
 }
 
 /// Report which backend served the fix, the ML refinement outcome, and the

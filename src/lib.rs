@@ -37,7 +37,7 @@
 //! let mut server = LocalizationServer::new(PipelineConfig::default());
 //! server.register(1, d1).unwrap();
 //! server.register(2, d2).unwrap();
-//! let fix = server.locate_2d(&log).unwrap();
+//! let fix = server.fix::<TwoD>(&log).unwrap();
 //! assert!((fix.position - truth.xy()).norm() < 0.15);
 //! ```
 

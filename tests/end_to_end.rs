@@ -70,7 +70,7 @@ fn full_pipeline_2d_centimeter_accuracy() {
     let trs: Vec<&dyn Transponder> = tags.iter().map(|t| t as &dyn Transponder).collect();
     let log = run_inventory(&env, &reader, &trs, disks[0].period_s() * 1.25, &mut rng);
 
-    let fix = server.locate_2d(&log).expect("both tags observed");
+    let fix = server.fix::<TwoD>(&log).expect("both tags observed");
     let err = (fix.position - truth.xy()).norm();
     assert!(err < 0.10, "2D error {:.1} cm", err * 100.0);
 }
@@ -89,7 +89,7 @@ fn full_pipeline_3d_resolves_height() {
     let trs: Vec<&dyn Transponder> = tags.iter().map(|t| t as &dyn Transponder).collect();
     let log = run_inventory(&env, &reader, &trs, disks[0].period_s() * 1.25, &mut rng);
 
-    let fix = server.locate_3d(&log).expect("both tags observed");
+    let fix = server.fix::<ThreeD>(&log).expect("both tags observed");
     let resolved = fix.resolve(|p| p.z >= desk).expect("reader above the desk");
     let err = resolved.distance(truth);
     assert!(err < 0.15, "3D error {:.1} cm", err * 100.0);
@@ -117,7 +117,7 @@ fn calibration_improves_accuracy_end_to_end() {
         server.config.orientation_calibration = calibrate;
         let trs: Vec<&dyn Transponder> = tags.iter().map(|t| t as &dyn Transponder).collect();
         let log = run_inventory(&env, &reader, &trs, disks[0].period_s() * 1.25, &mut rng);
-        let fix = server.locate_2d(&log).expect("both tags observed");
+        let fix = server.fix::<TwoD>(&log).expect("both tags observed");
         errs.push((fix.position - truth.xy()).norm());
     }
     assert!(
@@ -149,8 +149,8 @@ fn llrp_round_trip_preserves_localization() {
     assert_eq!(id, 99);
     assert_eq!(decoded.len(), log.len());
 
-    let direct = server.locate_2d(&log).expect("fix from direct log");
-    let via_wire = server.locate_2d(&decoded).expect("fix from decoded log");
+    let direct = server.fix::<TwoD>(&log).expect("fix from direct log");
+    let via_wire = server.fix::<TwoD>(&decoded).expect("fix from decoded log");
     let shift = (direct.position - via_wire.position).norm();
     assert!(shift < 0.01, "wire round-trip moved the fix {shift} m");
 }
@@ -182,11 +182,13 @@ fn multi_antenna_simultaneous_localization() {
     reports.sort_by_key(|r| r.timestamp_us);
     let merged: InventoryLog = reports.into_iter().collect();
 
-    let fixes = server.locate_all_2d(&merged);
-    assert_eq!(fixes.len(), 2);
-    for ((ant, fix), truth) in fixes.iter().zip(&truths) {
-        let fix = fix
-            .as_ref()
+    let mut manager = server.session_manager(WindowConfig::unbounded());
+    manager.ingest_log(&merged);
+    let antennas = manager.antennas();
+    assert_eq!(antennas.len(), 2);
+    for (ant, truth) in antennas.into_iter().zip(&truths) {
+        let fix = manager
+            .fix::<TwoD>(ant)
             .unwrap_or_else(|e| panic!("antenna {ant}: {e}"));
         let err = (fix.position - truth.xy()).norm();
         assert!(err < 0.3, "antenna {ant} error {:.1} cm", err * 100.0);
@@ -208,7 +210,7 @@ fn failure_injection_disk_wobble_degrades_gracefully() {
     let trs: Vec<&dyn Transponder> = wobbly.iter().map(|t| t as &dyn Transponder).collect();
     let log = run_inventory(&env, &reader, &trs, disks[0].period_s() * 1.25, &mut rng);
     let fix = server
-        .locate_2d(&log)
+        .fix::<TwoD>(&log)
         .expect("wobble must not break the fix");
     let err = (fix.position - truth.xy()).norm();
     // Degraded but still sub-half-meter.
@@ -251,7 +253,7 @@ fn misregistered_disk_center_shifts_fix_accordingly() {
         true_disks[0].period_s() * 1.25,
         &mut rng,
     );
-    let fix = server.locate_2d(&log).expect("fix still produced");
+    let fix = server.fix::<TwoD>(&log).expect("fix still produced");
     let err = (fix.position - truth.xy()).norm();
     assert!(
         err > 0.01,
@@ -273,7 +275,7 @@ fn deterministic_across_runs() {
         let (tags, server, reader) = deploy(&disks, truth, true, &env, &mut rng);
         let trs: Vec<&dyn Transponder> = tags.iter().map(|t| t as &dyn Transponder).collect();
         let log = run_inventory(&env, &reader, &trs, disks[0].period_s() * 1.25, &mut rng);
-        server.locate_2d(&log).expect("fix").position
+        server.fix::<TwoD>(&log).expect("fix").position
     };
     let a = run();
     let b = run();

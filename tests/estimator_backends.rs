@@ -1,18 +1,20 @@
 //! End-to-end estimator backend conformance over the simulated pipeline.
 //!
 //! One clean two-tag inventory log, served through every
-//! [`EstimatorBackend`] at both the batch (`locate_*`) and streaming
-//! (session `fix_*`) entry points. The contract:
+//! [`EstimatorBackend`] at both the batch (`LocalizationServer`) and
+//! streaming (`ReaderSession`) `fix::<K>` / `estimate::<K>` entry points.
+//! The contract:
 //!
 //! 1. **Default invariance** — the spectrum backend's estimate carries
-//!    exactly the legacy `locate_2d`/`fix_2d` fix, bit for bit.
+//!    exactly the plain `fix::<TwoD>` fix, bit for bit.
 //! 2. **Refinement quality** — the ML and hybrid backends deliver finite
 //!    fixes within a small radius of the true reader position, with a
 //!    finite PSD confidence when one is computed.
 //! 3. **Hybrid policy** — on a clean capture the hybrid fix equals the ML
 //!    fix; on a corrupted capture it falls back to the spectrum fix.
-//! 4. **Wrapper parity** — `fix_2d()` and `fix_2d_estimate().fix` agree
-//!    for every backend (the deduplicated dispatch path serves both).
+//! 4. **Plain/estimate parity** — `fix::<TwoD>()` and
+//!    `estimate::<TwoD>().fix` agree for every backend (one generic body
+//!    serves both).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,8 +63,8 @@ fn clean_log() -> &'static InventoryLog {
 #[test]
 fn spectrum_estimate_is_legacy_fix_verbatim() {
     let server = server_with(EstimatorBackend::Spectrum);
-    let est = server.locate_2d_estimate(clean_log()).expect("fix");
-    let legacy = server.locate_2d(clean_log()).expect("fix");
+    let est = server.estimate::<TwoD>(clean_log()).expect("fix");
+    let legacy = server.fix::<TwoD>(clean_log()).expect("fix");
     assert_eq!(est.fix, legacy);
     assert_eq!(est.backend, EstimatorBackend::Spectrum);
     assert!(est.ml.is_none());
@@ -76,7 +78,7 @@ fn every_backend_lands_near_truth_2d() {
         EstimatorBackend::Hybrid,
     ] {
         let server = server_with(backend);
-        let est = server.locate_2d_estimate(clean_log()).expect("fix");
+        let est = server.estimate::<TwoD>(clean_log()).expect("fix");
         let err = (est.fix.position - TRUTH.xy()).norm();
         assert!(
             err < 0.15,
@@ -93,7 +95,7 @@ fn every_backend_lands_near_truth_2d() {
 #[test]
 fn ml_backend_reports_an_accepted_refinement() {
     let server = server_with(EstimatorBackend::Ml);
-    let est = server.locate_2d_estimate(clean_log()).expect("fix");
+    let est = server.estimate::<TwoD>(clean_log()).expect("fix");
     let report = est.ml.expect("ml report");
     assert!(report.accepted, "{report:?}");
     assert!(report.final_cost <= report.seed_cost + 1e-12, "{report:?}");
@@ -105,10 +107,10 @@ fn ml_backend_reports_an_accepted_refinement() {
 #[test]
 fn hybrid_matches_ml_on_clean_capture() {
     let ml = server_with(EstimatorBackend::Ml)
-        .locate_2d_estimate(clean_log())
+        .estimate::<TwoD>(clean_log())
         .expect("fix");
     let hybrid = server_with(EstimatorBackend::Hybrid)
-        .locate_2d_estimate(clean_log())
+        .estimate::<TwoD>(clean_log())
         .expect("fix");
     assert!(hybrid.ml.expect("report").accepted);
     assert_eq!(hybrid.fix, ml.fix);
@@ -133,8 +135,8 @@ fn hybrid_falls_back_to_spectrum_on_corrupted_phases() {
     let hybrid_server = server_with(EstimatorBackend::Hybrid);
     let spectrum_server = server_with(EstimatorBackend::Spectrum);
     let (Ok(hybrid), Ok(spectrum)) = (
-        hybrid_server.locate_2d_estimate(&corrupted),
-        spectrum_server.locate_2d_estimate(&corrupted),
+        hybrid_server.estimate::<TwoD>(&corrupted),
+        spectrum_server.estimate::<TwoD>(&corrupted),
     ) else {
         // Fully scrambled phases may fail the spectrum fix itself; that
         // refusal path is exercised elsewhere.
@@ -154,11 +156,11 @@ fn session_wrappers_agree_with_estimate_path() {
         let server = server_with(backend);
         let mut plain = server.session(WindowConfig::unbounded());
         plain.ingest_log(clean_log());
-        let fix = plain.fix_2d().expect("fix");
+        let fix = plain.fix::<TwoD>().expect("fix");
 
         let mut est_session = server.session(WindowConfig::unbounded());
         est_session.ingest_log(clean_log());
-        let est = est_session.fix_2d_estimate().expect("fix");
+        let est = est_session.estimate::<TwoD>().expect("fix");
         assert_eq!(fix, est.fix, "{backend:?} wrapper parity");
         assert_eq!(est.backend, backend);
     }
@@ -172,16 +174,14 @@ fn backends_resolve_3d_and_aided_fixes() {
         EstimatorBackend::Hybrid,
     ] {
         let server = server_with(backend);
-        let est = server.locate_3d_estimate(clean_log()).expect("3d fix");
+        let est = server.estimate::<ThreeD>(clean_log()).expect("3d fix");
         assert!(est.fix.position.is_finite());
         assert!(
             (est.fix.position.xy() - TRUTH.xy()).norm() < 0.3,
             "{backend:?}: {:?}",
             est.fix.position
         );
-        let aided = server
-            .locate_3d_aided_estimate(clean_log())
-            .expect("aided fix");
+        let aided = server.estimate::<Aided>(clean_log()).expect("aided fix");
         assert!(aided.fix.position.is_finite());
     }
 }
@@ -195,7 +195,7 @@ fn estimator_metrics_count_served_backend() {
     )));
     let mut session = server.session(WindowConfig::unbounded());
     session.ingest_log(clean_log());
-    session.fix_2d_estimate().expect("fix");
+    session.estimate::<TwoD>().expect("fix");
     let snap = registry.snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     assert_eq!(counter("estimator.fix.ml"), 1);

@@ -103,7 +103,7 @@ fn render() -> String {
             continue;
         }
         let c = session.stats().incremental;
-        match session.fix_2d() {
+        match session.fix::<TwoD>() {
             Ok(fix) => writeln!(
                 w,
                 "fix {i} {} {} {} {} {} {} {}",
@@ -126,7 +126,7 @@ fn render() -> String {
     }
 
     let fix2 = session
-        .fix_2d()
+        .fix::<TwoD>()
         .expect("canonical trace must produce a 2D fix");
     writeln!(
         w,
@@ -135,7 +135,7 @@ fn render() -> String {
     )
     .expect(ok);
     let fix3 = session
-        .fix_3d()
+        .fix::<ThreeD>()
         .expect("canonical trace must produce a 3D fix");
     writeln!(
         w,

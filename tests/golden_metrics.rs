@@ -6,7 +6,7 @@
 //! The trace is the deterministic seeded deployment the crate-level
 //! example uses: two paper-default disks at (±30 cm, 0), one full rotation
 //! observed from (0.4, 1.7), streamed through a 512-report window with two
-//! `fix_2d` refreshes (one fresh, one cached). Every counter, gauge and
+//! `fix::<TwoD>` refreshes (one fresh, one cached). Every counter, gauge and
 //! non-timing histogram field is compared exactly; `stage.*_ns` histograms
 //! record wall-clock time, so only their *counts* — which emit sites fired
 //! and how often — are pinned.
@@ -64,9 +64,9 @@ fn canonical_metrics() -> Arc<MetricsRegistry> {
     }
     // One fresh fix and one cached refresh, so both recompute paths emit.
     session
-        .fix_2d()
+        .fix::<TwoD>()
         .expect("canonical trace must produce a fix");
-    session.fix_2d().expect("cached refresh must also fix");
+    session.fix::<TwoD>().expect("cached refresh must also fix");
     registry
 }
 

@@ -173,8 +173,8 @@ proptest! {
         }
         // First fix computes, second reuses the per-tag caches — the
         // cached path must be equally invisible and equally counted.
-        prop_assert_eq!(null_session.fix_2d(), rec_session.fix_2d());
-        prop_assert_eq!(null_session.fix_2d(), rec_session.fix_2d());
+        prop_assert_eq!(null_session.fix::<TwoD>(), rec_session.fix::<TwoD>());
+        prop_assert_eq!(null_session.fix::<TwoD>(), rec_session.fix::<TwoD>());
 
         let null_stats = null_session.stats();
         let rec_stats = rec_session.stats();
@@ -238,7 +238,7 @@ proptest! {
             let b = met_session.ingest(report);
             prop_assert_eq!(a, b);
         }
-        prop_assert_eq!(rec_session.fix_2d(), met_session.fix_2d());
+        prop_assert_eq!(rec_session.fix::<TwoD>(), met_session.fix::<TwoD>());
 
         let totals = fold(&recorder.take());
         let snap = registry.snapshot();
@@ -299,7 +299,7 @@ fn incremental_sync_events_reconcile_with_stats_and_metrics() {
         for report in chunk {
             session.ingest(report);
         }
-        let _ = session.fix_2d();
+        let _ = session.fix::<TwoD>();
     }
 
     let stats = session.stats();
@@ -367,7 +367,9 @@ fn quality_gate_withholding_is_visible_and_reconciled() {
         });
         assert_eq!(outcome, IngestOutcome::Buffered, "clean read {i} rejected");
     }
-    let err = session.fix_2d().expect_err("both tags must be withheld");
+    let err = session
+        .fix::<TwoD>()
+        .expect_err("both tags must be withheld");
     assert!(
         matches!(err, ServerError::NotEnoughBearings { usable: 0 }),
         "unexpected error {err:?}"
@@ -402,7 +404,7 @@ fn fanout_sinks_record_identical_streams() {
     for report in &reports {
         session.ingest(report);
     }
-    let _ = session.fix_2d();
+    let _ = session.fix::<TwoD>();
     let ea = a.take();
     assert!(!ea.is_empty(), "no events recorded");
     assert_eq!(ea, b.take());

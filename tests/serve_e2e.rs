@@ -225,7 +225,7 @@ fn run_equivalence(fault: Option<FaultPlan>) {
     // Every streamed antenna, plus one the fleet never used (the typed
     // error must round-trip the HTTP plane too).
     for antenna in 1..=READERS + 1 {
-        let local_fix = local.fix_2d(antenna).map_err(|e| e.to_string());
+        let local_fix = local.fix::<TwoD>(antenna).map_err(|e| e.to_string());
         assert_fix_matches(&daemon, local_fix, antenna);
     }
 

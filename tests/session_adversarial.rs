@@ -11,7 +11,7 @@
 //!    totals, and
 //! 3. stay equivalent to the batch pipeline on the surviving clean
 //!    subset: re-running the buffered reports (time-sorted) through
-//!    `locate_2d` reproduces the streaming fix bit-for-bit, errors
+//!    `fix::<TwoD>` reproduces the streaming fix bit-for-bit, errors
 //!    included.
 
 use std::f64::consts::TAU;
@@ -157,7 +157,7 @@ proptest! {
         for r in survivors {
             clean.push(r);
         }
-        prop_assert_eq!(server.locate_2d(&clean), session.fix_2d());
+        prop_assert_eq!(server.fix::<TwoD>(&clean), session.fix::<TwoD>());
     }
 }
 

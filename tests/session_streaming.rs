@@ -3,9 +3,9 @@
 //!
 //! The contract under test: a [`ReaderSession`] with an unbounded window,
 //! fed an inventory log report-by-report, produces **bit-identical** fixes
-//! to the batch `locate_*` entry points fed the same log whole — including
-//! when fixes are queried mid-stream (dirty-flag recomputation must not
-//! drift). Bounded windows must agree with the batch pipeline run on the
+//! to the batch `LocalizationServer::fix::<K>` fed the same log whole —
+//! including when fixes are queried mid-stream (dirty-flag recomputation
+//! must not drift). Bounded windows must agree with the batch pipeline run on the
 //! equivalently-truncated log.
 
 use proptest::prelude::*;
@@ -71,7 +71,7 @@ fn two_disks() -> Vec<DiskConfig> {
 #[test]
 fn streaming_2d_matches_batch_with_interleaved_fixes() {
     let (server, log) = deploy(&two_disks(), Vec3::new(0.4, 1.8, 0.0), 42);
-    let batch = server.locate_2d(&log).expect("batch fix");
+    let batch = server.fix::<TwoD>(&log).expect("batch fix");
 
     let mut session = server.session(WindowConfig::unbounded());
     for (i, report) in log.stream().enumerate() {
@@ -79,33 +79,74 @@ fn streaming_2d_matches_batch_with_interleaved_fixes() {
         // Query fixes mid-stream: the dirty-flag cache must recompute from
         // the grown buffers, never from stale state.
         if i % 97 == 0 {
-            let _ = session.fix_2d();
+            let _ = session.fix::<TwoD>();
         }
     }
-    let streamed = session.fix_2d().expect("streaming fix");
+    let streamed = session.fix::<TwoD>().expect("streaming fix");
     assert_eq!(batch, streamed);
     // A second query without new data hits the caches and must be
     // identical too.
-    assert_eq!(streamed, session.fix_2d().expect("cached fix"));
+    assert_eq!(streamed, session.fix::<TwoD>().expect("cached fix"));
     assert!(!session.tag_stats(1).expect("stream exists").dirty);
+}
+
+/// A poll below the snapshot floor serves no fresh recompute, so it must
+/// not advance incremental engagement: the stream's first real fix stays
+/// fresh and matches the batch fix bit-for-bit instead of anchoring the
+/// accumulators.
+#[test]
+fn below_floor_poll_does_not_engage_incremental() {
+    let (mut server, log) = deploy(&two_disks(), Vec3::new(0.4, 1.8, 0.0), 42);
+    server.config = PipelineConfig::default();
+    let mut session = server.session(WindowConfig::unbounded());
+    let mut reports = log.stream();
+    let buffered = |s: &ReaderSession, epc| s.tag_stats(epc).map_or(0, |t| t.buffered);
+    while buffered(&session, 1) < 10 || buffered(&session, 2) < 10 {
+        session.ingest(reports.next().expect("log outlasts the poll"));
+    }
+    assert_eq!(
+        session.fix::<TwoD>(),
+        Err(ServerError::NotEnoughBearings { usable: 0 })
+    );
+    for report in reports {
+        session.ingest(report);
+    }
+    let fix = session.fix::<TwoD>().expect("streaming fix");
+    assert_eq!(session.stats().incremental, IncrementalCounts::default());
+    assert_eq!(fix, server.fix::<TwoD>(&log).expect("batch fix"));
+}
+
+/// The three layers agree on one kind: a session and a manager fed the log
+/// report-by-report serve the batch server's estimate, and each layer's
+/// plain fix is that estimate's fix.
+fn assert_layers_agree<K: FixPath>(server: &LocalizationServer, log: &InventoryLog)
+where
+    K::Fix: PartialEq + std::fmt::Debug,
+{
+    let batch = server.estimate::<K>(log).expect("batch estimate");
+    let mut session = server.session(WindowConfig::unbounded());
+    let mut manager = server.session_manager(WindowConfig::unbounded());
+    for report in log.stream() {
+        session.ingest(report);
+        manager.ingest(report);
+    }
+    let antenna = log.reports()[0].antenna_id;
+    assert_eq!(batch, session.estimate::<K>().expect("session estimate"));
+    assert_eq!(
+        batch,
+        manager.estimate::<K>(antenna).expect("manager estimate")
+    );
+    assert_eq!(batch.fix, server.fix::<K>(log).expect("batch fix"));
+    assert_eq!(batch.fix, session.fix::<K>().expect("session fix"));
+    assert_eq!(batch.fix, manager.fix::<K>(antenna).expect("manager fix"));
 }
 
 #[test]
 fn streaming_3d_and_aided_match_batch() {
-    let disks = two_disks();
-    let (server, log) = deploy(&disks, Vec3::new(0.3, 1.6, 0.8), 11);
-
-    let mut session = server.session(WindowConfig::unbounded());
-    session.ingest_log(&log);
-
-    let batch_3d = server.locate_3d(&log).expect("batch 3d fix");
-    assert_eq!(batch_3d, session.fix_3d().expect("streaming 3d fix"));
-
-    let batch_aided = server.locate_3d_aided(&log).expect("batch aided fix");
-    assert_eq!(
-        batch_aided,
-        session.fix_3d_aided().expect("streaming aided fix")
-    );
+    let (server, log) = deploy(&two_disks(), Vec3::new(0.3, 1.6, 0.8), 11);
+    assert_layers_agree::<TwoD>(&server, &log);
+    assert_layers_agree::<ThreeD>(&server, &log);
+    assert_layers_agree::<Aided>(&server, &log);
 }
 
 #[test]
@@ -115,7 +156,7 @@ fn count_window_matches_batch_on_truncated_log() {
 
     let mut session = server.session(WindowConfig::last_reports(max));
     session.ingest_log(&log);
-    let windowed = session.fix_2d().expect("windowed fix");
+    let windowed = session.fix::<TwoD>().expect("windowed fix");
     for epc in [1u128, 2] {
         assert_eq!(session.tag_stats(epc).expect("stream").buffered, max);
     }
@@ -136,7 +177,7 @@ fn count_window_matches_batch_on_truncated_log() {
         })
         .copied()
         .collect();
-    let batch = server.locate_2d(&truncated).expect("batch fix");
+    let batch = server.fix::<TwoD>(&truncated).expect("batch fix");
     assert_eq!(batch, windowed);
 }
 
@@ -147,7 +188,7 @@ fn time_window_matches_batch_on_truncated_log() {
 
     let mut session = server.session(WindowConfig::last_seconds(age));
     session.ingest_log(&log);
-    let windowed = session.fix_2d().expect("windowed fix");
+    let windowed = session.fix::<TwoD>().expect("windowed fix");
 
     // Same horizon arithmetic as the session: newest report minus max age,
     // keep reads at or after it.
@@ -159,7 +200,7 @@ fn time_window_matches_batch_on_truncated_log() {
         .copied()
         .collect();
     assert!(truncated.len() < log.len(), "window must actually truncate");
-    let batch = server.locate_2d(&truncated).expect("batch fix");
+    let batch = server.fix::<TwoD>(&truncated).expect("batch fix");
     assert_eq!(batch, windowed);
 }
 
@@ -168,7 +209,7 @@ fn silent_tags_age_out_to_not_enough_bearings() {
     let (server, log) = deploy(&two_disks(), Vec3::new(0.4, 1.8, 0.0), 42);
     let mut session = server.session(WindowConfig::last_seconds(2.0));
     session.ingest_log(&log);
-    assert!(session.fix_2d().is_ok());
+    assert!(session.fix::<TwoD>().is_ok());
 
     // Both tags go silent; a lone fresh read from an unregistered EPC
     // advances the clock far past the window.
@@ -188,7 +229,7 @@ fn silent_tags_age_out_to_not_enough_bearings() {
     let late_known = TagReport { epc: 1, ..late };
     assert_eq!(session.ingest(&late_known), IngestOutcome::Buffered);
     assert_eq!(
-        session.fix_2d(),
+        session.fix::<TwoD>(),
         Err(ServerError::NotEnoughBearings { usable: 0 })
     );
     let stats = session.stats();
@@ -222,24 +263,27 @@ fn empty_spectrum_tag_is_skipped_not_fatal() {
         .collect();
     assert!(poisoned.for_epc(3).count() >= server.config.min_snapshots);
 
+    // The default hardened ingest quarantines NaN phases; admit them so
+    // the spectrum itself degenerates.
+    let mut admitting = server.clone();
+    admitting.config.ingest = IngestPolicy::permissive();
+    let mut session = admitting.session(WindowConfig::unbounded());
+    session.ingest_log(&poisoned);
     // The per-tag diagnostic pins the exact error...
     assert_eq!(
-        server.bearing_2d_peak(&poisoned, 3),
+        session.tag_bearing_2d(3),
         Err(ServerError::EmptySpectrum { epc: 3 })
     );
     // ...while the fix skips the tag and matches the healthy-tags-only log.
     let healthy: InventoryLog = log.stream().filter(|r| r.epc != 3).copied().collect();
-    let fix = server.locate_2d(&poisoned).expect("degenerate tag skipped");
-    assert_eq!(fix, server.locate_2d(&healthy).expect("two-tag fix"));
-
-    // Streaming agrees.
-    let mut session = server.session(WindowConfig::unbounded());
-    session.ingest_log(&poisoned);
-    assert_eq!(fix, session.fix_2d().expect("streaming fix"));
+    let fix = session.fix::<TwoD>().expect("degenerate tag skipped");
+    assert_eq!(fix, server.fix::<TwoD>(&healthy).expect("two-tag fix"));
+    // The batch fix under the default (quarantining) ingest agrees.
+    assert_eq!(fix, server.fix::<TwoD>(&poisoned).expect("batch fix"));
 }
 
 #[test]
-fn locate_all_2d_matches_per_antenna_batch() {
+fn manager_fixes_match_per_antenna_batch() {
     let disks = two_disks();
     let (server, log_a) = deploy(&disks, Vec3::new(0.4, 1.8, 0.0), 42);
     let (_, log_b) = deploy(&disks, Vec3::new(-0.6, 1.4, 0.0), 43);
@@ -254,21 +298,18 @@ fn locate_all_2d_matches_per_antenna_batch() {
     merged.sort_by_key(|r| r.timestamp_us);
     let merged: InventoryLog = merged.into_iter().collect();
 
-    let all = server.locate_all_2d(&merged);
-    assert_eq!(all.len(), 2);
-    // The multiplexed result must equal running the batch pipeline on each
-    // antenna's sub-log separately (the pre-session semantics).
-    for (ant, fix) in &all {
-        assert_eq!(*fix, server.locate_2d(&merged.for_antenna(*ant)));
-    }
-    // And the ids come back ascending.
-    assert_eq!(all[0].0, 1);
-    assert_eq!(all[1].0, 2);
-
-    // An explicit SessionManager fed the same feed agrees fix-for-fix.
     let mut manager = server.session_manager(WindowConfig::unbounded());
     manager.ingest_log(&merged);
-    assert_eq!(manager.fix_all_2d(), all);
+    // The antenna ids come back ascending.
+    assert_eq!(manager.antennas(), vec![1, 2]);
+    // The multiplexed result must equal running the batch pipeline on each
+    // antenna's sub-log separately (the pre-session semantics).
+    for ant in manager.antennas() {
+        assert_eq!(
+            manager.fix::<TwoD>(ant),
+            server.fix::<TwoD>(&merged.for_antenna(ant))
+        );
+    }
 }
 
 #[test]
@@ -307,16 +348,16 @@ fn incremental_session_tracks_batch_within_tolerance() {
     let truth = Vec3::new(0.4, 1.8, 0.0);
     let (mut server, log) = deploy(&two_disks(), truth, 42);
     server.config.incremental = IncrementalPolicy::default();
-    let batch = server.locate_2d(&log).expect("batch fix");
+    let batch = server.fix::<TwoD>(&log).expect("batch fix");
 
     let mut session = server.session(WindowConfig::unbounded());
     for (i, report) in log.stream().enumerate() {
         session.ingest(report);
         if i % 97 == 0 {
-            let _ = session.fix_2d();
+            let _ = session.fix::<TwoD>();
         }
     }
-    let streamed = session.fix_2d().expect("streaming fix");
+    let streamed = session.fix::<TwoD>().expect("streaming fix");
     assert!(
         (streamed.position - batch.position).norm() < 0.1,
         "incremental fix {:?} drifted from batch {:?}",
@@ -349,18 +390,18 @@ fn incremental_reanchor_every_sync_is_bit_identical_to_batch() {
         engage_after_recomputes: 0,
         ..IncrementalPolicy::default()
     };
-    let batch_2d = server.locate_2d(&log).expect("batch 2d fix");
-    let batch_3d = server.locate_3d(&log).expect("batch 3d fix");
+    let batch_2d = server.fix::<TwoD>(&log).expect("batch 2d fix");
+    let batch_3d = server.fix::<ThreeD>(&log).expect("batch 3d fix");
 
     let mut session = server.session(WindowConfig::unbounded());
     for (i, report) in log.stream().enumerate() {
         session.ingest(report);
         if i % 61 == 0 {
-            let _ = session.fix_2d();
+            let _ = session.fix::<TwoD>();
         }
     }
-    assert_eq!(batch_2d, session.fix_2d().expect("streaming 2d fix"));
-    assert_eq!(batch_3d, session.fix_3d().expect("streaming 3d fix"));
+    assert_eq!(batch_2d, session.fix::<TwoD>().expect("streaming 2d fix"));
+    assert_eq!(batch_3d, session.fix::<ThreeD>().expect("streaming 3d fix"));
     let stats = session.stats();
     assert!(stats.incremental.reanchors > 0);
     assert_eq!(
@@ -382,10 +423,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let (server, log) = deploy(&two_disks(), Vec3::new(x, y, 0.0), seed);
-        let batch = server.locate_2d(&log);
+        let batch = server.fix::<TwoD>(&log);
         let mut session = server.session(WindowConfig::unbounded());
         session.ingest_log(&log);
-        prop_assert_eq!(batch, session.fix_2d());
+        prop_assert_eq!(batch, session.fix::<TwoD>());
     }
 }
 
@@ -398,10 +439,10 @@ fn quickstart_streaming_snippet_works() {
     for report in log.stream() {
         if session.ingest(report) == IngestOutcome::Buffered && session.stats().ingested % 256 == 0
         {
-            last_fix = session.fix_2d().ok();
+            last_fix = session.fix::<TwoD>().ok();
         }
     }
-    let fix = session.fix_2d().expect("final fix");
+    let fix = session.fix::<TwoD>().expect("final fix");
     assert!((fix.position - Vec2::new(0.4, 1.7)).norm() < 0.2);
     let _ = last_fix;
 }

@@ -164,14 +164,14 @@ proptest! {
             prop_assert_eq!(legacy.ingest(report), incr.ingest(report));
             prop_assert_eq!(legacy_3d.ingest(report), incr_3d.ingest(report));
             if i % stride == 0 {
-                prop_assert_eq!(legacy.fix_2d(), incr.fix_2d());
-                prop_assert_eq!(legacy_3d.fix_3d(), incr_3d.fix_3d());
-                prop_assert_eq!(legacy_3d.fix_3d_aided(), incr_3d.fix_3d_aided());
+                prop_assert_eq!(legacy.fix::<TwoD>(), incr.fix::<TwoD>());
+                prop_assert_eq!(legacy_3d.fix::<ThreeD>(), incr_3d.fix::<ThreeD>());
+                prop_assert_eq!(legacy_3d.fix::<Aided>(), incr_3d.fix::<Aided>());
             }
         }
-        prop_assert_eq!(legacy.fix_2d(), incr.fix_2d());
-        prop_assert_eq!(legacy_3d.fix_3d(), incr_3d.fix_3d());
-        prop_assert_eq!(legacy_3d.fix_3d_aided(), incr_3d.fix_3d_aided());
+        prop_assert_eq!(legacy.fix::<TwoD>(), incr.fix::<TwoD>());
+        prop_assert_eq!(legacy_3d.fix::<ThreeD>(), incr_3d.fix::<ThreeD>());
+        prop_assert_eq!(legacy_3d.fix::<Aided>(), incr_3d.fix::<Aided>());
 
         // The incremental arms really took the incremental path: every
         // engaged sync re-anchored, none fell back.
@@ -209,11 +209,11 @@ proptest! {
         for (i, report) in reports.iter().enumerate() {
             prop_assert_eq!(legacy.ingest(report), incr.ingest(report));
             if i % stride == 0 {
-                let (a, b) = (legacy.fix_2d(), incr.fix_2d());
+                let (a, b) = (legacy.fix::<TwoD>(), incr.fix::<TwoD>());
                 prop_assert_eq!(a.is_ok(), b.is_ok(), "{:?} vs {:?}", a, b);
             }
         }
-        let (a, b) = (legacy.fix_2d(), incr.fix_2d());
+        let (a, b) = (legacy.fix::<TwoD>(), incr.fix::<TwoD>());
         prop_assert_eq!(a.is_ok(), b.is_ok(), "{:?} vs {:?}", a, b);
         // lint:allow(lossy-cast) azimuth step count is < 2^32, exact in f64
         let step = std::f64::consts::TAU / spectrum_cfg().azimuth_steps as f64;
@@ -316,10 +316,10 @@ fn hardened_quarantine_keeps_nan_storms_bit_identical() {
     for (i, report) in reports.iter().enumerate() {
         assert_eq!(legacy.ingest(report), incr.ingest(report));
         if i % 151 == 0 {
-            assert_eq!(legacy.fix_2d(), incr.fix_2d());
+            assert_eq!(legacy.fix::<TwoD>(), incr.fix::<TwoD>());
         }
     }
-    assert_eq!(legacy.fix_2d(), incr.fix_2d());
+    assert_eq!(legacy.fix::<TwoD>(), incr.fix::<TwoD>());
     let stats = incr.stats();
     assert!(
         stats.rejects.non_finite_phase > 0,
@@ -333,9 +333,9 @@ fn hardened_quarantine_keeps_nan_storms_bit_identical() {
 
 /// The 2D, 3D and aided fixes of two sessions agree exactly.
 fn assert_all_kinds_equal(legacy: &mut ReaderSession, incr: &mut ReaderSession) {
-    assert_eq!(legacy.fix_2d(), incr.fix_2d());
-    assert_eq!(legacy.fix_3d(), incr.fix_3d());
-    assert_eq!(legacy.fix_3d_aided(), incr.fix_3d_aided());
+    assert_eq!(legacy.fix::<TwoD>(), incr.fix::<TwoD>());
+    assert_eq!(legacy.fix::<ThreeD>(), incr.fix::<ThreeD>());
+    assert_eq!(legacy.fix::<Aided>(), incr.fix::<Aided>());
 }
 
 /// Poison safety, permissive arm: with the value screens off, NaN phases
@@ -459,7 +459,7 @@ fn long_stream_drift_stays_within_reanchor_bound() {
             assert_eq!(legacy.ingest(&report), incr.ingest(&report));
             count += 1;
             if count.is_multiple_of(32) {
-                let _ = incr.fix_2d();
+                let _ = incr.fix::<TwoD>();
             }
             if count >= 1_000_000 {
                 break 'outer;
@@ -467,8 +467,8 @@ fn long_stream_drift_stays_within_reanchor_bound() {
         }
     }
 
-    let reference = legacy.fix_2d().expect("legacy fix");
-    let fix = incr.fix_2d().expect("incremental fix");
+    let reference = legacy.fix::<TwoD>().expect("legacy fix");
+    let fix = incr.fix::<TwoD>().expect("incremental fix");
     assert!(
         (fix.position - reference.position).norm() <= 1e-9,
         "drift exceeded bound: {:?} vs {:?}",

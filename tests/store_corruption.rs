@@ -58,7 +58,7 @@ fn server(disks: &[DiskConfig; 2]) -> LocalizationServer {
 }
 
 fn fix_bits(server: &LocalizationServer, log: &InventoryLog) -> [u64; 3] {
-    let fix = server.locate_2d(log).expect("two-bearing fix");
+    let fix = server.fix::<TwoD>(log).expect("two-bearing fix");
     [
         fix.position.x.to_bits(),
         fix.position.y.to_bits(),
