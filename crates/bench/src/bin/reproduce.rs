@@ -8,8 +8,8 @@
 //! reproduce --trials 25   # override the per-configuration trial count
 //! reproduce --list        # show the registry
 //! reproduce --bench <name> [path]   # one artifact bench instead: spectrum,
-//!                                   # ingest, robustness, obs, estimator,
-//!                                   # serve or store; JSON to path
+//!                                   # ingest, robustness, obs, estimator
+//!                                   # or serve; JSON to path
 //!                                   # (default BENCH_<name>.json)
 //! reproduce --metrics-out <path>    # with --bench obs: also export the
 //!                                   # metrics arm's registry as

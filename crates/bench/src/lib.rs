@@ -1,5 +1,5 @@
 //! Shared fixtures for the Tagspin benchmarks and the `reproduce` binary,
-//! plus [`BENCHES`]: the seven artifact benches `reproduce --bench <name>`
+//! plus [`BENCHES`]: the six artifact benches `reproduce --bench <name>`
 //! runs. Each turns its typed results into [`BenchCase`]s, and `reproduce`
 //! writes them as one [`xtask::bench_check::BenchDoc`], the record
 //! `cargo xtask bench-check` reads back.
@@ -77,7 +77,6 @@ pub mod obs_bench;
 pub mod robustness_bench;
 pub mod serve_bench;
 pub mod spectrum_bench;
-pub mod store_bench;
 
 /// A bench case that produced no measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,7 +111,7 @@ pub struct Bench {
 }
 
 /// The artifact benches, in `xtask::bench_check::ARTIFACTS` order.
-pub const BENCHES: [Bench; 7] = [
+pub const BENCHES: [Bench; 6] = [
     Bench {
         name: "spectrum",
         title: "spectrum engine (coarse-to-fine vs exhaustive)",
@@ -171,14 +170,6 @@ pub const BENCHES: [Bench; 7] = [
         run: |quick| {
             let results = serve_bench::run(quick)?;
             Ok((serve_bench::report(&results), serve_bench::cases(&results)))
-        },
-    },
-    Bench {
-        name: "store",
-        title: "calibration store (cold vs warm boot)",
-        run: |quick| {
-            let results = store_bench::run(quick);
-            Ok((store_bench::report(&results), store_bench::cases(&results)))
         },
     },
 ];

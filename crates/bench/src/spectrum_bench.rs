@@ -53,10 +53,7 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
     let reader = Vec3::new(-0.8, 1.5, 0.0);
     let reader_3d = Vec3::new(-0.8, 1.5, 0.6);
     let ecfg = SpectrumEngineConfig::default();
-    let exhaustive = SpectrumEngineConfig {
-        exhaustive: true,
-        ..ecfg
-    };
+    let exhaustive = SpectrumEngineConfig { exhaustive: true };
     let mut results = Vec::new();
 
     for &(name, steps) in &[
@@ -69,7 +66,7 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
             azimuth_steps: steps,
             ..SpectrumConfig::default()
         };
-        let engine = SpectrumEngine::new(&ecfg);
+        let engine = SpectrumEngine::new();
         let mean_ns_fast = time_ns(fast_iters, || {
             engine.peak_2d(&set, 0.1, ProfileKind::Hybrid, &cfg, &ecfg);
         });
@@ -93,7 +90,7 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
             polar_steps: 61,
             ..SpectrumConfig::default()
         };
-        let engine = SpectrumEngine::new(&ecfg);
+        let engine = SpectrumEngine::new();
         let mean_ns_fast = time_ns(fast_iters, || {
             engine.peak_3d(&set, 0.1, ProfileKind::Hybrid, &cfg, &ecfg);
         });

@@ -100,13 +100,11 @@ pub mod prelude {
         Aided, FixPath, IngestOutcome, ReaderSession, SessionManager, ThreeD, TwoD,
     };
     pub use crate::snapshot::{Snapshot, SnapshotSet};
-    pub use crate::spectrum::engine::{
-        SpectrumEngine, SpectrumEngineConfig, SteeringTable, StoreStats,
-    };
+    pub use crate::spectrum::engine::{SpectrumEngine, SpectrumEngineConfig};
     pub use crate::spectrum::incremental::{IncrementalPolicy, SyncOutcome};
     pub use crate::spectrum::{ProfileKind, SpectrumConfig};
     pub use crate::spinning::{CenterSpinTag, DiskConfig, SpinningTag};
-    pub use crate::store::{CalibrationStore, FileStore, StoreError, TableId};
+    pub use crate::store::{FileStore, StoreError};
 }
 
 pub use prelude::*;

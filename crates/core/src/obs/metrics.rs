@@ -739,22 +739,12 @@ impl ServeMetrics {
 ///
 /// Lives here rather than next to [`crate::store`] so every `store.*`
 /// registration site goes through [`super::names`] consts in this file,
-/// keeping the L8 name-hygiene lint a single-file cross-check. The engine
-/// tallies store traffic in its own lock-free [`StoreStats`] counters
-/// (shared across clones); the daemon folds deltas of that snapshot into
-/// these handles on each scrape, so a registry sees the same totals
-/// without putting a counter on the engine's table path.
-///
-/// [`StoreStats`]: crate::spectrum::engine::StoreStats
+/// keeping the L8 name-hygiene lint a single-file cross-check. The serve
+/// daemon increments them at warm boot; its `/stats` body reads the same
+/// handles, so the two surfaces cannot disagree.
 #[derive(Debug, Clone)]
 pub struct StoreMetrics {
-    /// Steering tables loaded from the store instead of rebuilt.
-    pub table_hits: Counter,
-    /// Steering-table store lookups that found no record.
-    pub table_misses: Counter,
-    /// Steering tables persisted to the store after a fresh build.
-    pub table_persisted: Counter,
-    /// Store records rejected as corrupt or stale, recomputed fresh.
+    /// Store records rejected as corrupt or stale at warm boot.
     pub invalid: Counter,
     /// Orientation calibrations loaded from the store at warm boot.
     pub orientation_hits: Counter,
@@ -766,9 +756,6 @@ impl StoreMetrics {
     /// Resolve every store counter against `registry`.
     pub fn new(registry: &Arc<MetricsRegistry>) -> Self {
         StoreMetrics {
-            table_hits: registry.counter(names::STORE_TABLE_HIT),
-            table_misses: registry.counter(names::STORE_TABLE_MISS),
-            table_persisted: registry.counter(names::STORE_TABLE_PERSISTED),
             invalid: registry.counter(names::STORE_INVALID),
             orientation_hits: registry.counter(names::STORE_ORIENTATION_HIT),
             orientation_persisted: registry.counter(names::STORE_ORIENTATION_PERSISTED),

@@ -113,13 +113,8 @@ pub const SERVE_SCRAPES: &str = "serve.scrapes";
 /// gauge per shard.
 pub const SERVE_SHARD_QUEUE_DEPTH: &str = "serve.shard_queue_depth";
 
-/// Steering tables loaded from the calibration store instead of rebuilt.
-pub const STORE_TABLE_HIT: &str = "store.table.hit";
-/// Steering-table store lookups that found no record.
-pub const STORE_TABLE_MISS: &str = "store.table.miss";
-/// Steering tables persisted to the calibration store after a fresh build.
-pub const STORE_TABLE_PERSISTED: &str = "store.table.persisted";
-/// Store records rejected as corrupt or stale and recomputed fresh.
+/// Store records rejected as corrupt or stale at warm boot (the tag boots
+/// uncalibrated).
 pub const STORE_INVALID: &str = "store.invalid";
 /// Orientation calibrations loaded from the store at warm boot.
 pub const STORE_ORIENTATION_HIT: &str = "store.orientation.hit";

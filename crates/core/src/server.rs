@@ -187,7 +187,7 @@ impl LocalizationServer {
         LocalizationServer {
             registry: Arc::new(TagRegistry::new()),
             config,
-            engine: SpectrumEngine::new(&config.engine),
+            engine: SpectrumEngine::new(),
         }
     }
 
@@ -206,16 +206,6 @@ impl LocalizationServer {
     /// uninstrumented server.
     pub fn set_observer(&mut self, observer: Arc<dyn crate::obs::Observer>) {
         self.engine.set_observer(observer);
-    }
-
-    /// Attach a calibration store to the server's engine. Sessions and
-    /// managers created *after* this call inherit it (same contract as
-    /// [`LocalizationServer::set_observer`]): steering-table LRU misses
-    /// consult the store before building and persist fresh builds back.
-    /// A corrupt or stale record is counted, discarded, and recomputed —
-    /// outputs stay bit-identical to a storeless server either way.
-    pub fn set_store(&mut self, store: Arc<dyn crate::store::CalibrationStore>) {
-        self.engine.set_store(store);
     }
 
     /// Register a spinning tag.

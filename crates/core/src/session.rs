@@ -151,7 +151,7 @@ pub struct ReaderSession {
 impl ReaderSession {
     /// A standalone session over its own spectrum engine.
     pub fn new(registry: Arc<TagRegistry>, config: PipelineConfig, window: WindowConfig) -> Self {
-        let engine = SpectrumEngine::new(&config.engine);
+        let engine = SpectrumEngine::new();
         ReaderSession::with_engine(registry, engine, config, window)
     }
 
@@ -817,7 +817,7 @@ impl SessionManager {
     pub fn new(config: PipelineConfig, window: WindowConfig) -> Self {
         SessionManager::with_shared(
             Arc::new(TagRegistry::new()),
-            SpectrumEngine::new(&config.engine),
+            SpectrumEngine::new(),
             config,
             window,
         )

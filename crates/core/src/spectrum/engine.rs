@@ -37,8 +37,7 @@ use super::{
 };
 use crate::obs::{Event, ObsHandle, Observer, Stage};
 use crate::snapshot::SnapshotSet;
-use crate::spinning::DiskConfig;
-use crate::store::{CalibrationStore, StoreError, TableId};
+use crate::spinning::{DiskConfig, DiskPlane};
 use serde::{Deserialize, Serialize};
 use std::f64::consts::{FRAC_PI_2, PI, TAU};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,25 +47,17 @@ use tagspin_geom::angle;
 use tagspin_geom::vec3::Direction3;
 
 /// Tuning knobs of the [`SpectrumEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpectrumEngineConfig {
     /// Force the original full-grid reference path (bit-identical to the
     /// free functions in [`crate::spectrum`]). The escape hatch for golden
     /// fixture generation and conformance testing.
     pub exhaustive: bool,
-    /// Steering-table LRU capacity in entries (default 32). One entry per
-    /// distinct (disk geometry, grid resolution) pair.
-    pub cache_capacity: usize,
 }
 
-impl Default for SpectrumEngineConfig {
-    fn default() -> Self {
-        SpectrumEngineConfig {
-            exhaustive: false,
-            cache_capacity: 32,
-        }
-    }
-}
+/// Steering-table LRU capacity in entries. One entry per distinct (disk
+/// geometry, grid resolution) pair.
+const CACHE_CAPACITY: usize = 32;
 
 /// Coarse detection grid step, degrees. The coarse pass samples a
 /// stride-subset of the fine grid, so every coarse evaluation is reused by
@@ -93,48 +84,10 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// Calibration-store counters (see [`SpectrumEngine::store_stats`]).
-/// All zeros unless a store is attached via [`SpectrumEngine::set_store`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreStats {
-    /// Steering tables served from the store instead of being rebuilt.
-    pub hits: u64,
-    /// Store lookups that found no record (and fell through to a build).
-    pub misses: u64,
-    /// Freshly built tables persisted to the store.
-    pub persisted: u64,
-    /// Store records rejected as corrupt or stale, recomputed fresh.
-    pub invalid: u64,
-}
-
-/// Azimuth grid node `i` of `azimuth_steps` over `[0, 2π)` — the single
-/// authoritative formula, shared by [`SteeringTable::build`] and
-/// [`SteeringTable::spot_check`] so the two are bit-identical by
-/// construction.
-fn phi_at(i: usize, azimuth_steps: usize) -> f64 {
-    // lint:allow(lossy-cast) azimuth index and step count are < 2^32, exact in f64
-    i as f64 * TAU / azimuth_steps as f64
-}
-
-/// Polar grid node `j` of `polar_steps` over `[-π/2, π/2]` (see
-/// [`phi_at`] for why this is a shared helper).
-fn gamma_at(j: usize, polar_steps: usize) -> f64 {
-    // lint:allow(lossy-cast) polar index and step count are < 2^32, exact in f64
-    -FRAC_PI_2 + j as f64 * PI / (polar_steps - 1) as f64
-}
-
-/// Sample indices for a spot-check over an axis of `n` nodes: the ends
-/// plus two interior points.
-fn spot_indices(n: usize) -> [usize; 4] {
-    [0, n / 3, n / 2, n - 1]
-}
-
-/// Precomputed candidate-grid trigonometry.
-///
-/// Public because the calibration store ([`crate::store`]) persists and
-/// reloads tables; the engine itself still owns construction and caching.
+/// Precomputed candidate-grid trigonometry. A 720×91 table builds in
+/// microseconds; the LRU keeps it off the per-call path.
 #[derive(Debug)]
-pub struct SteeringTable {
+struct SteeringTable {
     cos_phi: Vec<f64>,
     sin_phi: Vec<f64>,
     cos_gamma: Vec<f64>,
@@ -142,19 +95,22 @@ pub struct SteeringTable {
 }
 
 impl SteeringTable {
-    /// Build the table for a grid from first principles.
-    pub fn build(azimuth_steps: usize, polar_steps: usize) -> Self {
+    /// Build the table for a grid from first principles: azimuth nodes
+    /// over `[0, 2π)`, polar nodes over `[-π/2, π/2]`.
+    fn build(azimuth_steps: usize, polar_steps: usize) -> Self {
         let mut cos_phi = Vec::with_capacity(azimuth_steps);
         let mut sin_phi = Vec::with_capacity(azimuth_steps);
         for i in 0..azimuth_steps {
-            let phi = phi_at(i, azimuth_steps);
+            // lint:allow(lossy-cast) azimuth index and step count are < 2^32, exact in f64
+            let phi = i as f64 * TAU / azimuth_steps as f64;
             cos_phi.push(phi.cos());
             sin_phi.push(phi.sin());
         }
         let mut cos_gamma = Vec::with_capacity(polar_steps);
         let mut sin_gamma = Vec::with_capacity(polar_steps);
         for j in 0..polar_steps {
-            let gamma = gamma_at(j, polar_steps);
+            // lint:allow(lossy-cast) polar index and step count are < 2^32, exact in f64
+            let gamma = -FRAC_PI_2 + j as f64 * PI / (polar_steps - 1) as f64;
             cos_gamma.push(gamma.cos());
             sin_gamma.push(gamma.sin());
         }
@@ -165,63 +121,64 @@ impl SteeringTable {
             sin_gamma,
         }
     }
+}
 
-    /// Reassemble a table from persisted vectors (no validation — run
-    /// [`SteeringTable::spot_check`] before trusting the result).
-    pub fn from_parts(
-        cos_phi: Vec<f64>,
-        sin_phi: Vec<f64>,
-        cos_gamma: Vec<f64>,
-        sin_gamma: Vec<f64>,
-    ) -> Self {
-        SteeringTable {
-            cos_phi,
-            sin_phi,
-            cos_gamma,
-            sin_gamma,
+/// Identity of one steering table in the LRU: disk geometry + grid
+/// resolution, compared bit-exactly.
+///
+/// Deliberately over-keyed: the trigonometry itself depends only on the
+/// grid, but keying on the full disk geometry keeps the semantics aligned
+/// with "one table per (`DiskConfig`, grid)", at the cost of at most a few
+/// duplicate entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TableId {
+    /// `f64::to_bits` of the track radius, meters.
+    radius_bits: u64,
+    /// `f64::to_bits` of the angular velocity (zero for plain-radius keys).
+    omega_bits: u64,
+    /// `f64::to_bits` of the initial tag angle (zero for plain-radius keys).
+    initial_angle_bits: u64,
+    /// 0 = horizontal / plain-radius call, 1 = vertical.
+    plane: u8,
+    /// `f64::to_bits` of the vertical plane's normal azimuth (else zero).
+    normal_azimuth_bits: u64,
+    /// Azimuth grid size over `[0, 2π)`.
+    azimuth_steps: usize,
+    /// Polar grid size over `[-π/2, π/2]`.
+    polar_steps: usize,
+}
+
+impl TableId {
+    /// The id used by plain-radius (2D and horizontal-3D) evaluations:
+    /// only the radius and grid matter, the motion fields are zeroed.
+    fn for_radius(radius: f64, cfg: &SpectrumConfig) -> Self {
+        TableId {
+            radius_bits: radius.to_bits(),
+            omega_bits: 0,
+            initial_angle_bits: 0,
+            plane: 0,
+            normal_azimuth_bits: 0,
+            azimuth_steps: cfg.azimuth_steps,
+            polar_steps: cfg.polar_steps,
         }
     }
 
-    /// Conformance spot-check: recompute a sample of grid nodes from
-    /// first principles and compare bit-for-bit. A table that fails may
-    /// not be used — the caller must rebuild fresh.
-    pub fn spot_check(&self) -> bool {
-        let az = self.cos_phi.len();
-        let po = self.cos_gamma.len();
-        if az == 0 || po < 2 || self.sin_phi.len() != az || self.sin_gamma.len() != po {
-            return false;
+    /// The id used by arbitrary-orientation (`for_disk`) evaluations:
+    /// keyed on the full disk geometry.
+    fn for_disk(disk: &DiskConfig, cfg: &SpectrumConfig) -> Self {
+        let (plane, normal_azimuth_bits) = match disk.plane {
+            DiskPlane::Horizontal => (0, 0),
+            DiskPlane::Vertical { normal_azimuth } => (1, normal_azimuth.to_bits()),
+        };
+        TableId {
+            radius_bits: disk.radius.to_bits(),
+            omega_bits: disk.omega.to_bits(),
+            initial_angle_bits: disk.initial_angle.to_bits(),
+            plane,
+            normal_azimuth_bits,
+            azimuth_steps: cfg.azimuth_steps,
+            polar_steps: cfg.polar_steps,
         }
-        let phi_ok = spot_indices(az).iter().all(|&i| {
-            let phi = phi_at(i, az);
-            self.cos_phi[i].to_bits() == phi.cos().to_bits()
-                && self.sin_phi[i].to_bits() == phi.sin().to_bits()
-        });
-        let gamma_ok = spot_indices(po).iter().all(|&j| {
-            let gamma = gamma_at(j, po);
-            self.cos_gamma[j].to_bits() == gamma.cos().to_bits()
-                && self.sin_gamma[j].to_bits() == gamma.sin().to_bits()
-        });
-        phi_ok && gamma_ok
-    }
-
-    /// Cosines of the azimuth grid (length = azimuth steps).
-    pub fn cos_phi(&self) -> &[f64] {
-        &self.cos_phi
-    }
-
-    /// Sines of the azimuth grid.
-    pub fn sin_phi(&self) -> &[f64] {
-        &self.sin_phi
-    }
-
-    /// Cosines of the polar grid (length = polar steps).
-    pub fn cos_gamma(&self) -> &[f64] {
-        &self.cos_gamma
-    }
-
-    /// Sines of the polar grid.
-    pub fn sin_gamma(&self) -> &[f64] {
-        &self.sin_gamma
     }
 }
 
@@ -386,18 +343,6 @@ pub struct SpectrumEngine {
     cache: Arc<Mutex<TableCache>>,
     hits: Arc<AtomicU64>,
     misses: Arc<AtomicU64>,
-    /// Optional calibration store consulted on LRU misses (tables loaded
-    /// before building) and fed on builds (persist-on-bless). `None` by
-    /// default: the engine computes everything fresh.
-    store: Option<Arc<dyn CalibrationStore>>,
-    /// Tables served from the store instead of being rebuilt.
-    store_hits: Arc<AtomicU64>,
-    /// Store lookups that found no record (cold path).
-    store_misses: Arc<AtomicU64>,
-    /// Tables persisted to the store after a fresh build.
-    store_persisted: Arc<AtomicU64>,
-    /// Store records rejected as corrupt/stale and recomputed fresh.
-    store_invalid: Arc<AtomicU64>,
     /// Observability sink; [`crate::obs::NullObserver`] by default, so the
     /// instrumentation points below cost one predictable branch each.
     obs: ObsHandle,
@@ -413,26 +358,26 @@ pub struct SpectrumEngine {
 
 impl Default for SpectrumEngine {
     fn default() -> Self {
-        SpectrumEngine::new(&SpectrumEngineConfig::default())
+        SpectrumEngine::new()
     }
 }
 
 impl SpectrumEngine {
-    /// An engine with a steering-table cache of `ecfg.cache_capacity`
-    /// entries (clamped to at least one).
-    pub fn new(ecfg: &SpectrumEngineConfig) -> Self {
+    /// An engine with a steering-table cache of 32 entries.
+    pub fn new() -> Self {
+        SpectrumEngine::with_capacity(CACHE_CAPACITY)
+    }
+
+    /// An engine whose steering-table cache holds `capacity` entries
+    /// (clamped to at least one).
+    fn with_capacity(capacity: usize) -> Self {
         SpectrumEngine {
             cache: Arc::new(Mutex::new(TableCache {
                 entries: Vec::new(),
-                capacity: ecfg.cache_capacity.max(1),
+                capacity: capacity.max(1),
             })),
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
-            store: None,
-            store_hits: Arc::new(AtomicU64::new(0)),
-            store_misses: Arc::new(AtomicU64::new(0)),
-            store_persisted: Arc::new(AtomicU64::new(0)),
-            store_invalid: Arc::new(AtomicU64::new(0)),
             obs: ObsHandle::null(),
             coarse_ns: Arc::new(AtomicU64::new(0)),
             fine_ns: Arc::new(AtomicU64::new(0)),
@@ -445,37 +390,14 @@ impl SpectrumEngine {
         self.obs = ObsHandle::new(observer);
     }
 
-    /// Attach a calibration store. Like [`SpectrumEngine::set_observer`],
-    /// clones made *after* this call share it; pre-existing clones keep
-    /// computing fresh. The [`StoreStats`] counters are engine-wide and
-    /// shared by *all* clones regardless of when they were made.
-    pub fn set_store(&mut self, store: Arc<dyn CalibrationStore>) {
-        self.store = Some(store);
-    }
-
-    /// Calibration-store counters since construction, shared across
-    /// clones like [`CacheStats`]. All zeros when no store is attached.
-    pub fn store_stats(&self) -> StoreStats {
-        StoreStats {
-            // ordering: relaxed — approximate counters; no cross-counter consistency needed
-            hits: self.store_hits.load(Ordering::Relaxed),
-            // ordering: relaxed — same as hits above
-            misses: self.store_misses.load(Ordering::Relaxed),
-            // ordering: relaxed — same as hits above
-            persisted: self.store_persisted.load(Ordering::Relaxed),
-            // ordering: relaxed — same as hits above
-            invalid: self.store_invalid.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Warm the LRU (and, transitively, the store) for the plain-radius
-    /// table used by 2D and horizontal-3D evaluations.
+    /// Warm the LRU for the plain-radius table used by 2D and
+    /// horizontal-3D evaluations.
     pub fn prewarm_radius(&self, radius: f64, cfg: &SpectrumConfig) {
         let _ = self.table(TableId::for_radius(radius, cfg));
     }
 
-    /// Warm the LRU (and, transitively, the store) for the full-geometry
-    /// table used by `for_disk` evaluations.
+    /// Warm the LRU for the full-geometry table used by `for_disk`
+    /// evaluations.
     pub fn prewarm_disk(&self, disk: &DiskConfig, cfg: &SpectrumConfig) {
         let _ = self.table(TableId::for_disk(disk, cfg));
     }
@@ -576,34 +498,8 @@ impl SpectrumEngine {
         // ordering: relaxed — monotonic tally read only via cache_stats snapshots
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.obs.emit(|| Event::CacheLookup { hit: false });
-        if let Some(store) = &self.store {
-            match store.load_table(&key) {
-                Ok(table) => {
-                    // ordering: relaxed — monotonic tally read only via store_stats snapshots
-                    self.store_hits.fetch_add(1, Ordering::Relaxed);
-                    return self.insert(key, Arc::new(table));
-                }
-                Err(StoreError::NotFound) => {
-                    // ordering: relaxed — monotonic tally read only via store_stats snapshots
-                    self.store_misses.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    // A corrupt/stale record must never change a fix: count
-                    // it and fall through to a fresh build.
-                    // ordering: relaxed — monotonic tally read only via store_stats snapshots
-                    self.store_invalid.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         let table = Arc::new(SteeringTable::build(key.azimuth_steps, key.polar_steps));
-        let table = self.insert(key, table);
-        if let Some(store) = &self.store {
-            if store.save_table(&key, &table).is_ok() {
-                // ordering: relaxed — monotonic tally read only via store_stats snapshots
-                self.store_persisted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        table
+        self.insert(key, table)
     }
 
     fn check(set: &SnapshotSet, cfg: &SpectrumConfig) {
@@ -1189,10 +1085,7 @@ mod tests {
         let set = synthesize(&disk, Vec3::new(0.3, -1.2, 0.0), 120);
         let cfg = cfg_2d();
         let engine = SpectrumEngine::default();
-        let ecfg = SpectrumEngineConfig {
-            exhaustive: true,
-            ..SpectrumEngineConfig::default()
-        };
+        let ecfg = SpectrumEngineConfig { exhaustive: true };
         let a = engine.spectrum_2d(&set, disk.radius, ProfileKind::Enhanced, &cfg, &ecfg);
         let b = spectrum_2d(&set, disk.radius, ProfileKind::Enhanced, &cfg);
         assert_eq!(a.values(), b.values());
@@ -1205,10 +1098,7 @@ mod tests {
         let cfg = cfg_2d();
         let engine = SpectrumEngine::default();
         let fast_cfg = SpectrumEngineConfig::default();
-        let slow_cfg = SpectrumEngineConfig {
-            exhaustive: true,
-            ..fast_cfg
-        };
+        let slow_cfg = SpectrumEngineConfig { exhaustive: true };
         // lint:allow(lossy-cast) grid size < 2^32, exact in f64
         let step = TAU / cfg.azimuth_steps as f64;
         for kind in [
@@ -1243,10 +1133,7 @@ mod tests {
         };
         let engine = SpectrumEngine::default();
         let fast_cfg = SpectrumEngineConfig::default();
-        let slow_cfg = SpectrumEngineConfig {
-            exhaustive: true,
-            ..fast_cfg
-        };
+        let slow_cfg = SpectrumEngineConfig { exhaustive: true };
         // lint:allow(lossy-cast) grid sizes < 2^32, exact in f64
         let az_step = TAU / cfg.azimuth_steps as f64;
         // lint:allow(lossy-cast) grid sizes < 2^32, exact in f64
@@ -1290,10 +1177,7 @@ mod tests {
         };
         let engine = SpectrumEngine::default();
         let fast_cfg = SpectrumEngineConfig::default();
-        let slow_cfg = SpectrumEngineConfig {
-            exhaustive: true,
-            ..fast_cfg
-        };
+        let slow_cfg = SpectrumEngineConfig { exhaustive: true };
         let (fast, _) = engine
             .peak_3d_for_disk(&set, &disk, ProfileKind::Enhanced, &cfg, &fast_cfg)
             .unwrap();
@@ -1313,11 +1197,8 @@ mod tests {
         let disk = DiskConfig::paper_default(Vec3::ZERO);
         let set = synthesize(&disk, Vec3::new(-1.0, 0.0, 0.0), 60);
         let cfg = cfg_2d();
-        let ecfg = SpectrumEngineConfig {
-            cache_capacity: 2,
-            ..SpectrumEngineConfig::default()
-        };
-        let engine = SpectrumEngine::new(&ecfg);
+        let ecfg = SpectrumEngineConfig::default();
+        let engine = SpectrumEngine::with_capacity(2);
         let _ = engine.spectrum_2d(&set, disk.radius, ProfileKind::Traditional, &cfg, &ecfg);
         let _ = engine.spectrum_2d(&set, disk.radius, ProfileKind::Traditional, &cfg, &ecfg);
         let after_repeat = engine.cache_stats();
@@ -1384,95 +1265,5 @@ mod tests {
         assert_eq!(coarse_stride(8, 360.0, 5.0), 1);
         // Polar: 90 intervals over 180° at 5° → stride 2 (2°-steps grid).
         assert_eq!(coarse_stride(90, 180.0, 5.0), 2);
-    }
-
-    #[test]
-    fn built_tables_pass_their_own_spot_check() {
-        assert!(SteeringTable::build(360, 31).spot_check());
-        assert!(SteeringTable::build(7, 2).spot_check());
-        let mut tampered = SteeringTable::build(360, 31);
-        tampered.cos_phi[0] = 0.5;
-        assert!(!tampered.spot_check());
-        assert!(!SteeringTable::from_parts(vec![1.0], vec![], vec![], vec![]).spot_check());
-    }
-
-    #[test]
-    fn store_round_trips_tables_through_the_engine() {
-        let dir = std::env::temp_dir().join(format!("tagspin-engine-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store: Arc<dyn CalibrationStore> =
-            Arc::new(crate::store::FileStore::open(&dir).expect("open store"));
-        let cfg = cfg_2d();
-        let ecfg = SpectrumEngineConfig::default();
-
-        // Cold engine: miss the store, build, persist.
-        let mut cold = SpectrumEngine::new(&ecfg);
-        cold.set_store(Arc::clone(&store));
-        cold.prewarm_radius(0.1, &cfg);
-        let stats = cold.store_stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.persisted, stats.invalid),
-            (0, 1, 1, 0)
-        );
-
-        // Warm engine over the same directory: load, never rebuild.
-        let mut warm = SpectrumEngine::new(&ecfg);
-        warm.set_store(Arc::clone(&store));
-        warm.prewarm_radius(0.1, &cfg);
-        let stats = warm.store_stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.persisted, stats.invalid),
-            (1, 0, 0, 0)
-        );
-
-        // The warm engine's spectra are bit-identical to a storeless run.
-        let disk = DiskConfig::paper_default(Vec3::ZERO);
-        let set = synthesize(&disk, Vec3::new(1.3, 0.4, 0.0), 64);
-        let plain = SpectrumEngine::new(&ecfg);
-        let a = warm.spectrum_2d(&set, disk.radius, ProfileKind::Enhanced, &cfg, &ecfg);
-        let b = plain.spectrum_2d(&set, disk.radius, ProfileKind::Enhanced, &cfg, &ecfg);
-        let bits = |s: &Spectrum2D| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_store_records_fall_back_to_fresh_compute() {
-        let dir = std::env::temp_dir().join(format!(
-            "tagspin-engine-store-corrupt-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let file_store = crate::store::FileStore::open(&dir).expect("open store");
-        let cfg = cfg_2d();
-        let ecfg = SpectrumEngineConfig::default();
-        let mut seeder = SpectrumEngine::new(&ecfg);
-        seeder.set_store(Arc::new(crate::store::FileStore::open(&dir).expect("open")));
-        seeder.prewarm_radius(0.1, &cfg);
-        // Corrupt every record in place.
-        for entry in file_store.entries().expect("entries") {
-            let path = dir.join(&entry.file);
-            let mut bytes = std::fs::read(&path).expect("read");
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0xFF;
-            std::fs::write(&path, &bytes).expect("write");
-        }
-        let mut engine = SpectrumEngine::new(&ecfg);
-        engine.set_store(Arc::new(crate::store::FileStore::open(&dir).expect("open")));
-        let disk = DiskConfig::paper_default(Vec3::ZERO);
-        let set = synthesize(&disk, Vec3::new(1.3, 0.4, 0.0), 64);
-        let a = engine.spectrum_2d(&set, disk.radius, ProfileKind::Enhanced, &cfg, &ecfg);
-        let plain = SpectrumEngine::new(&ecfg);
-        let b = plain.spectrum_2d(&set, disk.radius, ProfileKind::Enhanced, &cfg, &ecfg);
-        let bits = |s: &Spectrum2D| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&a),
-            bits(&b),
-            "a corrupt store must never change output"
-        );
-        assert_eq!(engine.store_stats().invalid, 1);
-        // The rebuild re-persisted a clean record over the corrupt one.
-        assert_eq!(engine.store_stats().persisted, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -691,10 +691,7 @@ mod tests {
         // Enhanced values are frozen-reference estimates between anchors:
         // per-cell values drift as the window slides away from the anchor's
         // reference snapshots, but the detected bearing stays put.
-        let ecfg = SpectrumEngineConfig {
-            exhaustive: true,
-            ..SpectrumEngineConfig::default()
-        };
+        let ecfg = SpectrumEngineConfig { exhaustive: true };
         let engine = SpectrumEngine::default();
         let incr_peak = st.peak_2d().unwrap();
         let ref_peak = engine
@@ -896,10 +893,7 @@ mod tests {
         let disk = DiskConfig::paper_default(Vec3::ZERO);
         let set = synthesize(&disk, Vec3::new(-0.7, 1.1, 0.0), 70);
         let cfg = cfg();
-        let ecfg = SpectrumEngineConfig {
-            exhaustive: true,
-            ..SpectrumEngineConfig::default()
-        };
+        let ecfg = SpectrumEngineConfig { exhaustive: true };
         let engine = SpectrumEngine::default();
         let mut st = IncrementalState::new(FixKind::Fix2D, ProfileKind::Hybrid, &cfg, &disk);
         st.sync(&set, 0, set.len() as u64, &IncrementalPolicy::default());

@@ -1,18 +1,20 @@
-//! Versioned, checksummed persistence for calibration artifacts.
+//! Versioned, checksummed persistence for per-tag orientation
+//! calibrations.
 //!
-//! Steering tables and per-tag orientation Fourier fits are the expensive
-//! state of a fleet boot: recomputing them from scratch on every process
-//! start wastes minutes at scale. This module persists both in a
-//! hand-rolled binary format (no new dependencies) behind the
-//! [`CalibrationStore`] trait, with [`FileStore`] as the on-disk backend.
+//! An orientation calibration is the one piece of calibration state a
+//! restart cannot recompute: it is fit from a physical center-spin run
+//! (the paper's Step 1). [`FileStore`] keeps one fit per tag on disk in a
+//! hand-rolled binary format (no new dependencies), so a rebooted daemon
+//! can adopt it without repeating the spin. Steering tables are not
+//! stored: they rebuild in microseconds, faster than a disk load.
 //!
 //! **Trust model: the store is a cache, never an authority.** Every record
-//! carries a magic, a schema version, a content-hash key, and a CRC-32 of
-//! the payload; on load the decoder additionally recomputes a sampled
-//! subset of the artifact from first principles and compares bit-for-bit
-//! (the *conformance spot-check*). Any mismatch surfaces as a typed
-//! [`StoreError`] and the caller falls back to fresh compute — a corrupt
-//! store can cost time, but it can never change a fix.
+//! carries a magic, a schema version, a key, and a CRC-32 of the payload;
+//! on load the decoder additionally re-evaluates the decoded series at
+//! fixed probe angles and compares bit-for-bit with the evaluations the
+//! record carries (the *conformance spot-check*). Any mismatch surfaces
+//! as a typed [`StoreError`] and the caller boots the tag uncalibrated —
+//! exactly as if the store were absent.
 //!
 //! # Record layout
 //!
@@ -23,27 +25,22 @@
 //! offset  size  field
 //!      0     8  magic            "TSPNCAL\0"
 //!      8     2  schema version   u16 (currently 1)
-//!     10     1  record kind      1 = steering table, 2 = orientation
+//!     10     1  record kind      2 = orientation (1 was a steering table; retired)
 //!     11     1  reserved         0
-//!     12     8  key              u64 content hash (see below)
+//!     12     8  key              u64 FNV-1a 64 digest of the EPC
 //!     20     8  payload length   u64, bytes
 //!     28     4  CRC-32 (IEEE)    over the payload only
 //! ```
 //!
-//! Steering-table records are keyed by [`TableId::content_hash`] — an
-//! FNV-1a 64 digest of the full disk geometry (bit-exact) plus the grid
-//! resolution, mirroring the engine's deliberately over-keyed LRU.
-//! Orientation records are keyed by a digest of the tag EPC. See
-//! `docs/STORE.md` for the format rationale and invalidation rules.
+//! See `docs/STORE.md` for the format rationale, the invalidation rules,
+//! and the one-time upgrade step for directories that still hold retired
+//! steering-table records.
 //!
 //! Writes are atomic: payloads land in a `.tmp` file that is `rename`d
 //! into place, so a killed process never leaves a torn file that passes
 //! the magic check.
 
 use crate::calib::orientation::OrientationCalibration;
-use crate::spectrum::engine::SteeringTable;
-use crate::spectrum::SpectrumConfig;
-use crate::spinning::{DiskConfig, DiskPlane};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -59,17 +56,9 @@ pub const STORE_VERSION: u16 = 1;
 /// Fixed header length, bytes.
 const HEADER_LEN: usize = 32;
 
-/// Record kind byte: steering table.
-const KIND_TABLE: u8 = 1;
-
-/// Record kind byte: orientation calibration.
+/// Record kind byte: orientation calibration, the only kind this build
+/// reads or writes.
 const KIND_ORIENTATION: u8 = 2;
-
-/// Sanity cap on persisted azimuth grid size (16 Mi cells ≈ 128 MiB/axis).
-const MAX_AZIMUTH_STEPS: u64 = 1 << 24;
-
-/// Sanity cap on persisted polar grid size.
-const MAX_POLAR_STEPS: u64 = 1 << 20;
 
 /// Sanity cap on persisted Fourier order.
 const MAX_FOURIER_ORDER: u64 = 1024;
@@ -116,7 +105,7 @@ fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// FNV-1a 64-bit digest of `bytes` — the content-hash key function.
+/// FNV-1a 64-bit digest of `bytes` — the key function.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -131,87 +120,10 @@ fn epc_key(epc: u128) -> u64 {
     fnv1a(&epc.to_le_bytes())
 }
 
-/// `usize` grid size widened for serialization; grid sizes are far below
+/// `usize` length widened for serialization; lengths are far below
 /// `u64::MAX`, so saturation never fires in practice.
 fn widen(x: usize) -> u64 {
     u64::try_from(x).unwrap_or(u64::MAX)
-}
-
-// ---------------------------------------------------------------------
-// TableId: the (disk geometry, grid resolution) identity of a table.
-// ---------------------------------------------------------------------
-
-/// Identity of one steering table: disk geometry + grid resolution,
-/// compared bit-exactly.
-///
-/// Deliberately over-keyed: the trigonometry itself depends only on the
-/// grid, but keying on the full disk geometry keeps the semantics aligned
-/// with "one table per (`DiskConfig`, grid)" — both in the engine's LRU
-/// and on disk — at the cost of at most a few duplicate entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableId {
-    /// `f64::to_bits` of the track radius, meters.
-    pub radius_bits: u64,
-    /// `f64::to_bits` of the angular velocity (zero for plain-radius keys).
-    pub omega_bits: u64,
-    /// `f64::to_bits` of the initial tag angle (zero for plain-radius keys).
-    pub initial_angle_bits: u64,
-    /// 0 = horizontal / plain-radius call, 1 = vertical.
-    pub plane: u8,
-    /// `f64::to_bits` of the vertical plane's normal azimuth (else zero).
-    pub normal_azimuth_bits: u64,
-    /// Azimuth grid size over `[0, 2π)`.
-    pub azimuth_steps: usize,
-    /// Polar grid size over `[-π/2, π/2]`.
-    pub polar_steps: usize,
-}
-
-impl TableId {
-    /// The id used by plain-radius (2D and horizontal-3D) evaluations:
-    /// only the radius and grid matter, the motion fields are zeroed.
-    pub fn for_radius(radius: f64, cfg: &SpectrumConfig) -> Self {
-        TableId {
-            radius_bits: radius.to_bits(),
-            omega_bits: 0,
-            initial_angle_bits: 0,
-            plane: 0,
-            normal_azimuth_bits: 0,
-            azimuth_steps: cfg.azimuth_steps,
-            polar_steps: cfg.polar_steps,
-        }
-    }
-
-    /// The id used by arbitrary-orientation (`for_disk`) evaluations:
-    /// keyed on the full disk geometry.
-    pub fn for_disk(disk: &DiskConfig, cfg: &SpectrumConfig) -> Self {
-        let (plane, normal_azimuth_bits) = match disk.plane {
-            DiskPlane::Horizontal => (0, 0),
-            DiskPlane::Vertical { normal_azimuth } => (1, normal_azimuth.to_bits()),
-        };
-        TableId {
-            radius_bits: disk.radius.to_bits(),
-            omega_bits: disk.omega.to_bits(),
-            initial_angle_bits: disk.initial_angle.to_bits(),
-            plane,
-            normal_azimuth_bits,
-            azimuth_steps: cfg.azimuth_steps,
-            polar_steps: cfg.polar_steps,
-        }
-    }
-
-    /// FNV-1a 64 digest over the id's canonical little-endian encoding —
-    /// the record key and the store file name.
-    pub fn content_hash(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(57);
-        bytes.extend_from_slice(&self.radius_bits.to_le_bytes());
-        bytes.extend_from_slice(&self.omega_bits.to_le_bytes());
-        bytes.extend_from_slice(&self.initial_angle_bits.to_le_bytes());
-        bytes.push(self.plane);
-        bytes.extend_from_slice(&self.normal_azimuth_bits.to_le_bytes());
-        bytes.extend_from_slice(&widen(self.azimuth_steps).to_le_bytes());
-        bytes.extend_from_slice(&widen(self.polar_steps).to_le_bytes());
-        fnv1a(&bytes)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -219,7 +131,7 @@ impl TableId {
 // ---------------------------------------------------------------------
 
 /// Why a store operation failed. Every load-path variant is a signal to
-/// fall back to fresh compute; none may change a fix.
+/// boot the tag uncalibrated; none may change a fix.
 #[derive(Debug)]
 pub enum StoreError {
     /// The underlying filesystem operation failed.
@@ -252,12 +164,13 @@ pub enum StoreError {
     /// The record decodes cleanly but describes a different key than the
     /// one requested — e.g. a renamed file or a hash collision.
     KeyMismatch {
-        /// Content hash of the requested artifact.
+        /// Key of the requested record.
         requested: u64,
-        /// Content hash the record actually describes.
+        /// Key the record actually describes.
         found: u64,
     },
-    /// The record is of a different kind than the caller asked for.
+    /// The record is not an orientation record; kind 1 is a retired
+    /// steering-table record (`tagspin store gc` removes it).
     WrongKind {
         /// Kind byte found in the header.
         found: u8,
@@ -292,9 +205,11 @@ impl std::fmt::Display for StoreError {
                 f,
                 "key mismatch: requested {requested:#018x}, record is {found:#018x}"
             ),
-            StoreError::WrongKind { found } => {
-                write!(f, "wrong record kind: {found}")
-            }
+            StoreError::WrongKind { found } => write!(
+                f,
+                "wrong record kind: {found} (this build reads only kind \
+                 {KIND_ORIENTATION}, orientation)"
+            ),
             StoreError::SpotCheckFailed => {
                 write!(
                     f,
@@ -364,9 +279,9 @@ fn read_u16(bytes: &[u8], offset: usize) -> u16 {
     u16::from_le_bytes(b)
 }
 
-/// Validate header + CRC of a whole-file record of `expected_kind`.
-/// Returns `(header key, payload)` on success.
-fn decode_record(bytes: &[u8], expected_kind: u8) -> Result<(u64, &[u8]), StoreError> {
+/// Validate header + CRC of a whole-file orientation record. Returns
+/// `(header key, payload)` on success.
+fn decode_record(bytes: &[u8]) -> Result<(u64, &[u8]), StoreError> {
     if bytes.len() < HEADER_LEN {
         return Err(StoreError::Truncated {
             needed: widen(HEADER_LEN),
@@ -384,7 +299,7 @@ fn decode_record(bytes: &[u8], expected_kind: u8) -> Result<(u64, &[u8]), StoreE
         });
     }
     let kind = bytes[10];
-    if kind != expected_kind {
+    if kind != KIND_ORIENTATION {
         return Err(StoreError::WrongKind { found: kind });
     }
     let key = read_u64(bytes, 12);
@@ -407,96 +322,6 @@ fn decode_record(bytes: &[u8], expected_kind: u8) -> Result<(u64, &[u8]), StoreE
         });
     }
     Ok((key, payload))
-}
-
-/// Serialize a steering table with its id prefix.
-fn encode_table_payload(id: &TableId, table: &SteeringTable) -> Vec<u8> {
-    let az = table.cos_phi().len();
-    let po = table.cos_gamma().len();
-    let mut out = Vec::with_capacity(56 + 16 * (az + po));
-    out.extend_from_slice(&id.radius_bits.to_le_bytes());
-    out.extend_from_slice(&id.omega_bits.to_le_bytes());
-    out.extend_from_slice(&id.initial_angle_bits.to_le_bytes());
-    out.extend_from_slice(&u64::from(id.plane).to_le_bytes());
-    out.extend_from_slice(&id.normal_azimuth_bits.to_le_bytes());
-    out.extend_from_slice(&widen(az).to_le_bytes());
-    out.extend_from_slice(&widen(po).to_le_bytes());
-    for &v in table
-        .cos_phi()
-        .iter()
-        .chain(table.sin_phi())
-        .chain(table.cos_gamma())
-        .chain(table.sin_gamma())
-    {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    out
-}
-
-/// Convert a persisted `u64` count into an in-memory `usize` length.
-fn narrow(x: u64, what: &'static str) -> Result<usize, StoreError> {
-    usize::try_from(x).map_err(|_| StoreError::Malformed(what))
-}
-
-/// Decode a steering-table payload: id prefix, four trig vectors, then
-/// the conformance spot-check (recompute sampled rows, compare bit-exact).
-fn decode_table_payload(payload: &[u8]) -> Result<(TableId, SteeringTable), StoreError> {
-    if payload.len() < 56 {
-        return Err(StoreError::Truncated {
-            needed: 56,
-            got: widen(payload.len()),
-        });
-    }
-    let plane_wide = read_u64(payload, 24);
-    if plane_wide > 1 {
-        return Err(StoreError::Malformed("plane byte out of range"));
-    }
-    let az_wide = read_u64(payload, 40);
-    let po_wide = read_u64(payload, 48);
-    if az_wide == 0 || az_wide > MAX_AZIMUTH_STEPS {
-        return Err(StoreError::Malformed("azimuth_steps out of range"));
-    }
-    if !(2..=MAX_POLAR_STEPS).contains(&po_wide) {
-        return Err(StoreError::Malformed("polar_steps out of range"));
-    }
-    let az = narrow(az_wide, "azimuth_steps does not fit usize")?;
-    let po = narrow(po_wide, "polar_steps does not fit usize")?;
-    let id = TableId {
-        radius_bits: read_u64(payload, 0),
-        omega_bits: read_u64(payload, 8),
-        initial_angle_bits: read_u64(payload, 16),
-        // Range-checked to {0, 1} above, so the narrowing is exact.
-        // lint:allow(lossy-cast) see above
-        plane: plane_wide as u8,
-        normal_azimuth_bits: read_u64(payload, 32),
-        azimuth_steps: az,
-        polar_steps: po,
-    };
-    let expected = 56usize.saturating_add(az.saturating_add(po).saturating_mul(16));
-    if payload.len() != expected {
-        return Err(StoreError::Truncated {
-            needed: widen(expected),
-            got: widen(payload.len()),
-        });
-    }
-    let mut offset = 56;
-    let mut read_vec = |n: usize| -> Vec<f64> {
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(f64::from_bits(read_u64(payload, offset)));
-            offset += 8;
-        }
-        v
-    };
-    let cos_phi = read_vec(az);
-    let sin_phi = read_vec(az);
-    let cos_gamma = read_vec(po);
-    let sin_gamma = read_vec(po);
-    let table = SteeringTable::from_parts(cos_phi, sin_phi, cos_gamma, sin_gamma);
-    if !table.spot_check() {
-        return Err(StoreError::SpotCheckFailed);
-    }
-    Ok((id, table))
 }
 
 /// Serialize an orientation calibration with embedded probe evaluations.
@@ -539,7 +364,8 @@ fn decode_orientation_payload(
     if order_wide > MAX_FOURIER_ORDER {
         return Err(StoreError::Malformed("fourier order out of range"));
     }
-    let order = narrow(order_wide, "fourier order does not fit usize")?;
+    let order = usize::try_from(order_wide)
+        .map_err(|_| StoreError::Malformed("fourier order does not fit usize"))?;
     let expected = 40 + 16 * order + 8 * ORIENTATION_PROBES.len();
     if payload.len() != expected {
         return Err(StoreError::Truncated {
@@ -570,72 +396,17 @@ fn decode_orientation_payload(
 }
 
 // ---------------------------------------------------------------------
-// The trait and the file-backed store
+// The file-backed store
 // ---------------------------------------------------------------------
-
-/// A persistence backend for calibration artifacts.
-///
-/// Implementations must be safe to share across the daemon's threads.
-/// Load errors are *soft*: callers (the engine's table path, warm boot)
-/// treat every variant as "recompute fresh" — see the module docs.
-pub trait CalibrationStore: Send + Sync + std::fmt::Debug {
-    /// Load the steering table identified by `id`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] when no record exists; any other variant
-    /// when the record is unreadable, corrupt, stale, or fails its
-    /// conformance spot-check.
-    fn load_table(&self, id: &TableId) -> Result<SteeringTable, StoreError>;
-
-    /// Persist a steering table under `id`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the write fails; the write is atomic, so a
-    /// failure never leaves a partial record behind.
-    fn save_table(&self, id: &TableId, table: &SteeringTable) -> Result<(), StoreError>;
-
-    /// Load the orientation calibration for tag `epc`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CalibrationStore::load_table`].
-    fn load_orientation(&self, epc: u128) -> Result<OrientationCalibration, StoreError>;
-
-    /// Persist the orientation calibration for tag `epc`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CalibrationStore::save_table`].
-    fn save_orientation(&self, epc: u128, cal: &OrientationCalibration) -> Result<(), StoreError>;
-}
-
-/// What kind of record a store file holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// A precomputed steering table.
-    SteeringTable,
-    /// A per-tag orientation calibration.
-    Orientation,
-}
-
-impl std::fmt::Display for RecordKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecordKind::SteeringTable => write!(f, "table"),
-            RecordKind::Orientation => write!(f, "orientation"),
-        }
-    }
-}
 
 /// One store file, as listed by [`FileStore::entries`].
 #[derive(Debug, Clone)]
 pub struct StoreEntry {
     /// File name within the store directory.
     pub file: String,
-    /// Record kind from the header; `None` when the header is unreadable.
-    pub kind: Option<RecordKind>,
+    /// Record kind byte from the header (2 = orientation; 1 = a retired
+    /// steering-table record); `None` when the header is unreadable.
+    pub kind: Option<u8>,
     /// Record key from the header (zero when unreadable).
     pub key: u64,
     /// File size, bytes.
@@ -655,8 +426,11 @@ pub struct VerifyReport {
 /// one process never collide on the same temp path.
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// The on-disk [`CalibrationStore`]: one record per file in a flat
-/// directory, file names derived from the record key.
+/// The on-disk calibration store: one orientation record per file in a
+/// flat directory, file names derived from the tag EPC.
+///
+/// Load errors are *soft*: warm boot treats every variant as "this tag
+/// boots uncalibrated" — see the module docs.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
@@ -679,12 +453,44 @@ impl FileStore {
         &self.dir
     }
 
-    fn table_file(id: &TableId) -> String {
-        format!("table-{:016x}.tsc", id.content_hash())
-    }
-
     fn orientation_file(epc: u128) -> String {
         format!("orient-{epc:032x}.tsc")
+    }
+
+    /// Load the orientation calibration for tag `epc`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NotFound`] when no record exists; any other variant
+    /// when the record is unreadable, corrupt, stale, of another kind, or
+    /// fails its conformance spot-check.
+    pub fn load_orientation(&self, epc: u128) -> Result<OrientationCalibration, StoreError> {
+        let bytes = fs::read(self.dir.join(Self::orientation_file(epc)))?;
+        let (key, payload) = decode_record(&bytes)?;
+        let (decoded_epc, cal) = decode_orientation_payload(payload)?;
+        if decoded_epc != epc || key != epc_key(epc) {
+            return Err(StoreError::KeyMismatch {
+                requested: epc_key(epc),
+                found: epc_key(decoded_epc),
+            });
+        }
+        Ok(cal)
+    }
+
+    /// Persist the orientation calibration for tag `epc`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the write fails; the write is atomic, so a
+    /// failure never leaves a partial record behind.
+    pub fn save_orientation(
+        &self,
+        epc: u128,
+        cal: &OrientationCalibration,
+    ) -> Result<(), StoreError> {
+        let payload = encode_orientation_payload(epc, cal);
+        let record = encode_record(KIND_ORIENTATION, epc_key(epc), &payload);
+        self.write_atomic(&Self::orientation_file(epc), &record)
     }
 
     /// Atomically write `record` as `name`: the bytes land in a unique
@@ -721,12 +527,7 @@ impl FileStore {
             let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
             let (kind, key) = match fs::read(entry.path()) {
                 Ok(data) if data.len() >= HEADER_LEN && data[..8] == STORE_MAGIC => {
-                    let kind = match data[10] {
-                        KIND_TABLE => Some(RecordKind::SteeringTable),
-                        KIND_ORIENTATION => Some(RecordKind::Orientation),
-                        _ => None,
-                    };
-                    (kind, read_u64(&data, 12))
+                    (Some(data[10]), read_u64(&data, 12))
                 }
                 _ => (None, 0),
             };
@@ -742,50 +543,18 @@ impl FileStore {
     }
 
     /// Fully decode one store file, including its conformance spot-check
-    /// and (for tables) the name/key/content-hash consistency check.
-    fn verify_file(&self, file: &str) -> Result<RecordKind, StoreError> {
+    /// and the name/key/EPC consistency check.
+    fn verify_file(&self, file: &str) -> Result<(), StoreError> {
         let bytes = fs::read(self.dir.join(file))?;
-        if bytes.len() < HEADER_LEN {
-            return Err(StoreError::Truncated {
-                needed: widen(HEADER_LEN),
-                got: widen(bytes.len()),
+        let (key, payload) = decode_record(&bytes)?;
+        let (epc, _cal) = decode_orientation_payload(payload)?;
+        if key != epc_key(epc) || file != Self::orientation_file(epc) {
+            return Err(StoreError::KeyMismatch {
+                requested: key,
+                found: epc_key(epc),
             });
         }
-        if bytes[..8] != STORE_MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        match bytes[10] {
-            KIND_TABLE => {
-                let (key, payload) = decode_record(&bytes, KIND_TABLE)?;
-                let (id, _table) = decode_table_payload(payload)?;
-                let hash = id.content_hash();
-                if key != hash {
-                    return Err(StoreError::KeyMismatch {
-                        requested: key,
-                        found: hash,
-                    });
-                }
-                if file != Self::table_file(&id) {
-                    return Err(StoreError::KeyMismatch {
-                        requested: hash,
-                        found: hash,
-                    });
-                }
-                Ok(RecordKind::SteeringTable)
-            }
-            KIND_ORIENTATION => {
-                let (key, payload) = decode_record(&bytes, KIND_ORIENTATION)?;
-                let (epc, _cal) = decode_orientation_payload(payload)?;
-                if key != epc_key(epc) || file != Self::orientation_file(epc) {
-                    return Err(StoreError::KeyMismatch {
-                        requested: key,
-                        found: epc_key(epc),
-                    });
-                }
-                Ok(RecordKind::Orientation)
-            }
-            other => Err(StoreError::WrongKind { found: other }),
-        }
+        Ok(())
     }
 
     /// Fully verify every `.tsc` file: header, CRC, payload structure,
@@ -809,7 +578,8 @@ impl FileStore {
     }
 
     /// Remove leftover `.tmp` files and every `.tsc` record that fails
-    /// [`FileStore::verify`]. Returns the removed file names.
+    /// [`FileStore::verify`] — retired steering-table records included.
+    /// Returns the removed file names.
     ///
     /// # Errors
     ///
@@ -828,47 +598,6 @@ impl FileStore {
         }
         removed.sort();
         Ok(removed)
-    }
-}
-
-impl CalibrationStore for FileStore {
-    fn load_table(&self, id: &TableId) -> Result<SteeringTable, StoreError> {
-        let bytes = fs::read(self.dir.join(Self::table_file(id)))?;
-        let (key, payload) = decode_record(&bytes, KIND_TABLE)?;
-        let (decoded_id, table) = decode_table_payload(payload)?;
-        let requested = id.content_hash();
-        if decoded_id != *id || key != requested {
-            return Err(StoreError::KeyMismatch {
-                requested,
-                found: decoded_id.content_hash(),
-            });
-        }
-        Ok(table)
-    }
-
-    fn save_table(&self, id: &TableId, table: &SteeringTable) -> Result<(), StoreError> {
-        let payload = encode_table_payload(id, table);
-        let record = encode_record(KIND_TABLE, id.content_hash(), &payload);
-        self.write_atomic(&Self::table_file(id), &record)
-    }
-
-    fn load_orientation(&self, epc: u128) -> Result<OrientationCalibration, StoreError> {
-        let bytes = fs::read(self.dir.join(Self::orientation_file(epc)))?;
-        let (key, payload) = decode_record(&bytes, KIND_ORIENTATION)?;
-        let (decoded_epc, cal) = decode_orientation_payload(payload)?;
-        if decoded_epc != epc || key != epc_key(epc) {
-            return Err(StoreError::KeyMismatch {
-                requested: epc_key(epc),
-                found: epc_key(decoded_epc),
-            });
-        }
-        Ok(cal)
-    }
-
-    fn save_orientation(&self, epc: u128, cal: &OrientationCalibration) -> Result<(), StoreError> {
-        let payload = encode_orientation_payload(epc, cal);
-        let record = encode_record(KIND_ORIENTATION, epc_key(epc), &payload);
-        self.write_atomic(&Self::orientation_file(epc), &record)
     }
 }
 
@@ -891,25 +620,9 @@ mod tests {
         FileStore::open(dir).expect("create temp store")
     }
 
-    fn sample_id() -> TableId {
-        TableId::for_radius(0.1, &SpectrumConfig::default())
-    }
-
-    fn sample_table(id: &TableId) -> SteeringTable {
-        SteeringTable::build(id.azimuth_steps, id.polar_steps)
-    }
-
     fn sample_orientation() -> OrientationCalibration {
         let series = FourierSeries::from_coefficients(0.25, vec![(0.5, -0.125), (0.0625, 0.75)]);
         OrientationCalibration::from_parts(series, 0.01)
-    }
-
-    fn tables_bit_equal(a: &SteeringTable, b: &SteeringTable) -> bool {
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        bits(a.cos_phi()) == bits(b.cos_phi())
-            && bits(a.sin_phi()) == bits(b.sin_phi())
-            && bits(a.cos_gamma()) == bits(b.cos_gamma())
-            && bits(a.sin_gamma()) == bits(b.sin_gamma())
     }
 
     #[test]
@@ -922,36 +635,6 @@ mod tests {
     fn fnv1a_matches_reference_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn content_hash_distinguishes_geometry_and_grid() {
-        let cfg = SpectrumConfig::default();
-        let a = TableId::for_radius(0.1, &cfg);
-        let b = TableId::for_radius(0.2, &cfg);
-        let mut coarse = cfg;
-        coarse.azimuth_steps /= 2;
-        let c = TableId::for_radius(0.1, &coarse);
-        assert_ne!(a.content_hash(), b.content_hash());
-        assert_ne!(a.content_hash(), c.content_hash());
-        assert_eq!(
-            a.content_hash(),
-            TableId::for_radius(0.1, &cfg).content_hash()
-        );
-    }
-
-    #[test]
-    fn table_round_trip_is_bit_exact_and_byte_stable() {
-        let store = tmp_store("table-rt");
-        let id = sample_id();
-        let table = sample_table(&id);
-        store.save_table(&id, &table).expect("save");
-        let first = fs::read(store.dir().join(FileStore::table_file(&id))).expect("read");
-        let loaded = store.load_table(&id).expect("load");
-        assert!(tables_bit_equal(&table, &loaded));
-        store.save_table(&id, &loaded).expect("re-save");
-        let second = fs::read(store.dir().join(FileStore::table_file(&id))).expect("re-read");
-        assert_eq!(first, second, "save → load → save must be byte-stable");
     }
 
     #[test]
@@ -973,10 +656,6 @@ mod tests {
     fn missing_records_are_not_found() {
         let store = tmp_store("missing");
         assert!(matches!(
-            store.load_table(&sample_id()),
-            Err(StoreError::NotFound)
-        ));
-        assert!(matches!(
             store.load_orientation(42),
             Err(StoreError::NotFound)
         ));
@@ -985,37 +664,42 @@ mod tests {
     #[test]
     fn header_corruption_is_typed_never_a_panic() {
         let store = tmp_store("corrupt");
-        let id = sample_id();
-        store.save_table(&id, &sample_table(&id)).expect("save");
-        let path = store.dir().join(FileStore::table_file(&id));
+        let epc = 5u128;
+        store
+            .save_orientation(epc, &sample_orientation())
+            .expect("save");
+        let path = store.dir().join(FileStore::orientation_file(epc));
         let clean = fs::read(&path).expect("read");
 
         // Wrong magic.
         let mut bad = clean.clone();
         bad[0] ^= 0xFF;
         fs::write(&path, &bad).expect("write");
-        assert!(matches!(store.load_table(&id), Err(StoreError::BadMagic)));
+        assert!(matches!(
+            store.load_orientation(epc),
+            Err(StoreError::BadMagic)
+        ));
 
         // Stale schema version.
         let mut bad = clean.clone();
         bad[8] = 0xFE;
         fs::write(&path, &bad).expect("write");
         assert!(matches!(
-            store.load_table(&id),
+            store.load_orientation(epc),
             Err(StoreError::UnsupportedVersion { found: 0xFE, .. })
         ));
 
         // Truncation below the header.
         fs::write(&path, &clean[..16]).expect("write");
         assert!(matches!(
-            store.load_table(&id),
+            store.load_orientation(epc),
             Err(StoreError::Truncated { .. })
         ));
 
         // Truncation inside the payload.
         fs::write(&path, &clean[..clean.len() - 9]).expect("write");
         assert!(matches!(
-            store.load_table(&id),
+            store.load_orientation(epc),
             Err(StoreError::Truncated { .. })
         ));
 
@@ -1025,7 +709,7 @@ mod tests {
         bad[last] ^= 0x01;
         fs::write(&path, &bad).expect("write");
         assert!(matches!(
-            store.load_table(&id),
+            store.load_orientation(epc),
             Err(StoreError::ChecksumMismatch { .. })
         ));
 
@@ -1034,7 +718,7 @@ mod tests {
         bad.push(0);
         fs::write(&path, &bad).expect("write");
         assert!(matches!(
-            store.load_table(&id),
+            store.load_orientation(epc),
             Err(StoreError::Malformed(_))
         ));
     }
@@ -1042,38 +726,22 @@ mod tests {
     #[test]
     fn key_mismatch_is_detected_on_renamed_records() {
         let store = tmp_store("rename");
-        let cfg = SpectrumConfig::default();
-        let id_a = TableId::for_radius(0.1, &cfg);
-        let id_b = TableId::for_radius(0.2, &cfg);
-        store.save_table(&id_a, &sample_table(&id_a)).expect("save");
+        store
+            .save_orientation(1, &sample_orientation())
+            .expect("save");
         fs::rename(
-            store.dir().join(FileStore::table_file(&id_a)),
-            store.dir().join(FileStore::table_file(&id_b)),
+            store.dir().join(FileStore::orientation_file(1)),
+            store.dir().join(FileStore::orientation_file(2)),
         )
         .expect("rename");
         assert!(matches!(
-            store.load_table(&id_b),
+            store.load_orientation(2),
             Err(StoreError::KeyMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn spot_check_rejects_consistent_but_wrong_trig() {
-        let store = tmp_store("spot");
-        let id = sample_id();
-        store.save_table(&id, &sample_table(&id)).expect("save");
-        let path = store.dir().join(FileStore::table_file(&id));
-        let clean = fs::read(&path).expect("read");
-        // Tamper a trig value *and* re-seal the CRC: only the spot-check
-        // can catch this.
-        let mut payload = clean[HEADER_LEN..].to_vec();
-        let victim = 56; // first cos_phi entry (cos 0 = 1.0)
-        payload[victim..victim + 8].copy_from_slice(&0.5f64.to_bits().to_le_bytes());
-        let resealed = encode_record(KIND_TABLE, id.content_hash(), &payload);
-        fs::write(&path, &resealed).expect("write");
+        let reports = store.verify().expect("verify");
         assert!(matches!(
-            store.load_table(&id),
-            Err(StoreError::SpotCheckFailed)
+            reports[0].error,
+            Some(StoreError::KeyMismatch { .. })
         ));
     }
 
@@ -1099,41 +767,48 @@ mod tests {
     }
 
     #[test]
-    fn wrong_kind_is_rejected() {
+    fn retired_table_kind_is_a_typed_error_and_gc_removes_it() {
         let store = tmp_store("kind");
-        let id = sample_id();
-        store.save_table(&id, &sample_table(&id)).expect("save");
-        let table_path = store.dir().join(FileStore::table_file(&id));
-        let bytes = fs::read(&table_path).expect("read");
-        // Drop the table record where an orientation record is expected.
-        fs::write(store.dir().join(FileStore::orientation_file(3)), &bytes).expect("write");
+        // A well-formed record of the retired kind 1, under both a legacy
+        // table name and an orientation name.
+        let record = encode_record(1, 0x1234, &[0u8; 56]);
+        fs::write(store.dir().join("table-0000000000001234.tsc"), &record).expect("write");
+        fs::write(store.dir().join(FileStore::orientation_file(3)), &record).expect("write");
         assert!(matches!(
             store.load_orientation(3),
-            Err(StoreError::WrongKind { found: KIND_TABLE })
+            Err(StoreError::WrongKind { found: 1 })
         ));
+        let reports = store.verify().expect("verify");
+        assert_eq!(reports.len(), 2);
+        assert!(reports
+            .iter()
+            .all(|r| matches!(r.error, Some(StoreError::WrongKind { found: 1 }))));
+        assert_eq!(store.gc().expect("gc").len(), 2);
+        assert!(store.entries().expect("entries").is_empty());
     }
 
     #[test]
     fn entries_verify_and_gc_work_together() {
         let store = tmp_store("gc");
-        let id = sample_id();
-        store.save_table(&id, &sample_table(&id)).expect("save");
         store
             .save_orientation(9, &sample_orientation())
+            .expect("save");
+        store
+            .save_orientation(10, &sample_orientation())
             .expect("save");
         // A torn write: stale temp file left behind.
         fs::write(store.dir().join(".leftover-1-2.tmp"), b"junk").expect("write");
         // A corrupt record that still passes the magic check.
-        let path = store.dir().join(FileStore::table_file(&id));
+        let path = store.dir().join(FileStore::orientation_file(10));
         let mut bad = fs::read(&path).expect("read");
         let last = bad.len() - 1;
         bad[last] ^= 0xFF;
-        let bad_name = "table-0000000000000bad.tsc";
-        fs::write(store.dir().join(bad_name), &bad).expect("write");
+        fs::write(&path, &bad).expect("write");
+        let bad_name = FileStore::orientation_file(10);
 
         let entries = store.entries().expect("entries");
-        assert_eq!(entries.len(), 3, "tmp files are not entries");
-        assert!(entries.iter().all(|e| e.kind.is_some()));
+        assert_eq!(entries.len(), 2, "tmp files are not entries");
+        assert!(entries.iter().all(|e| e.kind == Some(KIND_ORIENTATION)));
 
         let reports = store.verify().expect("verify");
         let broken: Vec<_> = reports.iter().filter(|r| r.error.is_some()).collect();
@@ -1147,25 +822,24 @@ mod tests {
             "gc removes the tmp and the corrupt record"
         );
         assert!(removed.contains(&".leftover-1-2.tmp".to_string()));
-        assert!(removed.contains(&bad_name.to_string()));
-        assert!(store.load_table(&id).is_ok(), "good records survive gc");
+        assert!(removed.contains(&bad_name));
+        assert!(store.load_orientation(9).is_ok(), "good records survive gc");
     }
 
     #[test]
     fn concurrent_writers_never_leave_a_torn_record() {
         let store = std::sync::Arc::new(tmp_store("race"));
-        let id = sample_id();
-        let table = std::sync::Arc::new(sample_table(&id));
+        let cal = sample_orientation();
         let mut handles = Vec::new();
         for _ in 0..8 {
             let store = std::sync::Arc::clone(&store);
-            let table = std::sync::Arc::clone(&table);
+            let cal = cal.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..16 {
-                    store.save_table(&id, &table).expect("save");
+                    store.save_orientation(11, &cal).expect("save");
                     // Every observable intermediate state must decode.
-                    match store.load_table(&id) {
-                        Ok(loaded) => assert!(loaded.spot_check()),
+                    match store.load_orientation(11) {
+                        Ok(loaded) => assert_eq!(loaded, cal),
                         Err(StoreError::NotFound) => {}
                         Err(other) => panic!("torn record observed: {other}"),
                     }
@@ -1175,8 +849,7 @@ mod tests {
         for h in handles {
             h.join().expect("writer thread");
         }
-        let loaded = store.load_table(&id).expect("final load");
-        assert!(tables_bit_equal(&table, &loaded));
+        assert_eq!(store.load_orientation(11).expect("final load"), cal);
         assert!(store.gc().expect("gc").is_empty(), "no stale temp files");
     }
 }

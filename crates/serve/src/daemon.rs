@@ -17,8 +17,7 @@ use tagspin_core::obs::{
 };
 use tagspin_core::server::{LocalizationServer, ServerError};
 use tagspin_core::session::quarantine::{RejectCounts, RejectReason};
-use tagspin_core::spectrum::engine::{SpectrumEngine, StoreStats};
-use tagspin_core::store::{CalibrationStore, FileStore, StoreError};
+use tagspin_core::store::{FileStore, StoreError};
 use tagspin_epc::frame::FrameDecoder;
 use tagspin_epc::{InventoryLog, TagReport};
 
@@ -44,14 +43,12 @@ pub struct ServeStats {
     /// Serve-tier reject books (today: only `Overload` sheds; per-report
     /// ingest screening stays inside each shard's sessions).
     pub rejects: RejectCounts,
-    /// Steering tables loaded from the calibration store (warm hits).
-    /// Zero when no store is configured.
-    pub store_table_hits: u64,
-    /// Steering-table store lookups that found no record (cold misses).
-    pub store_table_misses: u64,
-    /// Steering tables persisted to the calibration store.
+    /// Orientation calibrations persisted to the calibration store at
+    /// boot (`store.orientation.persisted`). Zero when no store is
+    /// configured.
     pub store_persisted: u64,
-    /// Store records rejected as corrupt or stale, recomputed fresh.
+    /// Store records rejected as corrupt or stale at warm boot
+    /// (`store.invalid`); each such tag booted uncalibrated.
     pub store_invalid: u64,
 }
 
@@ -78,11 +75,15 @@ impl std::error::Error for FixQueryError {}
 
 impl ServeStats {
     /// Render as a small JSON object (the `GET /stats` body).
+    ///
+    /// `store_table_hits` is a constant 0: steering tables are no longer
+    /// stored, but perfbench reads the key and fails a run on a missing
+    /// one, so it stays until perfbench stops reading it.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"connections\": {}, \"frames\": {}, \"frame_errors\": {}, \
              \"reports_enqueued\": {}, \"reports_shed\": {}, \"queued_batches\": {}, \
-             \"rejected_overload\": {}, \"store_table_hits\": {}, \"store_table_misses\": {}, \
+             \"rejected_overload\": {}, \"store_table_hits\": 0, \
              \"store_persisted\": {}, \"store_invalid\": {}}}",
             self.connections,
             self.frames,
@@ -91,8 +92,6 @@ impl ServeStats {
             self.reports_shed,
             self.queued_batches,
             self.rejects.overload,
-            self.store_table_hits,
-            self.store_table_misses,
             self.store_persisted,
             self.store_invalid,
         )
@@ -109,16 +108,10 @@ pub(crate) struct Shared {
     pub(crate) rejects: Mutex<RejectCounts>,
     pub(crate) stop: AtomicBool,
     pub(crate) max_frame_len: usize,
-    /// A clone of the server's engine, taken after the store was
-    /// attached: its shared counters are where `/stats` and the scrape
-    /// sync read store traffic from.
-    pub(crate) engine: SpectrumEngine,
     /// Registered `store.*` counter handles (always present, so a
-    /// store-less daemon still exports the inventory at zero).
+    /// store-less daemon still exports the inventory at zero). `/stats`
+    /// reads its store figures from these same handles.
     pub(crate) store_metrics: StoreMetrics,
-    /// The engine snapshot already folded into `store_metrics`; guarded
-    /// so concurrent scrapes cannot double-add a delta.
-    pub(crate) store_synced: Mutex<StoreStats>,
 }
 
 impl Shared {
@@ -129,7 +122,6 @@ impl Shared {
 
     /// The accounting summary (counter reads are relaxed snapshots).
     pub(crate) fn stats(&self) -> ServeStats {
-        let store = self.engine.store_stats();
         ServeStats {
             connections: self.metrics.connections.get(),
             frames: self.metrics.frames.get(),
@@ -138,35 +130,9 @@ impl Shared {
             reports_shed: self.metrics.reports_shed.get(),
             queued_batches: self.depths.iter().map(ShardDepth::get).sum(),
             rejects: *self.rejects.lock().unwrap_or_else(PoisonError::into_inner),
-            store_table_hits: store.hits,
-            store_table_misses: store.misses,
-            store_persisted: store.persisted,
-            store_invalid: store.invalid,
+            store_persisted: self.store_metrics.orientation_persisted.get(),
+            store_invalid: self.store_metrics.invalid.get(),
         }
-    }
-
-    /// Fold the engine's store counters into the registered `store.*`
-    /// metrics as deltas since the last sync. Called on every `/metrics`
-    /// scrape; the mutex stops concurrent scrapes from double-adding.
-    pub(crate) fn sync_store_metrics(&self) {
-        let mut last = self
-            .store_synced
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let now = self.engine.store_stats();
-        self.store_metrics
-            .table_hits
-            .add(now.hits.saturating_sub(last.hits));
-        self.store_metrics
-            .table_misses
-            .add(now.misses.saturating_sub(last.misses));
-        self.store_metrics
-            .table_persisted
-            .add(now.persisted.saturating_sub(last.persisted));
-        self.store_metrics
-            .invalid
-            .add(now.invalid.saturating_sub(last.invalid));
-        *last = now;
     }
 
     /// Answer a 2D fix from the shard owning `antenna_id`.
@@ -381,10 +347,10 @@ impl ServeDaemon {
         // configured, warm-boot from it before any shard exists.
         let store_metrics = StoreMetrics::new(&registry);
         if let Some(dir) = &config.store_dir {
-            let store = Arc::new(FileStore::open(dir).map_err(|e| match e {
+            let store = FileStore::open(dir).map_err(|e| match e {
                 StoreError::Io(io) => io,
                 other => io::Error::other(other.to_string()),
-            })?);
+            })?;
             // Orientation calibrations flow both ways at boot: tags
             // registered *with* a calibration persist it; tags without one
             // adopt the stored fit. A bad record is counted and skipped —
@@ -405,19 +371,6 @@ impl ServeDaemon {
                         Err(_) => store_metrics.invalid.inc(),
                     },
                 }
-            }
-            server.set_store(store);
-            // Prewarm the steering-table LRU for every registered disk —
-            // both the plain-radius id (2D / horizontal-3D fixes) and the
-            // full-geometry id (for_disk fixes) — loading from the store
-            // when records exist and persisting fresh builds when not.
-            for tag in server.tags().to_vec() {
-                server
-                    .engine()
-                    .prewarm_radius(tag.disk.radius, &server.config.spectrum);
-                server
-                    .engine()
-                    .prewarm_disk(&tag.disk, &server.config.spectrum);
             }
         }
 
@@ -447,9 +400,7 @@ impl ServeDaemon {
             rejects: Mutex::new(RejectCounts::default()),
             stop: AtomicBool::new(false),
             max_frame_len: config.max_frame_len,
-            engine: server.engine().clone(),
             store_metrics,
-            store_synced: Mutex::new(StoreStats::default()),
         });
 
         let conns = Arc::new(Mutex::new(Vec::new()));

@@ -174,7 +174,6 @@ fn handle_request(shared: &Shared, mut stream: TcpStream) {
         "/healthz" => respond(&mut stream, "200 OK", "text/plain", "ok\n"),
         "/metrics" => {
             shared.metrics.scrapes.inc();
-            shared.sync_store_metrics();
             let body = shared.registry.export_json();
             respond(&mut stream, "200 OK", "application/json", &body);
         }

@@ -71,12 +71,12 @@ pub struct ServeConfig {
     /// speed.
     pub shard_delay: Option<Duration>,
     /// Calibration-store directory for warm boots. `Some(dir)` opens (or
-    /// creates) a [`tagspin_core::store::FileStore`] there: persisted
-    /// orientation calibrations are loaded for registered tags, steering
-    /// tables are prewarmed from disk, and fresh builds are persisted
-    /// back. `None` (the default) computes everything fresh. A corrupt
-    /// store never changes a fix — bad records are counted
-    /// (`store.invalid`) and recomputed.
+    /// creates) a [`tagspin_core::store::FileStore`] there: tags
+    /// registered with an orientation calibration persist it, and tags
+    /// registered without one adopt the persisted fit. `None` (the
+    /// default) stores nothing. A corrupt record is counted
+    /// (`store.invalid`) and its tag boots uncalibrated, exactly as
+    /// without a store.
     pub store_dir: Option<std::path::PathBuf>,
 }
 

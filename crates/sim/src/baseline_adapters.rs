@@ -308,7 +308,7 @@ pub fn pinit_trial(scenario: &Scenario, seed: u64) -> Result<TrialError, Adapter
     };
     // One engine per trial: the steering table for this (disk, grid) pair is
     // built once and cache-hit across the target and all reference profiles.
-    let engine = SpectrumEngine::new(&scenario.engine);
+    let engine = SpectrumEngine::new();
     let target = engine.spectrum_2d(
         &set,
         disk.radius,

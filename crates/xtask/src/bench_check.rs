@@ -5,7 +5,7 @@
 //! lower-is-better metric regresses past the configured tolerance
 //! (default 25%, sized for quick-mode jitter on shared CI runners).
 //!
-//! Seven artifacts are checked, one per bench schema:
+//! Six artifacts are checked, one per bench schema:
 //!
 //! | artifact               | schema                        | gated metrics |
 //! |------------------------|-------------------------------|---------------|
@@ -15,7 +15,6 @@
 //! | `BENCH_obs.json`       | `tagspin-bench-obs/v1`        | `mean_ingest_ns`, `min_fix_refresh_ns` |
 //! | `BENCH_estimator.json` | `tagspin-bench-estimator/v1`  | `median_err_spectrum_m`, `median_err_ml_m`, `median_err_hybrid_m` |
 //! | `BENCH_serve.json`     | `tagspin-bench-serve/v1`      | `shed_rate` |
-//! | `BENCH_store.json`     | `tagspin-bench-store/v1`      | `fix_bits_mismatches` |
 //!
 //! The obs artifact measures the same streaming fixture under three
 //! observer arms (disabled `NullObserver`, `MetricsObserver`,
@@ -46,15 +45,6 @@
 //! overloaded the queues instead of blocking) while its p99 fix latency
 //! stays under a generous absolute bound — a full shard queue may delay
 //! a query, never starve it.
-//!
-//! The store artifact's hard invariants defend the calibration store's
-//! warm-boot contract: both the `cold` and `warm` cases must be present;
-//! the warm boot must be *strictly faster* than the cold one (the warm
-//! path's work — read, CRC, decode, spot-check — is a strict subset of
-//! the cold path's trig build plus persist, so this holds on any
-//! machine); the warm case must actually hit the store and the cold case
-//! must actually populate it; and `fix_bits_mismatches` must be exactly
-//! zero in every case — a store, cold or warm, must never change a fix.
 //!
 //! `--bless` copies the current artifacts over the baselines instead of
 //! comparing, after validating that each parses with the expected schema.
@@ -103,8 +93,8 @@ macro_rules! artifact {
     };
 }
 
-/// The seven gated artifacts.
-pub const ARTIFACTS: [ArtifactSpec; 7] = [
+/// The six gated artifacts.
+pub const ARTIFACTS: [ArtifactSpec; 6] = [
     artifact!("spectrum", &["mean_ns_fast"], None),
     artifact!("ingest", &["mean_ingest_ns", "mean_fix_refresh_ns"], None),
     artifact!(
@@ -123,7 +113,6 @@ pub const ARTIFACTS: [ArtifactSpec; 7] = [
         Some(estimator_invariant)
     ),
     artifact!("serve", &["shed_rate"], Some(serve_invariant)),
-    artifact!("store", &["fix_bits_mismatches"], Some(store_invariant)),
 ];
 
 /// How the gate runs: where to find files and how much slack to allow.
@@ -533,56 +522,6 @@ fn serve_invariant(doc: &BenchDoc, problems: &mut Vec<String>) {
     }
 }
 
-fn store_invariant(doc: &BenchDoc, problems: &mut Vec<String>) {
-    for required in ["cold", "warm"] {
-        if !doc.cases.iter().any(|c| c.name == required) {
-            problems.push(format!("store artifact lacks required case `{required}`"));
-        }
-    }
-    for case in &doc.cases {
-        match case.metric("fix_bits_mismatches") {
-            Some(m) if m > 0.0 => problems.push(format!(
-                "store invariant broken: case `{}` has {m:.0} fix bit-mismatches — \
-                 a calibration store must never change a fix",
-                case.name
-            )),
-            Some(_) => {}
-            None => problems.push(format!(
-                "store case `{}` lacks fix_bits_mismatches",
-                case.name
-            )),
-        }
-    }
-    let cold = doc.cases.iter().find(|c| c.name == "cold");
-    let warm = doc.cases.iter().find(|c| c.name == "warm");
-    if let (Some(cold), Some(warm)) = (cold, warm) {
-        match (cold.metric("boot_ns"), warm.metric("boot_ns")) {
-            (Some(c), Some(w)) if w >= c => problems.push(format!(
-                "store invariant broken: warm boot {:.1} ms is not strictly faster \
-                 than cold boot {:.1} ms — the store is not paying for itself",
-                w / 1e6,
-                c / 1e6
-            )),
-            (Some(_), Some(_)) => {}
-            _ => problems.push("store cold/warm cases lack boot_ns".to_string()),
-        }
-        if cold.metric("store_persisted").is_none_or(|p| p <= 0.0) {
-            problems.push(
-                "store invariant broken: `cold` persisted nothing — the warm case \
-                 would be measuring an empty store"
-                    .to_string(),
-            );
-        }
-        if warm.metric("store_hits").is_none_or(|h| h <= 0.0) {
-            problems.push(
-                "store invariant broken: `warm` hit the store zero times — every \
-                 table was rebuilt from scratch"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 /// Compare the current artifacts against the baselines.
 ///
 /// # Errors
@@ -910,96 +849,6 @@ mod tests {
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(
             problems[0].contains("lacks reports_sent/accepted/shed"),
-            "{problems:?}"
-        );
-    }
-
-    /// A store artifact satisfying every hard invariant.
-    const STORE_OK: &str = r#"{"schema": "tagspin-bench-store/v1", "cases": [
-        {"name": "cold", "tables": 6, "boot_ns": 42000000, "ns_per_table": 7000000, "store_hits": 0, "store_persisted": 6, "fix_bits_mismatches": 0},
-        {"name": "warm", "tables": 6, "boot_ns": 9000000, "ns_per_table": 1500000, "store_hits": 6, "store_persisted": 0, "fix_bits_mismatches": 0}
-    ]}"#;
-
-    fn store_problems(json: &str) -> Vec<String> {
-        let doc = parse_doc(json).expect("parse");
-        let mut problems = Vec::new();
-        store_invariant(&doc, &mut problems);
-        problems
-    }
-
-    #[test]
-    fn store_invariant_passes_a_conforming_artifact() {
-        let problems = store_problems(STORE_OK);
-        assert!(problems.is_empty(), "{problems:?}");
-    }
-
-    #[test]
-    fn store_invariant_flags_fix_divergence() {
-        let problems = store_problems(&STORE_OK.replace(
-            r#""store_hits": 6, "store_persisted": 0, "fix_bits_mismatches": 0"#,
-            r#""store_hits": 6, "store_persisted": 0, "fix_bits_mismatches": 3"#,
-        ));
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("never change a fix"), "{problems:?}");
-    }
-
-    #[test]
-    fn store_invariant_flags_warm_not_faster() {
-        // Warm boot exactly as slow as cold: strict inequality required.
-        let problems = store_problems(&STORE_OK.replace(
-            "\"name\": \"warm\", \"tables\": 6, \"boot_ns\": 9000000",
-            "\"name\": \"warm\", \"tables\": 6, \"boot_ns\": 42000000",
-        ));
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("not strictly faster"), "{problems:?}");
-    }
-
-    #[test]
-    fn store_invariant_flags_cold_that_persisted_nothing() {
-        let problems = store_problems(&STORE_OK.replace(
-            r#""store_hits": 0, "store_persisted": 6"#,
-            r#""store_hits": 0, "store_persisted": 0"#,
-        ));
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(
-            problems[0].contains("`cold` persisted nothing"),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn store_invariant_flags_warm_that_never_hit() {
-        let problems = store_problems(&STORE_OK.replace(
-            r#""store_hits": 6, "store_persisted": 0"#,
-            r#""store_hits": 0, "store_persisted": 0"#,
-        ));
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(
-            problems[0].contains("`warm` hit the store zero times"),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn store_invariant_requires_both_cases() {
-        let problems = store_problems(
-            r#"{"schema": "tagspin-bench-store/v1", "cases": [
-                {"name": "cold", "boot_ns": 1, "store_persisted": 1, "fix_bits_mismatches": 0}
-            ]}"#,
-        );
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("`warm`"), "{problems:?}");
-    }
-
-    #[test]
-    fn store_invariant_flags_missing_mismatch_field() {
-        let problems = store_problems(&STORE_OK.replace(
-            r#""store_hits": 6, "store_persisted": 0, "fix_bits_mismatches": 0"#,
-            r#""store_hits": 6, "store_persisted": 0, "fix_bits_mismatches": null"#,
-        ));
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(
-            problems[0].contains("lacks fix_bits_mismatches"),
             "{problems:?}"
         );
     }

@@ -14,15 +14,13 @@ const BASELINE_ROBUSTNESS: &str = include_str!("../fixtures/bench/baseline/BENCH
 const BASELINE_OBS: &str = include_str!("../fixtures/bench/baseline/BENCH_obs.json");
 const BASELINE_ESTIMATOR: &str = include_str!("../fixtures/bench/baseline/BENCH_estimator.json");
 const BASELINE_SERVE: &str = include_str!("../fixtures/bench/baseline/BENCH_serve.json");
-const BASELINE_STORE: &str = include_str!("../fixtures/bench/baseline/BENCH_store.json");
 const SLOW_SPECTRUM: &str = include_str!("../fixtures/bench/slow/BENCH_spectrum.json");
 const INVERTED_ROBUSTNESS: &str = include_str!("../fixtures/bench/inverted/BENCH_robustness.json");
 const INVERTED_SERVE: &str = include_str!("../fixtures/bench/inverted/BENCH_serve.json");
-const INVERTED_STORE: &str = include_str!("../fixtures/bench/inverted/BENCH_store.json");
 
-/// Stage a directory holding the seven artifacts with the given contents
-/// (the obs, estimator, serve, and store artifacts are never the ones
-/// under test, so they stay baseline).
+/// Stage a directory holding the six artifacts with the given contents
+/// (the obs, estimator, and serve artifacts are never the ones under
+/// test, so they stay baseline).
 fn stage(tag: &str, spectrum: &str, ingest: &str, robustness: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xtask-benchcheck-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create staging dir");
@@ -32,7 +30,6 @@ fn stage(tag: &str, spectrum: &str, ingest: &str, robustness: &str) -> PathBuf {
     std::fs::write(dir.join("BENCH_obs.json"), BASELINE_OBS).expect("write obs");
     std::fs::write(dir.join("BENCH_estimator.json"), BASELINE_ESTIMATOR).expect("write estimator");
     std::fs::write(dir.join("BENCH_serve.json"), BASELINE_SERVE).expect("write serve");
-    std::fs::write(dir.join("BENCH_store.json"), BASELINE_STORE).expect("write store");
     dir
 }
 
@@ -66,8 +63,8 @@ fn identical_artifacts_pass() {
         "identical artifacts must pass:\n{report:?}"
     );
     // One row per gated metric per case: 2 spectrum + 4 ingest +
-    // 2 robustness + 6 obs + 6 estimator + 3 serve + 2 store.
-    assert_eq!(report.rows.len(), 25);
+    // 2 robustness + 6 obs + 6 estimator + 3 serve.
+    assert_eq!(report.rows.len(), 23);
 }
 
 #[test]
@@ -157,38 +154,6 @@ fn broken_serve_invariant_fails_despite_matching_baseline() {
             .problems
             .iter()
             .any(|p| p.contains("`overload_2x` shed nothing")),
-        "{report:?}"
-    );
-}
-
-#[test]
-fn broken_store_invariant_fails_despite_matching_baseline() {
-    // The inverted store artifact is its own baseline: `boot_ns` is not a
-    // gated metric and `fix_bits_mismatches` matches, so only the hard
-    // invariants (warm strictly faster, zero fix divergence) can trip.
-    let stage_store = |tag: &str| {
-        let dir = stage(tag, BASELINE_SPECTRUM, BASELINE_INGEST, BASELINE_ROBUSTNESS);
-        std::fs::write(dir.join("BENCH_store.json"), INVERTED_STORE).expect("write store");
-        dir
-    };
-    let base = stage_store("storebase");
-    let cur = stage_store("storecur");
-    let report = check(&opts(&base, &cur)).expect("check runs");
-    std::fs::remove_dir_all(&base).ok();
-    std::fs::remove_dir_all(&cur).ok();
-    assert!(!report.passed(), "store invariant break must fail the gate");
-    assert!(
-        report
-            .problems
-            .iter()
-            .any(|p| p.contains("never change a fix")),
-        "{report:?}"
-    );
-    assert!(
-        report
-            .problems
-            .iter()
-            .any(|p| p.contains("not strictly faster")),
         "{report:?}"
     );
 }

@@ -544,7 +544,7 @@ fn store_cmd(args: &Args) -> Result<(), CliError> {
             for entry in &entries {
                 let kind = entry
                     .kind
-                    .map_or_else(|| "unreadable".to_string(), |k| k.to_string());
+                    .map_or_else(|| "unreadable".to_string(), |k| format!("kind {k}"));
                 println!(
                     "{}  {kind:<11}  key {:016x}  {} bytes",
                     entry.file, entry.key, entry.bytes

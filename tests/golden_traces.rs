@@ -152,10 +152,7 @@ fn kind_name(kind: ProfileKind) -> &'static str {
 /// Render a fixture: inputs, then the exhaustive path's outputs.
 fn render(case: &GoldenCase, set: &SnapshotSet) -> String {
     let engine = SpectrumEngine::default();
-    let exhaustive = SpectrumEngineConfig {
-        exhaustive: true,
-        ..SpectrumEngineConfig::default()
-    };
+    let exhaustive = SpectrumEngineConfig { exhaustive: true };
     let mut out = String::new();
     let w = &mut out;
     // lint:allow(no-panic) writing to a String cannot fail
@@ -316,10 +313,7 @@ fn check(case: &GoldenCase) {
     let stored = SnapshotSet::from_snapshots(fixture.snapshots.clone());
     let engine = SpectrumEngine::default();
     let fast = SpectrumEngineConfig::default();
-    let exhaustive = SpectrumEngineConfig {
-        exhaustive: true,
-        ..fast
-    };
+    let exhaustive = SpectrumEngineConfig { exhaustive: true };
     match case.record {
         Record::Spectrum2D | Record::Peak2D => {
             if let Some(expected) = &fixture.spectrum {

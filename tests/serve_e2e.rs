@@ -11,13 +11,22 @@
 //! Accounting is pinned too: at low rate with roomy queues nothing may
 //! be shed, every frame and report must be counted, and the `/metrics`
 //! scrape must agree with the daemon's own books.
+//!
+//! The calibration store rides the same streams: a warm boot adopts the
+//! orientation fits a cold boot persisted and answers byte-identically,
+//! a corrupt record boots its tag uncalibrated and is counted alike in
+//! `/stats` and `/metrics`, and the `tagspin store` CLI audits and
+//! cleans a store directory an older build left behind.
 
 use std::f64::consts::TAU;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tagspin::core::prelude::*;
+use tagspin::dsp::fourier::FourierSeries;
 use tagspin::epc::inventory::{run_inventory, ReaderConfig, Transponder};
 use tagspin::epc::llrp;
 use tagspin::epc::{InventoryLog, TagReport};
@@ -47,6 +56,37 @@ fn make_server() -> LocalizationServer {
     server.register(1, d1).expect("unique EPC");
     server.register(2, d2).expect("unique EPC");
     server
+}
+
+/// Fixed orientation fits for tags 1 and 2, shaped like a center-spin
+/// fit: enough second-harmonic structure that applying them moves the
+/// bearings.
+fn calibrations() -> [OrientationCalibration; 2] {
+    let fit = |a2: f64| {
+        let series =
+            FourierSeries::from_coefficients(0.4, vec![(0.12, -0.05), (a2, 0.2), (-0.04, 0.06)]);
+        OrientationCalibration::from_parts(series, 0.02)
+    };
+    [fit(0.3), fit(-0.25)]
+}
+
+/// [`make_server`] with both tags' orientation calibrations attached.
+fn calibrated_server() -> LocalizationServer {
+    let mut server = make_server();
+    for (epc, cal) in (1..).zip(calibrations()) {
+        server
+            .set_orientation_calibration(epc, cal)
+            .expect("registered tag");
+    }
+    server
+}
+
+/// A fresh, empty temporary directory for one store.
+fn store_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tagspin-store-e2e-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("store dir creatable");
+    dir
 }
 
 /// One reader's capture: a full rotation observed from a ring position,
@@ -130,6 +170,60 @@ fn stream_all(daemon: &ServeDaemon, per_reader: &[Vec<InventoryLog>]) -> (u64, u
     let (status, _body) = http_get(daemon.http_addr(), "/drain").expect("drain");
     assert_eq!(status, 200);
     (frames_sent, reports_sent)
+}
+
+/// Every antenna's raw `/fix/2d` answer, antennas `1..=readers`. The
+/// fix JSON uses shortest-roundtrip `f64` formatting, so body equality is
+/// bit equality.
+fn fix_answers(daemon: &ServeDaemon, readers: u8) -> Vec<(u16, String)> {
+    (1..=readers)
+        .map(|antenna| {
+            http_get(daemon.http_addr(), &format!("/fix/2d?antenna={antenna}")).expect("fix query")
+        })
+        .collect()
+}
+
+/// Boot a daemon on `server` over `store_dir` (none when `None`), stream
+/// `per_reader` into it, and return every antenna's fix answer.
+fn served_answers(
+    server: LocalizationServer,
+    store_dir: Option<&Path>,
+    per_reader: &[Vec<InventoryLog>],
+) -> Vec<(u16, String)> {
+    let config = ServeConfig {
+        queue_capacity: 65_536,
+        store_dir: store_dir.map(Path::to_path_buf),
+        ..ServeConfig::default()
+    };
+    let daemon = ServeDaemon::start(server, &config).expect("daemon boots");
+    stream_all(&daemon, per_reader);
+    // lint:allow(lossy-cast) at most READERS streams
+    let answers = fix_answers(&daemon, per_reader.len() as u8);
+    daemon.shutdown();
+    answers
+}
+
+/// A numeric field of the daemon's `/stats` body.
+fn stats_field(daemon: &ServeDaemon, key: &str) -> f64 {
+    let (status, body) = http_get(daemon.http_addr(), "/stats").expect("stats");
+    assert_eq!(status, 200);
+    json::parse(&body)
+        .expect("stats parse")
+        .get(key)
+        .and_then(Value::as_num)
+        .unwrap_or_else(|| panic!("missing numeric {key} in {body}"))
+}
+
+/// A counter of the daemon's `/metrics` scrape.
+fn scraped_counter(daemon: &ServeDaemon, name: &str) -> f64 {
+    let (status, body) = http_get(daemon.http_addr(), "/metrics").expect("scrape");
+    assert_eq!(status, 200);
+    json::parse(&body)
+        .expect("scrape parse")
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Value::as_num)
+        .unwrap_or_else(|| panic!("missing counter {name} in {body}"))
 }
 
 /// Fetch `/fix/2d?antenna=N` and compare bit-for-bit against the local
@@ -316,17 +410,16 @@ fn counted_rejects(doc: &Value) -> u64 {
     .sum()
 }
 
-/// Warm boot through the calibration store: a cold daemon run over a
-/// fresh store directory persists its steering tables; a warm reboot
-/// over the same directory prewarms from disk (`store_table_hits` > 0,
-/// visible in both the daemon books and the `/stats` JSON), replays the
-/// same 8-reader streams, and must answer every fix **byte-identical**
-/// to the cold run — the fix JSON uses shortest-roundtrip `f64`
-/// formatting, so body equality is bit equality.
+/// Warm boot through the calibration store: a cold daemon whose tags are
+/// registered with their orientation calibrations persists both fits; a
+/// warm reboot of *uncalibrated* tags over the same directory adopts
+/// them (`store.orientation.hit` = 2), replays the same 8-reader
+/// streams, and must answer every fix **byte-identical** to the cold run.
+/// An uncalibrated daemon with no store answers differently, so the
+/// adopted fits are really applied.
 #[test]
 fn warm_boot_replays_bit_identical_fixes() {
-    let dir = std::env::temp_dir().join(format!("tagspin-store-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = store_dir("warm");
     let per_reader: Vec<Vec<InventoryLog>> = (1..=READERS)
         .map(|antenna| wire_frames(reader_log(antenna).reports()))
         .collect();
@@ -337,56 +430,163 @@ fn warm_boot_replays_bit_identical_fixes() {
         ..ServeConfig::default()
     };
 
-    // Cold boot: an empty store — tables are built fresh and persisted.
-    let cold = ServeDaemon::start(make_server(), &config).expect("cold boot");
+    // Cold boot: both calibrations are persisted before any shard exists.
+    let cold = ServeDaemon::start(calibrated_server(), &config).expect("cold boot");
+    assert_eq!(cold.stats().store_persisted, 2, "{:?}", cold.stats());
+    assert_eq!(scraped_counter(&cold, "store.orientation.persisted"), 2.0);
     stream_all(&cold, &per_reader);
-    let cold_fixes: Vec<(u16, String)> = (1..=READERS)
-        .map(|antenna| {
-            http_get(cold.http_addr(), &format!("/fix/2d?antenna={antenna}")).expect("cold fix")
-        })
-        .collect();
-    let cold_stats = cold.stats();
-    assert!(
-        cold_stats.store_persisted > 0,
-        "cold boot must populate the store: {cold_stats:?}"
-    );
-    assert_eq!(cold_stats.store_table_hits, 0, "the store started empty");
+    let cold_fixes = fix_answers(&cold, READERS);
     cold.shutdown();
 
-    // Warm boot: same directory — the prewarm must come from disk.
+    // Warm boot: uncalibrated tags adopt both stored fits.
     let warm = ServeDaemon::start(make_server(), &config).expect("warm boot");
-    let boot_stats = warm.stats();
-    assert!(
-        boot_stats.store_table_hits > 0,
-        "warm boot must load tables from the store: {boot_stats:?}"
-    );
-    assert_eq!(
-        boot_stats.store_invalid, 0,
-        "a clean store has nothing to reject: {boot_stats:?}"
-    );
+    assert_eq!(scraped_counter(&warm, "store.orientation.hit"), 2.0);
+    assert_eq!(stats_field(&warm, "store_invalid"), 0.0);
+    // perfbench reads this key; it stays numeric (and zero: tables are
+    // rebuilt, never stored).
+    assert_eq!(stats_field(&warm, "store_table_hits"), 0.0);
     stream_all(&warm, &per_reader);
-    for (antenna, cold_answer) in (1..=READERS).zip(&cold_fixes) {
-        let warm_answer =
-            http_get(warm.http_addr(), &format!("/fix/2d?antenna={antenna}")).expect("warm fix");
-        assert_eq!(
-            &warm_answer, cold_answer,
-            "antenna {antenna}: warm fix diverged from cold"
-        );
+    assert_eq!(
+        fix_answers(&warm, READERS),
+        cold_fixes,
+        "warm fixes diverged from cold"
+    );
+    warm.shutdown();
+
+    let plain = served_answers(make_server(), None, &per_reader);
+    assert!(
+        plain.iter().zip(&cold_fixes).any(|(p, c)| p != c),
+        "no antenna's fix moved: the adopted calibrations were not applied"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corrupt orientation record at warm boot is counted once, alike in
+/// `/stats` (`store_invalid`) and `/metrics` (`store.invalid`), and its
+/// tag boots uncalibrated: the daemon answers exactly like one booted
+/// without a store.
+#[test]
+fn corrupt_orientation_record_counts_alike_in_stats_and_metrics() {
+    let dir = store_dir("corrupt");
+    let store = FileStore::open(&dir).expect("store opens");
+    store
+        .save_orientation(1, &calibrations()[0])
+        .expect("record saves");
+    let record = dir.join(format!("orient-{:032x}.tsc", 1));
+    let mut bytes = std::fs::read(&record).expect("record readable");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(&record, &bytes).expect("record writable");
+
+    let per_reader: Vec<Vec<InventoryLog>> = (1..=2)
+        .map(|antenna| wire_frames(reader_log(antenna).reports()))
+        .collect();
+    let config = ServeConfig {
+        queue_capacity: 65_536,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let daemon = ServeDaemon::start(make_server(), &config).expect("daemon boots");
+    assert_eq!(stats_field(&daemon, "store_invalid"), 1.0);
+    assert_eq!(scraped_counter(&daemon, "store.invalid"), 1.0);
+    assert_eq!(scraped_counter(&daemon, "store.orientation.hit"), 0.0);
+    stream_all(&daemon, &per_reader);
+    let got = fix_answers(&daemon, 2);
+    daemon.shutdown();
+
+    assert_eq!(got, served_answers(make_server(), None, &per_reader));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A steering-table record written by an older build, which stored
+/// tables as record kind 1.
+const LEGACY_TABLE_FILE: &str = "table-9926eddfdcd635e9.tsc";
+const LEGACY_TABLE: &[u8] = include_bytes!("data/store/table-9926eddfdcd635e9.tsc");
+
+/// Run the `tagspin` binary; returns whether it exited zero and its
+/// stdout followed by its stderr.
+fn tagspin_cli(args: &[&str], store: &Path) -> (bool, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_tagspin"))
+        .args(args)
+        .arg("--store-dir")
+        .arg(store)
+        .output()
+        .expect("tagspin runs");
+    let text = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (out.status.success(), text)
+}
+
+/// The operator surface over a store an older build used: one valid
+/// orientation record, one corrupt one, and one retired steering-table
+/// record. `store ls` lists all three; `store verify` fails naming the
+/// two bad files; a daemon warm-booted over the directory answers like
+/// one booted over only the valid record (the table record is never
+/// opened); `store gc` removes exactly the two bad files, after which
+/// `verify` passes and the valid record still loads.
+#[test]
+fn store_cli_audits_and_cleans_a_legacy_directory() {
+    let dir = store_dir("legacy");
+    let store = FileStore::open(&dir).expect("store opens");
+    let [cal1, cal2] = calibrations();
+    store.save_orientation(1, &cal1).expect("record saves");
+    store.save_orientation(2, &cal2).expect("record saves");
+    let valid = format!("orient-{:032x}.tsc", 1);
+    let corrupt = format!("orient-{:032x}.tsc", 2);
+    let mut bytes = std::fs::read(dir.join(&corrupt)).expect("record readable");
+    bytes[40] ^= 0x10;
+    std::fs::write(dir.join(&corrupt), &bytes).expect("record writable");
+    std::fs::write(dir.join(LEGACY_TABLE_FILE), LEGACY_TABLE).expect("legacy record writable");
+
+    let (ok, out) = tagspin_cli(&["store", "ls"], &dir);
+    assert!(ok, "{out}");
+    assert!(out.contains("3 record(s)"), "{out}");
+    for file in [&valid, &corrupt, LEGACY_TABLE_FILE] {
+        assert!(out.contains(file), "ls misses {file}: {out}");
     }
 
-    // The hit counters are part of the operator surface too.
-    let (status, body) = http_get(warm.http_addr(), "/stats").expect("stats");
-    assert_eq!(status, 200);
-    let doc = json::parse(&body).expect("stats parse");
-    let field = |k: &str| {
-        doc.get(k)
-            .and_then(Value::as_num)
-            .unwrap_or_else(|| panic!("missing {k} in {body}"))
-    };
-    assert!(field("store_table_hits") > 0.0, "{body}");
-    assert!(field("store_invalid") < 0.5, "{body}");
-    warm.shutdown();
+    let (ok, out) = tagspin_cli(&["store", "verify"], &dir);
+    assert!(!ok, "verify must fail over bad records: {out}");
+    assert!(out.contains(&format!("{valid}  ok")), "{out}");
+    assert!(out.contains(&format!("{corrupt}  INVALID")), "{out}");
+    assert!(
+        out.contains(&format!(
+            "{LEGACY_TABLE_FILE}  INVALID: wrong record kind: 1"
+        )),
+        "{out}"
+    );
+    assert!(out.contains("3 record(s), 2 invalid"), "{out}");
+
+    // Warm boot before gc: only the valid record is adopted.
+    let valid_only = store_dir("legacy-valid-only");
+    std::fs::copy(dir.join(&valid), valid_only.join(&valid)).expect("record copies");
+    let per_reader: Vec<Vec<InventoryLog>> = (1..=2)
+        .map(|antenna| wire_frames(reader_log(antenna).reports()))
+        .collect();
+    assert_eq!(
+        served_answers(make_server(), Some(&dir), &per_reader),
+        served_answers(make_server(), Some(&valid_only), &per_reader),
+        "the legacy directory's bad records changed a fix"
+    );
+
+    let (ok, out) = tagspin_cli(&["store", "gc"], &dir);
+    assert!(ok, "{out}");
+    assert!(out.contains(&format!("removed {corrupt}")), "{out}");
+    assert!(
+        out.contains(&format!("removed {LEGACY_TABLE_FILE}")),
+        "{out}"
+    );
+    assert!(out.contains("2 file(s) removed"), "{out}");
+
+    let (ok, out) = tagspin_cli(&["store", "verify"], &dir);
+    assert!(ok, "{out}");
+    assert!(out.contains("1 record(s), 0 invalid"), "{out}");
+    assert_eq!(store.load_orientation(1).expect("valid record loads"), cal1);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&valid_only);
 }
 
 /// Overload is typed, accounted, and bounded: with a one-slot queue and

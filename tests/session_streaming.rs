@@ -381,10 +381,7 @@ fn incremental_session_tracks_batch_within_tolerance() {
 #[test]
 fn incremental_reanchor_every_sync_is_bit_identical_to_batch() {
     let (mut server, log) = deploy(&two_disks(), Vec3::new(-0.2, 1.6, 0.0), 23);
-    server.config.engine = SpectrumEngineConfig {
-        exhaustive: true,
-        ..SpectrumEngineConfig::default()
-    };
+    server.config.engine = SpectrumEngineConfig { exhaustive: true };
     server.config.incremental = IncrementalPolicy {
         reanchor_after_ops: 1,
         engage_after_recomputes: 0,

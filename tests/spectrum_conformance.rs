@@ -40,12 +40,7 @@ fn cfg_3d() -> SpectrumConfig {
     }
 }
 
-fn exhaustive(ecfg: &SpectrumEngineConfig) -> SpectrumEngineConfig {
-    SpectrumEngineConfig {
-        exhaustive: true,
-        ..*ecfg
-    }
-}
+const EXHAUSTIVE: SpectrumEngineConfig = SpectrumEngineConfig { exhaustive: true };
 
 /// Snapshots of a full rotation seen from `reader`, with optional
 /// per-snapshot Gaussian phase noise drawn from `seed`.
@@ -91,11 +86,11 @@ proptest! {
         let set = synthesize(&disk, reader, n, noise_rad, seed);
         let cfg = cfg_2d();
         let ecfg = SpectrumEngineConfig::default();
-        let engine = SpectrumEngine::new(&ecfg);
+        let engine = SpectrumEngine::new();
         let step = TAU / cfg.azimuth_steps as f64;
         for kind in [ProfileKind::Traditional, ProfileKind::Enhanced, ProfileKind::Hybrid] {
             let fast = engine.peak_2d(&set, disk.radius, kind, &cfg, &ecfg);
-            let full = engine.peak_2d(&set, disk.radius, kind, &cfg, &exhaustive(&ecfg));
+            let full = engine.peak_2d(&set, disk.radius, kind, &cfg, &EXHAUSTIVE);
             let (fast, full) = match (fast, full) {
                 (Some(a), Some(b)) => (a, b),
                 (a, b) => {
@@ -133,12 +128,12 @@ proptest! {
         let set = synthesize(&disk, reader, 64, noise_rad, seed);
         let cfg = cfg_3d();
         let ecfg = SpectrumEngineConfig::default();
-        let engine = SpectrumEngine::new(&ecfg);
+        let engine = SpectrumEngine::new();
         let az_step = TAU / cfg.azimuth_steps as f64;
         let po_step = std::f64::consts::PI / (cfg.polar_steps - 1) as f64;
         for kind in [ProfileKind::Traditional, ProfileKind::Enhanced, ProfileKind::Hybrid] {
             let fast = engine.peak_3d(&set, disk.radius, kind, &cfg, &ecfg);
-            let full = engine.peak_3d(&set, disk.radius, kind, &cfg, &exhaustive(&ecfg));
+            let full = engine.peak_3d(&set, disk.radius, kind, &cfg, &EXHAUSTIVE);
             let ((fd, _), (ed, _)) = match (fast, full) {
                 (Some(a), Some(b)) => (a, b),
                 (a, b) => {
@@ -183,7 +178,7 @@ proptest! {
         );
         let cfg = cfg_2d();
         let ecfg = SpectrumEngineConfig::default();
-        let engine = SpectrumEngine::new(&ecfg);
+        let engine = SpectrumEngine::new();
         for kind in [ProfileKind::Traditional, ProfileKind::Enhanced] {
             let a = engine.spectrum_2d(&set, disk.radius, kind, &cfg, &ecfg);
             let b = engine.spectrum_2d(&shifted, disk.radius, kind, &cfg, &ecfg);

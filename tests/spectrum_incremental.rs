@@ -71,10 +71,7 @@ fn server(incremental: IncrementalPolicy) -> LocalizationServer {
 fn server_on(spectrum: SpectrumConfig, incremental: IncrementalPolicy) -> LocalizationServer {
     let mut server = LocalizationServer::new(PipelineConfig {
         spectrum,
-        engine: SpectrumEngineConfig {
-            exhaustive: true,
-            ..SpectrumEngineConfig::default()
-        },
+        engine: SpectrumEngineConfig { exhaustive: true },
         incremental,
         ..PipelineConfig::default()
     });
@@ -420,10 +417,7 @@ fn long_stream_drift_stays_within_reanchor_bound() {
             references: 2,
             ..SpectrumConfig::default()
         },
-        engine: SpectrumEngineConfig {
-            exhaustive: true,
-            ..SpectrumEngineConfig::default()
-        },
+        engine: SpectrumEngineConfig { exhaustive: true },
         ..PipelineConfig::default()
     };
     let mut incr_server = LocalizationServer::new(PipelineConfig {

@@ -1,15 +1,17 @@
-//! Calibration-store corruption suite: whatever happens to the bytes on
-//! disk — truncation, bit flips, wrong magic, stale schema versions,
-//! key/file mismatches — loading yields a *typed* [`StoreError`] (never a
-//! panic) or a bit-identical record, and a fix computed through a
-//! corrupted store is bit-for-bit the fix a storeless run produces. The
-//! store is a cache with a conformance proof, not a source of truth.
+//! Calibration-store corruption suite: whatever happens to an orientation
+//! record on disk — truncation, bit flips, wrong magic, stale schema
+//! versions, key/file mismatches — loading yields a *typed*
+//! [`StoreError`] (never a panic) or a bit-identical calibration, and a
+//! server that adopts whatever loads, as the serve daemon does at warm
+//! boot, fixes bit-for-bit like one of two baselines: the calibrated one
+//! when the record survived intact, the uncalibrated one when it did not.
+//! The store is a cache with a conformance proof, not a source of truth.
 //!
-//! The fixture is built once: a two-tag deployment is inventoried, a
-//! storeless baseline fix recorded, and a golden store directory
-//! populated by one store-attached run. Every proptest case then copies
-//! the golden record into a fresh directory, mangles it, and checks both
-//! the direct load and the end-to-end fix.
+//! The fixture is built once: a two-tag deployment is inventoried, the
+//! calibrated and uncalibrated baseline fixes recorded, and a golden
+//! store directory populated with tag 1's orientation record. Every
+//! proptest case then copies the golden record into a fresh directory,
+//! mangles it, and checks both the direct load and the end-to-end fix.
 //!
 //! Case count defaults to 256 and is pinned in CI via `PROPTEST_CASES`
 //! (the nightly corruption soak raises it to 4096).
@@ -21,11 +23,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use tagspin::core::prelude::*;
+use tagspin::dsp::fourier::FourierSeries;
 use tagspin::epc::inventory::{run_inventory, ReaderConfig, Transponder};
 use tagspin::epc::InventoryLog;
 use tagspin::geom::{Pose, Vec3};
 use tagspin::rf::channel::Environment;
 use tagspin::rf::tags::{TagInstance, TagModel};
+
+/// The tag whose orientation record the suite mangles.
+const EPC: u128 = 1;
 
 /// A small grid keeps each per-case fix cheap without changing the code
 /// paths under test.
@@ -40,12 +46,14 @@ fn pipeline_config() -> PipelineConfig {
     }
 }
 
-/// The shared fixture: capture, disks, storeless-baseline fix bits, and a
-/// golden store directory holding the pristine persisted record.
+/// The shared fixture: capture, disks, the two baseline fixes, and a
+/// golden store directory holding the pristine record.
 struct Fixture {
     log: InventoryLog,
     disks: [DiskConfig; 2],
-    baseline_bits: [u64; 3],
+    calibration: OrientationCalibration,
+    calibrated_bits: [u64; 3],
+    uncalibrated_bits: [u64; 3],
     golden: PathBuf,
 }
 
@@ -54,6 +62,20 @@ fn server(disks: &[DiskConfig; 2]) -> LocalizationServer {
     let mut server = LocalizationServer::new(pipeline_config());
     server.register(1, disks[0]).expect("distinct epcs");
     server.register(2, disks[1]).expect("distinct epcs");
+    server
+}
+
+/// A server that adopts every calibration `store` yields for its tags,
+/// exactly as the serve daemon's warm boot does.
+fn adopting_server(disks: &[DiskConfig; 2], store: &FileStore) -> LocalizationServer {
+    let mut server = server(disks);
+    for epc in [1, 2] {
+        if let Ok(cal) = store.load_orientation(epc) {
+            server
+                .set_orientation_calibration(epc, cal)
+                .expect("registered tag");
+        }
+    }
     server
 }
 
@@ -83,33 +105,47 @@ fn fixture() -> &'static Fixture {
             &mut rng,
         );
         let disks = [d1, d2];
-        let baseline_bits = fix_bits(&server(&disks), &log);
+        let series =
+            FourierSeries::from_coefficients(0.4, vec![(0.12, -0.05), (0.3, 0.2), (-0.04, 0.06)]);
+        let calibration = OrientationCalibration::from_parts(series, 0.02);
+
+        let uncalibrated_bits = fix_bits(&server(&disks), &log);
+        let mut calibrated = server(&disks);
+        calibrated
+            .set_orientation_calibration(EPC, calibration.clone())
+            .expect("registered tag");
+        let calibrated_bits = fix_bits(&calibrated, &log);
+        assert_ne!(
+            calibrated_bits, uncalibrated_bits,
+            "the calibration must move the fix, or the suite cannot tell the baselines apart"
+        );
 
         let golden = std::env::temp_dir().join(format!(
             "tagspin-store-corruption-{}-golden",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&golden);
-        let mut populate = server(&disks);
-        populate.set_store(std::sync::Arc::new(
-            FileStore::open(&golden).expect("golden store opens"),
-        ));
-        let populated_bits = fix_bits(&populate, &log);
+        let store = FileStore::open(&golden).expect("golden store opens");
+        store
+            .save_orientation(EPC, &calibration)
+            .expect("golden record saves");
         assert_eq!(
-            populated_bits, baseline_bits,
-            "populating the store already changed the fix"
+            fix_bits(&adopting_server(&disks, &store), &log),
+            calibrated_bits,
+            "adopting the pristine record must reproduce the calibrated fix"
         );
         Fixture {
             log,
             disks,
-            baseline_bits,
+            calibration,
+            calibrated_bits,
+            uncalibrated_bits,
             golden,
         }
     })
 }
 
-/// The golden record's on-disk file (exactly one table is persisted:
-/// both paper-default disks share a radius, hence a [`TableId`]).
+/// The golden record's on-disk file (the store holds exactly one).
 fn golden_record(fx: &Fixture) -> (PathBuf, Vec<u8>) {
     let mut files: Vec<PathBuf> = std::fs::read_dir(&fx.golden)
         .expect("golden dir listable")
@@ -135,11 +171,6 @@ fn case_dir() -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("case dir creatable");
     dir
-}
-
-/// The requested table id for the fixture's fix path.
-fn fixture_table_id(fx: &Fixture) -> TableId {
-    TableId::for_radius(fx.disks[0].radius, &pipeline_config().spectrum)
 }
 
 /// Mutations, coded by hand (the vendored proptest has no `prop_oneof!`):
@@ -171,36 +202,41 @@ fn mangle(code: u8, offset: usize, bytes: &mut Vec<u8>) -> &'static str {
     }
 }
 
+/// Whether two calibrations agree bit for bit.
+fn bit_identical(a: &OrientationCalibration, b: &OrientationCalibration) -> bool {
+    let (sa, sb) = (a.series(), b.series());
+    sa.dc().to_bits() == sb.dc().to_bits()
+        && a.rms_residual().to_bits() == b.rms_residual().to_bits()
+        && sa.harmonics().len() == sb.harmonics().len()
+        && sa
+            .harmonics()
+            .iter()
+            .zip(sb.harmonics())
+            .all(|(x, y)| x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits())
+}
+
 /// Assert the mutated record's direct load is safe: a typed error with a
-/// non-empty rendering, or a bit-identical table (a flip in the reserved
-/// header byte, or a truncation landing exactly at the end, changes
-/// nothing the decoder checks).
+/// non-empty rendering, or a bit-identical calibration (a flip in the
+/// reserved header byte changes nothing the decoder checks). Returns
+/// whether the record loaded.
 fn assert_load_is_safe(
     store: &FileStore,
-    requested: &TableId,
-    pristine: &SteeringTable,
+    pristine: &OrientationCalibration,
     what: &'static str,
-) -> Result<(), TestCaseError> {
-    match store.load_table(requested) {
-        Ok(table) => {
-            let same = table
-                .cos_phi()
-                .iter()
-                .zip(pristine.cos_phi())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-                && table
-                    .sin_phi()
-                    .iter()
-                    .zip(pristine.sin_phi())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-                && table.cos_phi().len() == pristine.cos_phi().len();
-            prop_assert!(same, "{what}: load succeeded with a *different* table");
+) -> Result<bool, TestCaseError> {
+    match store.load_orientation(EPC) {
+        Ok(cal) => {
+            prop_assert!(
+                bit_identical(&cal, pristine),
+                "{what}: load succeeded with a *different* calibration"
+            );
+            Ok(true)
         }
         Err(e) => {
             prop_assert!(!e.to_string().is_empty(), "{what}: blank error rendering");
+            Ok(false)
         }
     }
-    Ok(())
 }
 
 /// Copy the golden record into `dir` under `name`.
@@ -212,71 +248,56 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every coded mutation of the on-disk record yields a typed error or
-    /// an identical table on direct load — and the end-to-end fix through
-    /// the mangled store stays bit-identical to the storeless baseline.
+    /// an identical calibration on direct load — and the fix of a server
+    /// that adopts whatever loads equals the calibrated baseline when the
+    /// record survived and the uncalibrated baseline when it did not.
     #[test]
     fn prop_corrupt_records_never_change_a_fix(
         code in 0u8..5,
         offset in 0usize..1 << 20,
-        alt_radius_sel in 0u8..4,
+        alt_epc_sel in 0u8..4,
     ) {
         let fx = fixture();
         let (golden_path, golden_bytes) = golden_record(fx);
         let golden_name = golden_path.file_name().expect("record has a name");
-        let requested = fixture_table_id(fx);
-
-        // Decode the pristine record once for the identical-table arm.
-        let pristine_store = FileStore::open(&fx.golden).expect("golden store reopens");
-        let pristine = pristine_store
-            .load_table(&requested)
-            .expect("golden record loads");
 
         let dir = case_dir();
-        let (what, target_id) = if code == 4 {
-            // Key mismatch: the intact record planted under a *different*
-            // id's file name, then requested under that id.
-            let cfg = pipeline_config().spectrum;
-            let radius = [0.31, 0.47, 0.59, 0.73][usize::from(alt_radius_sel)];
-            let other = TableId::for_radius(radius, &cfg);
-            let name = format!("table-{:016x}.tsc", other.content_hash());
-            plant(&dir, std::ffi::OsStr::new(&name), &golden_bytes);
-            ("key mismatch", other)
-        } else {
-            let mut bytes = golden_bytes.clone();
-            let what = mangle(code, offset, &mut bytes);
-            plant(&dir, golden_name, &bytes);
-            (what, requested)
-        };
-
         let store = FileStore::open(&dir).expect("case store opens");
-        if code == 4 {
+        let (what, loaded) = if code == 4 {
+            // Key mismatch: the intact record planted under a *different*
+            // tag's file name, then requested as that tag.
+            let other = [2u128, 3, 0xDEAD_BEEF, u128::MAX][usize::from(alt_epc_sel)];
+            let name = format!("orient-{other:032x}.tsc");
+            plant(&dir, std::ffi::OsStr::new(&name), &golden_bytes);
             // The planted record decodes fine but carries the wrong key:
             // this must be the typed KeyMismatch, not a silent accept.
-            let loaded = store.load_table(&target_id);
+            let loaded = store.load_orientation(other);
             prop_assert!(
                 matches!(loaded, Err(StoreError::KeyMismatch { .. })),
                 "key mismatch load returned {loaded:?}"
             );
+            ("key mismatch", false)
         } else {
-            assert_load_is_safe(&store, &target_id, &pristine, what)?;
-        }
+            let mut bytes = golden_bytes.clone();
+            let what = mangle(code, offset, &mut bytes);
+            plant(&dir, golden_name, &bytes);
+            (what, assert_load_is_safe(&store, &fx.calibration, what)?)
+        };
 
-        // End to end: a server over the mangled directory must produce the
-        // storeless fix, bit for bit.
-        let mut through_store = server(&fx.disks);
-        through_store.set_store(std::sync::Arc::new(store));
-        let got = fix_bits(&through_store, &fx.log);
+        // End to end: the adopting server fixes like exactly one baseline.
+        let want = if loaded { fx.calibrated_bits } else { fx.uncalibrated_bits };
+        let got = fix_bits(&adopting_server(&fx.disks, &store), &fx.log);
         prop_assert_eq!(
-            got, fx.baseline_bits,
-            "{} changed the fix", what
+            got, want,
+            "{} (record loaded: {}) changed the fix", what, loaded
         );
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Truncations hitting inside the header or payload are reported as
-    /// the typed `Truncated`/`Malformed` family with the right byte
-    /// accounting — never a panic, never a partial table.
+    /// the typed `Truncated` family with the right byte accounting —
+    /// never a panic, never a partial calibration.
     #[test]
     fn prop_truncations_are_typed(cut in 0usize..1 << 20) {
         let fx = fixture();
@@ -286,9 +307,10 @@ proptest! {
         let dir = case_dir();
         plant(&dir, golden_name, &golden_bytes[..cut]);
         let store = FileStore::open(&dir).expect("case store opens");
-        let loaded = store.load_table(&fixture_table_id(fx));
+        let loaded = store.load_orientation(EPC);
         prop_assert!(
-            matches!(loaded, Err(StoreError::Truncated { .. })),
+            matches!(loaded, Err(StoreError::Truncated { needed, got })
+                if u64::try_from(cut).ok() == Some(got) && needed > got),
             "cut at {cut} of {} returned {loaded:?}",
             golden_bytes.len()
         );
@@ -296,8 +318,8 @@ proptest! {
     }
 
     /// `FileStore::verify` flags every mangled record (and `gc` then
-    /// removes it), so operators can audit a store without loading it
-    /// through an engine.
+    /// removes it), so operators can audit a store without booting a
+    /// daemon over it.
     #[test]
     fn prop_verify_flags_and_gc_removes_corruption(
         code in 0u8..4,
@@ -312,7 +334,7 @@ proptest! {
         let dir = case_dir();
         plant(&dir, golden_name, &bytes);
         let store = FileStore::open(&dir).expect("case store opens");
-        let still_valid = store.load_table(&fixture_table_id(fx)).is_ok();
+        let still_valid = store.load_orientation(EPC).is_ok();
         let report = store.verify().expect("verify walks the dir");
         prop_assert_eq!(report.len(), 1);
         if still_valid {

@@ -1,24 +1,16 @@
-//! Calibration-store round-trip suite: every record the store can hold —
-//! steering tables under 2D (`for_radius`) and 3D (`for_disk`,
-//! horizontal and vertical planes) ids across arbitrary grids, and
-//! orientation calibrations across Fourier orders — survives
-//! save → load → save with byte-identical files and bit-identical
-//! contents; spectra computed through store-loaded tables match fresh
-//! ones for every [`ProfileKind`]; and an empty store is a clean no-op
-//! for a zero-tag server.
+//! Calibration-store round-trip suite: orientation calibrations across
+//! Fourier orders survive save → load → save with byte-identical files
+//! and bit-identical contents, and an empty store is a clean no-op for a
+//! zero-tag daemon.
 //!
 //! Case count defaults to 256 and is pinned in CI via `PROPTEST_CASES`.
 
 use proptest::prelude::*;
-use std::f64::consts::TAU;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use tagspin::core::prelude::*;
-use tagspin::core::snapshot::{Snapshot, SnapshotSet};
-use tagspin::core::spinning::DiskPlane;
 use tagspin::dsp::fourier::FourierSeries;
-use tagspin::geom::{angle, Vec3};
+use tagspin::serve::{ServeConfig, ServeDaemon};
 
 /// A fresh per-case store directory.
 fn case_dir(tag: &str) -> PathBuf {
@@ -45,95 +37,8 @@ fn record_bytes(dir: &PathBuf) -> Vec<u8> {
     std::fs::read(&files[0]).expect("record readable")
 }
 
-fn tables_bit_identical(a: &SteeringTable, b: &SteeringTable) -> bool {
-    let planes = [
-        (a.cos_phi(), b.cos_phi()),
-        (a.sin_phi(), b.sin_phi()),
-        (a.cos_gamma(), b.cos_gamma()),
-        (a.sin_gamma(), b.sin_gamma()),
-    ];
-    planes.iter().all(|(x, y)| {
-        x.len() == y.len()
-            && x.iter()
-                .zip(y.iter())
-                .all(|(p, q)| p.to_bits() == q.to_bits())
-    })
-}
-
-/// Synthetic capture of `n` reads over one disk period (same shape as the
-/// engine's own conformance fixtures).
-fn synthesize(disk: &DiskConfig, reader: Vec3, n: usize) -> SnapshotSet {
-    const LAMBDA: f64 = 0.325;
-    let t_max = disk.period_s();
-    SnapshotSet::from_snapshots(
-        (0..n)
-            .map(|i| {
-                let t = i as f64 * t_max / n as f64;
-                let d = disk.tag_position(t).distance(reader);
-                Snapshot {
-                    t_s: t,
-                    phase: angle::wrap_tau(2.0 * TAU / LAMBDA * d + 0.77),
-                    disk_angle: disk.disk_angle(t),
-                    lambda: LAMBDA,
-                    rssi_dbm: -60.0,
-                }
-            })
-            .collect(),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// save → load → save is byte-stable for steering tables under every
-    /// id shape: 2D plain-radius, 3D horizontal, 3D vertical.
-    #[test]
-    fn prop_table_records_are_byte_stable(
-        radius in 0.02f64..0.5,
-        omega in 0.1f64..2.0,
-        initial_angle in 0.0f64..TAU,
-        normal_azimuth in 0.0f64..TAU,
-        azimuth_steps in 4usize..96,
-        polar_steps in 2usize..16,
-        id_kind in 0u8..3,
-    ) {
-        let cfg = SpectrumConfig {
-            azimuth_steps,
-            polar_steps,
-            ..SpectrumConfig::default()
-        };
-        let mut disk = DiskConfig::paper_default(Vec3::ZERO);
-        disk.radius = radius;
-        disk.omega = omega;
-        disk.initial_angle = initial_angle;
-        let id = match id_kind {
-            0 => TableId::for_radius(radius, &cfg),
-            1 => TableId::for_disk(&disk, &cfg),
-            _ => {
-                disk.plane = DiskPlane::Vertical { normal_azimuth };
-                TableId::for_disk(&disk, &cfg)
-            }
-        };
-        let table = SteeringTable::build(azimuth_steps, polar_steps);
-
-        let dir1 = case_dir("table-a");
-        let store1 = FileStore::open(&dir1).expect("store opens");
-        store1.save_table(&id, &table).expect("save");
-        let bytes1 = record_bytes(&dir1);
-
-        let loaded = store1.load_table(&id).expect("load");
-        prop_assert!(tables_bit_identical(&table, &loaded),
-            "loaded table differs from the one saved");
-
-        let dir2 = case_dir("table-b");
-        let store2 = FileStore::open(&dir2).expect("store opens");
-        store2.save_table(&id, &loaded).expect("re-save");
-        let bytes2 = record_bytes(&dir2);
-        prop_assert_eq!(bytes1, bytes2, "save → load → save not byte-stable");
-
-        let _ = std::fs::remove_dir_all(&dir1);
-        let _ = std::fs::remove_dir_all(&dir2);
-    }
 
     /// save → load → save is byte-stable for orientation calibrations
     /// across Fourier orders, and the decoded series is bit-identical.
@@ -182,61 +87,8 @@ proptest! {
     }
 }
 
-/// Spectra computed through store-loaded tables are bit-identical to
-/// fresh-build spectra for every [`ProfileKind`], in 2D and both 3D
-/// entry points.
-#[test]
-fn spectra_from_stored_tables_match_every_profile_kind() {
-    let cfg = SpectrumConfig {
-        azimuth_steps: 90,
-        polar_steps: 7,
-        references: 4,
-        ..SpectrumConfig::default()
-    };
-    let ecfg = SpectrumEngineConfig::default();
-    let mut disk = DiskConfig::paper_default(Vec3::ZERO);
-    disk.plane = DiskPlane::Vertical {
-        normal_azimuth: 0.4,
-    };
-    let set = synthesize(&disk, Vec3::new(1.2, 0.8, 0.3), 48);
-
-    let dir = case_dir("spectra");
-    // Cold engine populates the store.
-    let mut cold = SpectrumEngine::new(&ecfg);
-    cold.set_store(Arc::new(FileStore::open(&dir).expect("store opens")));
-    // Warm engine must serve every kind from the persisted tables.
-    let mut warm = SpectrumEngine::new(&ecfg);
-    warm.set_store(Arc::new(FileStore::open(&dir).expect("store reopens")));
-    let fresh = SpectrumEngine::new(&ecfg);
-
-    for kind in [
-        ProfileKind::Traditional,
-        ProfileKind::Enhanced,
-        ProfileKind::Hybrid,
-    ] {
-        let want_2d = fresh.spectrum_2d(&set, disk.radius, kind, &cfg, &ecfg);
-        let want_3d = fresh.spectrum_3d_for_disk(&set, &disk, kind, &cfg, &ecfg);
-        for engine in [&cold, &warm] {
-            let got_2d = engine.spectrum_2d(&set, disk.radius, kind, &cfg, &ecfg);
-            assert_eq!(got_2d.values().len(), want_2d.values().len());
-            for (g, w) in got_2d.values().iter().zip(want_2d.values()) {
-                assert_eq!(g.to_bits(), w.to_bits(), "2D spectrum diverged ({kind:?})");
-            }
-            let got_3d = engine.spectrum_3d_for_disk(&set, &disk, kind, &cfg, &ecfg);
-            assert_eq!(got_3d.values().len(), want_3d.values().len());
-            for (g, w) in got_3d.values().iter().zip(want_3d.values()) {
-                assert_eq!(g.to_bits(), w.to_bits(), "3D spectrum diverged ({kind:?})");
-            }
-        }
-    }
-    let stats = warm.store_stats();
-    assert!(stats.hits > 0, "warm engine never hit the store: {stats:?}");
-    assert_eq!(stats.invalid, 0, "valid records flagged invalid: {stats:?}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// An empty store round-trips: nothing to list, nothing to verify,
-/// nothing to collect — and a zero-tag server attached to one neither
+/// nothing to collect — and a zero-tag daemon booted over one neither
 /// reads nor writes a record.
 #[test]
 fn empty_store_and_zero_tag_registry_round_trip() {
@@ -250,10 +102,17 @@ fn empty_store_and_zero_tag_registry_round_trip() {
     let reopened = FileStore::open(&dir).expect("store reopens");
     assert!(reopened.entries().expect("entries").is_empty());
 
-    // A server with zero registered tags attached to the store performs no
-    // store traffic and leaves the directory empty.
-    let mut server = LocalizationServer::new(PipelineConfig::default());
-    server.set_store(Arc::new(store));
+    // A daemon with zero registered tags booted over the store performs
+    // no store traffic and leaves the directory empty.
+    let config = ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let server = LocalizationServer::new(PipelineConfig::default());
+    let daemon = ServeDaemon::start(server, &config).expect("daemon boots");
+    let stats = daemon.stats();
+    daemon.shutdown();
+    assert_eq!((stats.store_persisted, stats.store_invalid), (0, 0));
     assert!(reopened.entries().expect("entries").is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
