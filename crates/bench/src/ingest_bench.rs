@@ -10,6 +10,7 @@
 //! that trade against the unbounded (batch-equivalent) window. Like
 //! `spectrum_bench`, the timing loop is `Instant`-based.
 
+use crate::CaseFailed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -70,7 +71,7 @@ pub fn streaming_fixture(rotations: f64, seed: u64) -> (LocalizationServer, Inve
 /// A synthetic continuation of `log`: `n` fresh reports, alternating EPCs,
 /// with strictly advancing timestamps. Used to dirty the streams between
 /// fix refreshes without exhausting the recorded log.
-fn continuation(log: &InventoryLog, n: usize) -> Vec<TagReport> {
+pub(crate) fn continuation(log: &InventoryLog, n: usize) -> Vec<TagReport> {
     let mut t_us = log.reports().last().map_or(0, |r| r.timestamp_us);
     (0..n)
         .map(|i| {
@@ -87,11 +88,68 @@ fn continuation(log: &InventoryLog, n: usize) -> Vec<TagReport> {
         .collect()
 }
 
+/// Untimed fixes before the timed refreshes: the first refresh and the
+/// first small one search fresh, and the second small one in a row anchors
+/// the incremental accumulators, so the refreshes after them sync.
+pub(crate) const WARMUP_FIXES: usize = 3;
+
+/// Time `refreshes` fix refreshes of `session` after [`WARMUP_FIXES`]
+/// untimed ones, each after a two-report burst of [`continuation`] that
+/// dirties both streams. Returns each timed refresh's wall-clock
+/// nanoseconds.
+///
+/// # Errors
+///
+/// [`CaseFailed`] for `case` unless every timed refresh synced the
+/// accumulators: no anchor, and more columns applied plus downdated after
+/// it than before.
+pub(crate) fn timed_refreshes(
+    session: &mut ReaderSession,
+    log: &InventoryLog,
+    refreshes: usize,
+    case: &str,
+) -> Result<Vec<f64>, CaseFailed> {
+    let burst = continuation(log, (WARMUP_FIXES + refreshes) * 2);
+    let mut chunks = burst.chunks_exact(2);
+    for warmup in chunks.by_ref().take(WARMUP_FIXES) {
+        for r in warmup {
+            session.ingest(r);
+        }
+        let _ = session.fix::<TwoD>();
+    }
+    let columns = |c: IncrementalCounts| c.applied + c.downdated;
+    chunks
+        .map(|chunk| {
+            for r in chunk {
+                session.ingest(r);
+            }
+            let before = session.stats().incremental;
+            let t0 = Instant::now();
+            let _ = session.fix::<TwoD>();
+            let nanos = t0.elapsed().as_nanos() as f64;
+            let after = session.stats().incremental;
+            if after.reanchors == before.reanchors && columns(after) > columns(before) {
+                Ok(nanos)
+            } else {
+                Err(CaseFailed {
+                    case: case.to_string(),
+                    detail: format!("a timed refresh did not sync: {before:?} -> {after:?}"),
+                })
+            }
+        })
+        .collect()
+}
+
 /// Run the ingest benchmark suite. `quick` shrinks the observation and
 /// refresh counts for CI; the measured window configurations are identical
 /// either way.
-pub fn run(quick: bool) -> Vec<CaseResult> {
-    let (rotations, refreshes) = if quick { (0.5, 3u32) } else { (2.0, 10u32) };
+///
+/// # Errors
+///
+/// [`CaseFailed`] when a timed refresh of some window did not sync: no
+/// anchor, and more columns applied plus downdated after it than before.
+pub fn run(quick: bool) -> Result<Vec<CaseResult>, CaseFailed> {
+    let (rotations, refreshes) = if quick { (0.5, 3) } else { (2.0, 10) };
     let (server, log) = streaming_fixture(rotations, 7);
     let windows: [(String, Option<usize>); 4] = [
         ("window_unbounded".into(), None),
@@ -123,34 +181,12 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
                 0.0
             };
 
-            // Refresh latency: a small burst dirties both streams, then the
-            // fix refreshes exactly the dirty tags over the current window.
-            // Two warmup fixes, not one: the first is the legacy fresh
-            // recompute that satisfies `engage_after_recomputes`, the second
-            // pays the incremental path's one-time anchor rebuild. The timed
-            // fixes then measure the steady-state accumulator sync.
-            let burst = continuation(&log, (refreshes as usize + 2) * 2);
-            let mut chunks = burst.chunks_exact(2);
-            for warmup in chunks.by_ref().take(2) {
-                for r in warmup {
-                    session.ingest(r);
-                }
-                let _ = session.fix::<TwoD>();
-            }
-            let mut fix_ns = 0.0;
-            let mut timed = 0u32;
-            for chunk in chunks.take(refreshes as usize) {
-                for r in chunk {
-                    session.ingest(r);
-                }
-                let t0 = Instant::now();
-                let _ = session.fix::<TwoD>();
-                fix_ns += t0.elapsed().as_nanos() as f64;
-                timed += 1;
-            }
-            let mean_fix_refresh_ns = fix_ns / f64::from(timed.max(1));
+            // Refresh latency: the steady-state accumulator sync of a fix
+            // that refreshes exactly the dirty tags over the current window.
+            let fix_ns = timed_refreshes(&mut session, &log, refreshes, &name)?;
+            let mean_fix_refresh_ns = fix_ns.iter().sum::<f64>() / fix_ns.len().max(1) as f64;
 
-            CaseResult {
+            Ok(CaseResult {
                 name,
                 max_reports,
                 reports,
@@ -158,7 +194,7 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
                 reports_per_sec,
                 mean_fix_refresh_ns,
                 buffered: session.stats().buffered,
-            }
+            })
         })
         .collect()
 }
@@ -215,6 +251,25 @@ pub fn report(results: &[CaseResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn timed_refreshes_fail_unless_they_sync() {
+        let (mut server, log) = streaming_fixture(0.5, 7);
+        let mut synced = server.session(WindowConfig::last_reports(256));
+        for r in log.stream() {
+            synced.ingest(r);
+        }
+        let timed = timed_refreshes(&mut synced, &log, 2, "synced");
+        assert_eq!(timed.map(|t| t.len()), Ok(2));
+
+        server.config.incremental = IncrementalPolicy::disabled();
+        let mut fresh = server.session(WindowConfig::last_reports(256));
+        for r in log.stream() {
+            fresh.ingest(r);
+        }
+        let err = timed_refreshes(&mut fresh, &log, 2, "fresh").expect_err("fresh never syncs");
+        assert_eq!(err.case, "fresh");
+    }
 
     #[test]
     fn record_feeds_the_gate() {

@@ -127,7 +127,7 @@ pub const BENCHES: [Bench; 6] = [
         name: "ingest",
         title: "session ingest (throughput and fix refresh vs window)",
         run: |quick| {
-            let results = ingest_bench::run(quick);
+            let results = ingest_bench::run(quick)?;
             Ok((
                 ingest_bench::report(&results),
                 ingest_bench::cases(&results),
@@ -149,7 +149,7 @@ pub const BENCHES: [Bench; 6] = [
         name: "obs",
         title: "observability overhead (per observer arm)",
         run: |quick| {
-            let results = obs_bench::run(quick);
+            let results = obs_bench::run(quick)?;
             Ok((obs_bench::report(&results), obs_bench::cases(&results)))
         },
     },

@@ -24,11 +24,12 @@
 //! The disabled-path-vs-*pre-instrumentation* claim is deliberately left to
 //! `BENCH_ingest.json`, whose baseline predates the observability layer.
 
-use crate::ingest_bench::streaming_fixture;
+use crate::ingest_bench::{continuation, streaming_fixture, timed_refreshes, WARMUP_FIXES};
+use crate::CaseFailed;
 use std::sync::Arc;
 use std::time::Instant;
 use tagspin_core::prelude::*;
-use tagspin_epc::{InventoryLog, TagReport};
+use tagspin_epc::InventoryLog;
 use xtask::bench_check::BenchCase;
 
 /// Which observer a case attaches to the session.
@@ -75,26 +76,6 @@ pub struct CaseResult {
     pub ingest_overhead_frac: f64,
 }
 
-/// A synthetic continuation of `log` (see `ingest_bench::continuation`,
-/// duplicated here because that helper is private): `n` fresh reports,
-/// alternating EPCs, strictly advancing timestamps.
-fn continuation(log: &InventoryLog, n: usize) -> Vec<TagReport> {
-    let mut t_us = log.reports().last().map_or(0, |r| r.timestamp_us);
-    (0..n)
-        .map(|i| {
-            t_us += 5_000;
-            TagReport {
-                epc: (i % 2 + 1) as u128,
-                timestamp_us: t_us,
-                phase: tagspin_geom::angle::wrap_tau(i as f64 * 0.37),
-                rssi_dbm: -60.0,
-                channel_index: (i % 16) as u8,
-                antenna_id: 1,
-            }
-        })
-        .collect()
-}
-
 /// Full-drain passes per arm; the minimum mean survives, so a scheduler
 /// stall in one pass cannot fail the regression gate.
 const INGEST_PASSES: usize = 3;
@@ -126,12 +107,17 @@ fn arm_session(
 /// handful of burst-then-fix refreshes on the final pass's session (best
 /// refresh kept). Returns (mean_ingest_ns, min_fix_refresh_ns, events);
 /// events count only the final pass, i.e. one drain plus the refreshes.
+///
+/// # Errors
+///
+/// [`CaseFailed`] when a timed refresh did not sync (see
+/// `ingest_bench::timed_refreshes`).
 fn measure(
     server: &LocalizationServer,
     log: &InventoryLog,
     arm: ObserverArm,
-    refreshes: u32,
-) -> (f64, f64, u64) {
+    refreshes: usize,
+) -> Result<(f64, f64, u64), CaseFailed> {
     let mut mean_ingest_ns = f64::INFINITY;
     let mut last_pass = None;
     for _ in 0..INGEST_PASSES {
@@ -145,45 +131,30 @@ fn measure(
         last_pass = Some((session, metrics, recording));
     }
     let Some((mut session, metrics, recording)) = last_pass else {
-        return (0.0, 0.0, 0);
+        return Ok((0.0, 0.0, 0));
     };
 
-    // Two warmup fixes: the first legacy fresh recompute satisfies
-    // `engage_after_recomputes`, the second pays the incremental path's
-    // one-time anchor rebuild; timed refreshes then measure steady state.
-    let burst = continuation(log, (refreshes as usize + 2) * 2);
-    let mut chunks = burst.chunks_exact(2);
-    for warmup in chunks.by_ref().take(2) {
-        for r in warmup {
-            session.ingest(r);
-        }
-        let _ = session.fix::<TwoD>();
-    }
-    let mut min_fix_refresh_ns = f64::INFINITY;
-    for chunk in chunks.take(refreshes as usize) {
-        for r in chunk {
-            session.ingest(r);
-        }
-        let t0 = Instant::now();
-        let _ = session.fix::<TwoD>();
-        min_fix_refresh_ns = min_fix_refresh_ns.min(t0.elapsed().as_nanos() as f64);
-    }
-    if !min_fix_refresh_ns.is_finite() {
-        min_fix_refresh_ns = 0.0;
-    }
+    let min_fix_refresh_ns = timed_refreshes(&mut session, log, refreshes, arm.name())?
+        .into_iter()
+        .reduce(f64::min)
+        .unwrap_or(0.0);
 
     let events = match arm {
         ObserverArm::Null => 0,
         ObserverArm::Metrics => metrics.snapshot().counters.values().sum(),
         ObserverArm::Recording => recording.events().len() as u64,
     };
-    (mean_ingest_ns, min_fix_refresh_ns, events)
+    Ok((mean_ingest_ns, min_fix_refresh_ns, events))
 }
 
 /// Run the observability-overhead suite. `quick` shrinks the observation
 /// and refresh counts for CI; the three arms are identical either way.
-pub fn run(quick: bool) -> Vec<CaseResult> {
-    let (rotations, refreshes) = if quick { (0.5, 3u32) } else { (2.0, 10u32) };
+///
+/// # Errors
+///
+/// [`CaseFailed`] when a timed refresh of some arm did not sync.
+pub fn run(quick: bool) -> Result<Vec<CaseResult>, CaseFailed> {
+    let (rotations, refreshes) = if quick { (0.5, 3) } else { (2.0, 10) };
     let (server, log) = streaming_fixture(rotations, 7);
 
     let arms = [
@@ -195,7 +166,7 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
     arms.into_iter()
         .map(|arm| {
             let (mean_ingest_ns, min_fix_refresh_ns, events) =
-                measure(&server, &log, arm, refreshes);
+                measure(&server, &log, arm, refreshes)?;
             if arm == ObserverArm::Null {
                 null_mean = mean_ingest_ns;
             }
@@ -204,23 +175,24 @@ pub fn run(quick: bool) -> Vec<CaseResult> {
             } else {
                 mean_ingest_ns / null_mean - 1.0
             };
-            CaseResult {
+            Ok(CaseResult {
                 name: arm.name().to_string(),
                 reports: log.len(),
                 mean_ingest_ns,
                 min_fix_refresh_ns,
                 events,
                 ingest_overhead_frac,
-            }
+            })
         })
         .collect()
 }
 
-/// Run only the `metrics` arm and return its populated registry, for
-/// `reproduce --metrics-out`: a full `tagspin-metrics/v1` export of what
-/// the fixture actually emitted.
+/// Run only the `metrics` arm's drain and refresh schedule, warm-ups
+/// included, and return its populated registry, for `reproduce
+/// --metrics-out`: a full `tagspin-metrics/v1` export of what the fixture
+/// actually emitted.
 pub fn collect_metrics(quick: bool) -> Arc<MetricsRegistry> {
-    let (rotations, refreshes) = if quick { (0.5, 3u32) } else { (2.0, 10u32) };
+    let (rotations, refreshes) = if quick { (0.5, 3) } else { (2.0, 10) };
     let (server, log) = streaming_fixture(rotations, 7);
     let mut session = server.session(WindowConfig::last_reports(512));
     let registry = Arc::new(MetricsRegistry::new());
@@ -228,7 +200,7 @@ pub fn collect_metrics(quick: bool) -> Arc<MetricsRegistry> {
     for report in log.stream() {
         session.ingest(report);
     }
-    for chunk in continuation(&log, (refreshes as usize) * 2).chunks_exact(2) {
+    for chunk in continuation(&log, (WARMUP_FIXES + refreshes) * 2).chunks_exact(2) {
         for r in chunk {
             session.ingest(r);
         }
@@ -281,7 +253,7 @@ mod tests {
 
     #[test]
     fn arms_observe_what_they_should() {
-        let results = run(true);
+        let results = run(true).expect("every timed refresh syncs");
         assert_eq!(results.len(), 3);
         let by_name = |n: &str| {
             results

@@ -66,11 +66,14 @@ pub struct PipelineConfig {
     /// Per-tag graceful-degradation gate over windowed captures (disabled
     /// by default).
     pub quality_gate: QualityGate,
-    /// Incremental spectrum accumulators for streaming sessions: after a
-    /// stream's first fresh recompute, fix refreshes reduce running
-    /// per-direction sums in O(grid) instead of re-evaluating the whole
-    /// window. One-shot batch paths ([`LocalizationServer::fix`]) never
-    /// re-fix a stream, so they stay on the reference path bit-for-bit.
+    /// Incremental spectrum accumulators for streaming sessions: once a
+    /// stream is fixed often enough that a sync beats a fresh search, fix
+    /// refreshes fold the reports since the last fix into running
+    /// per-direction sums and reduce them in O(grid) instead of searching
+    /// the whole window. A stream's first refresh, and any after a
+    /// window-sized backlog, search fresh, so one-shot batch paths
+    /// ([`LocalizationServer::fix`]) stay on the reference path
+    /// bit-for-bit.
     pub incremental: IncrementalPolicy,
     /// Which fix estimator backend resolves multi-tag fixes (and the ML
     /// refinement knobs). The default spectrum backend keeps the fix path

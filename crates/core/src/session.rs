@@ -101,8 +101,10 @@ impl TagStream {
     }
 
     /// Drop the incremental accumulator states (the tag's calibration
-    /// changed, so every frozen column is stale). Engagement counters
-    /// survive; the next fresh recompute re-anchors from scratch.
+    /// changed, so every frozen column is stale). The slots' refresh
+    /// history survives, so each kind's next refresh picks its path by the
+    /// usual rule: a polled stream re-anchors at once, a rarely fixed one
+    /// searches fresh.
     fn reset_incremental(&mut self) {
         self.slots.two_d.state = None;
         self.slots.three_d.state = None;
@@ -463,10 +465,10 @@ impl ReaderSession {
 
     /// One registered tag's bearing of kind `K` from its current window.
     /// A clean slot serves its cached result; a dirty one recomputes over
-    /// the calibrated window — through the incremental accumulators once
-    /// engaged, else (or while non-finite phases are resident) a fresh peak
-    /// search. Engagement advances only for attempts that pass the buffer,
-    /// gate and snapshot-floor checks.
+    /// the calibrated window — through the incremental accumulators when
+    /// the slot's refresh rule picks them, else (or while non-finite phases
+    /// are resident) a fresh peak search. Only attempts that pass the
+    /// buffer, gate and snapshot-floor checks count as refreshes.
     fn bearing_cached<K: FixPath>(
         &mut self,
         tag: &RegisteredTag,
@@ -492,37 +494,38 @@ impl ReaderSession {
         {
             Err(e) => Err(e),
             Ok(set) => {
-                let reduce = if slot.engage(K::KIND, &self.config) {
-                    let (outcome, fallback) = slot.sync(
-                        K::KIND,
-                        tag,
-                        &self.config,
-                        &set,
-                        stream.evicted,
-                        stream.ingested,
-                    );
-                    self.incremental.applied += outcome.applied;
-                    self.incremental.downdated += outcome.downdated;
-                    if outcome.reanchored {
-                        self.incremental.reanchors += 1;
+                let synced = slot.engage(
+                    K::KIND,
+                    tag,
+                    &self.config,
+                    &set,
+                    stream.evicted,
+                    stream.ingested,
+                );
+                let reduce = match synced {
+                    None => false,
+                    Some((outcome, fallback)) => {
+                        self.incremental.applied += outcome.applied;
+                        self.incremental.downdated += outcome.downdated;
+                        if outcome.reanchored {
+                            self.incremental.reanchors += 1;
+                        }
+                        if fallback {
+                            self.incremental.fallbacks += 1;
+                        }
+                        let epc = tag.epc;
+                        self.obs.emit_batch(|| {
+                            vec![Event::IncrementalSync {
+                                epc,
+                                kind: K::KIND,
+                                applied: outcome.applied,
+                                downdated: outcome.downdated,
+                                reanchored: outcome.reanchored,
+                                fallback,
+                            }]
+                        });
+                        !fallback
                     }
-                    if fallback {
-                        self.incremental.fallbacks += 1;
-                    }
-                    let epc = tag.epc;
-                    self.obs.emit_batch(|| {
-                        vec![Event::IncrementalSync {
-                            epc,
-                            kind: K::KIND,
-                            applied: outcome.applied,
-                            downdated: outcome.downdated,
-                            reanchored: outcome.reanchored,
-                            fallback,
-                        }]
-                    });
-                    !fallback
-                } else {
-                    false
                 };
                 let bearing = if reduce {
                     K::reduce(slot, tag)

@@ -97,19 +97,22 @@ pub struct Slots {
     pub(super) aided: Slot<AmbiguousBearing>,
 }
 
-/// One fix kind's slot on a tag stream: the bearing cache plus the
-/// incremental accumulators.
+/// One fix kind's slot on a tag stream: the bearing cache plus what the
+/// refresh rule reads.
 ///
 /// A `None` cache means *dirty*: the buffer changed (ingest or eviction)
 /// since this kind was last computed, and the next fix recomputes it. A
 /// `Some` cache holds the last result verbatim — including per-tag errors,
-/// which are just as cacheable as bearings. `recomputes` counts the fresh
-/// recomputes served so far (the engagement counter); `state` is the
-/// accumulator state once engaged, boxed because it holds O(grid) sums.
+/// which are just as cacheable as bearings. `last` is the stream's
+/// `(evicted, ingested)` pair at this slot's previous refresh and `small`
+/// whether that refresh's delta was shorter than the window (see
+/// [`Slot::engage`]); `state` holds the incremental accumulators while
+/// they serve, boxed because it holds O(grid) sums.
 #[derive(Debug, Clone)]
 pub struct Slot<B> {
     pub(super) cached: Option<Result<B, ServerError>>,
-    pub(super) recomputes: u32,
+    last: (u64, u64),
+    small: bool,
     pub(super) state: Option<Box<IncrementalState>>,
 }
 
@@ -117,32 +120,41 @@ impl<B> Default for Slot<B> {
     fn default() -> Self {
         Slot {
             cached: None,
-            recomputes: 0,
+            last: (0, 0),
+            small: false,
             state: None,
         }
     }
 }
 
 impl<B> Slot<B> {
-    /// Decide whether this fresh recompute is served by the incremental
-    /// accumulators, advancing the engagement counter either way. The
-    /// caller only invokes this once the buffer, gate and snapshot-floor
-    /// checks passed, so withheld and below-floor attempts never advance
-    /// engagement.
-    pub(super) fn engage(&mut self, kind: FixKind, config: &PipelineConfig) -> bool {
-        let policy = &config.incremental;
-        let engaged = policy.enabled
-            && self.recomputes >= policy.engage_after_recomputes
-            && fits_budget(kind, config.profile, &config.spectrum);
-        self.recomputes = self.recomputes.saturating_add(1);
-        engaged
-    }
-
-    /// Ensure the slot holds accumulator state matching the current
-    /// configuration, sync it against the stream's calibrated window, and
-    /// report what the sync did plus whether the reduction must fall back
-    /// to the reference path (non-finite columns resident).
-    pub(super) fn sync(
+    /// Pick this refresh's path and, on the incremental path, sync the
+    /// accumulators against the calibrated window `set`, which spans the
+    /// stream's sequence numbers `[evicted, ingested)`.
+    ///
+    /// `delta` counts the reports ingested plus evicted since this slot's
+    /// previous refresh; the refresh is *small* when `delta` is below the
+    /// window's length. A sync costs the delta against the full grid, an
+    /// anchor the whole window against it, and a fresh coarse-to-fine
+    /// search the whole window against the cells it samples. So:
+    ///
+    /// 1. A refresh that is not small searches fresh and drops the state:
+    ///    a sync would cost at least an anchor.
+    /// 2. A live state syncs, re-anchoring on its op period or drift bound.
+    /// 3. Without one, only a second small refresh in a row anchors, so the
+    ///    fix after a catch-up still searches fresh and the anchor is paid
+    ///    for by a stream that keeps polling. A first refresh is never
+    ///    small, which keeps one-shot batch callers on the fresh path
+    ///    bit-for-bit.
+    ///
+    /// Returns `None` for the fresh path, else what the sync did plus
+    /// whether the reduction must fall back to it anyway (non-finite
+    /// columns resident). No clock and no core count enters the rule, so a
+    /// stream's path, and the bits it is served, are the same on every
+    /// host. The caller only invokes this once the buffer, gate and
+    /// snapshot-floor checks passed, so withheld and below-floor attempts
+    /// are no refresh.
+    pub(super) fn engage(
         &mut self,
         kind: FixKind,
         tag: &RegisteredTag,
@@ -150,10 +162,21 @@ impl<B> Slot<B> {
         set: &SnapshotSet,
         evicted: u64,
         ingested: u64,
-    ) -> (SyncOutcome, bool) {
-        if !matches!(&self.state, Some(s) if s.matches(config.profile, &config.spectrum, &tag.disk))
-        {
-            self.state = None;
+    ) -> Option<(SyncOutcome, bool)> {
+        let policy = &config.incremental;
+        if !(policy.enabled && fits_budget(kind, config.profile, &config.spectrum)) {
+            return None;
+        }
+        let delta = evicted.saturating_sub(self.last.0) + ingested.saturating_sub(self.last.1);
+        let small = delta < set.len() as u64;
+        let was_small = std::mem::replace(&mut self.small, small);
+        self.last = (evicted, ingested);
+        self.state = self
+            .state
+            .take()
+            .filter(|s| small && s.matches(config.profile, &config.spectrum, &tag.disk));
+        if self.state.is_none() && !(small && was_small) {
+            return None;
         }
         let state = self.state.get_or_insert_with(|| {
             Box::new(IncrementalState::new(
@@ -163,8 +186,8 @@ impl<B> Slot<B> {
                 &tag.disk,
             ))
         });
-        let outcome = state.sync(set, evicted, ingested, &config.incremental);
-        (outcome, state.fallback_needed())
+        let outcome = state.sync(set, evicted, ingested, policy);
+        Some((outcome, state.fallback_needed()))
     }
 }
 

@@ -51,8 +51,8 @@ impl SkipCounts {
 
 /// Counters for the incremental-accumulator fix path.
 ///
-/// All four stay zero until a stream's second fresh recompute engages the
-/// incremental state (see
+/// All four stay zero until a stream's refreshes turn small enough to
+/// anchor the incremental state, at the earliest on its third refresh (see
 /// [`crate::spectrum::incremental::IncrementalPolicy`]); they tick even
 /// when no observer is attached, mirroring the other session counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -31,13 +31,18 @@
 //! diverge semantically — but the deviation term is ≈ 0 at the true
 //! direction for any model-consistent reference, so the lobe structure and
 //! the detected peak stay put (the equivalence suite pins the peak to
-//! within two grid steps). The state re-anchors every
-//! [`IncrementalPolicy::reanchor_after_ops`] operations, when the
-//! analytic drift bound trips, or whenever the pending delta is at least
-//! the resident count (a rebuild is then cheaper *and* exact). Setting
-//! `reanchor_after_ops = 1` therefore forces every refresh onto the
-//! bit-identical path, and [`IncrementalPolicy::disabled`] restores the
-//! legacy recompute entirely.
+//! within two grid steps). A state re-anchors every `REANCHOR_AFTER_OPS`
+//! (4096) operations or when [`IncrementalPolicy::drift_tol`] trips, so
+//! `drift_tol: 0.0` makes every sync exact, and
+//! [`IncrementalPolicy::disabled`] restores the legacy recompute entirely.
+//!
+//! **Which path.** An anchor costs the whole window against the full grid,
+//! a sync its pending delta against the full grid, and the engine's fresh
+//! coarse-to-fine search the whole window against only the cells it
+//! samples. The session therefore decides per refresh (`Slot::engage` in
+//! `session/pipeline.rs`): a delta of a whole window searches fresh and
+//! drops the state, a live state syncs, and a new state anchors only on
+//! the second refresh in a row whose delta is shorter than the window.
 //!
 //! **Poison safety.** Non-finite phases (which the permissive ingest
 //! policy lets through) are carried as inert columns: they never touch an
@@ -59,24 +64,19 @@ use tagspin_geom::vec3::Direction3;
 use tagspin_geom::Vec3;
 
 /// Policy knobs for the incremental fix-refresh path.
+///
+/// The session picks each refresh's path from its pending delta (see
+/// `docs/INCREMENTAL_SPECTRUM.md`); these knobs only switch the
+/// accumulators off and bound their float drift.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncrementalPolicy {
     /// Master switch. `false` restores the legacy full-recompute refresh
     /// path exactly (the session never builds incremental state).
     pub enabled: bool,
-    /// Full re-anchor (exact rebuild) after this many update/downdate
-    /// operations. `1` forces a rebuild on every refresh, making every
-    /// served result bit-identical to the reference path.
-    pub reanchor_after_ops: u64,
-    /// Number of fresh recomputes a per-tag stream serves through the
-    /// legacy path before the incremental state engages. The default of 1
-    /// keeps every one-shot batch caller (`LocalizationServer::fix` and
-    /// `estimate`, the sim trial runners) on the legacy path, preserving
-    /// their outputs bit-for-bit.
-    pub engage_after_recomputes: u32,
-    /// Analytic float-drift bound: re-anchor once
-    /// `ops_since_anchor · ε > drift_tol`. The default pairs with
-    /// `reanchor_after_ops` so whichever bound trips first wins.
+    /// Analytic float-drift bound: a sync re-anchors (exact rebuild) once
+    /// `(ops_since_anchor + delta) · ε > drift_tol`, counting the pending
+    /// delta. `0.0` therefore makes every sync an anchor, so every result
+    /// the accumulators serve is bit-identical to the reference path.
     pub drift_tol: f64,
 }
 
@@ -84,8 +84,6 @@ impl Default for IncrementalPolicy {
     fn default() -> Self {
         IncrementalPolicy {
             enabled: true,
-            reanchor_after_ops: 4096,
-            engage_after_recomputes: 1,
             drift_tol: 1e-9,
         }
     }
@@ -101,6 +99,10 @@ impl IncrementalPolicy {
         }
     }
 }
+
+/// A state re-anchors once this many update/downdate operations would
+/// have folded since its last anchor, whatever the drift bound says.
+const REANCHOR_AFTER_OPS: u64 = 4096;
 
 /// What one `IncrementalState::sync` call did, for observability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -333,14 +335,16 @@ impl IncrementalState {
         matches!(self.profile, ProfileKind::Enhanced | ProfileKind::Hybrid)
     }
 
-    fn drift_tripped(&self, policy: &IncrementalPolicy) -> bool {
+    /// Whether folding `delta` more operations would exceed the drift bound.
+    fn drift_tripped(&self, delta: u64, policy: &IncrementalPolicy) -> bool {
         // lint:allow(lossy-cast) op counts stay far below 2^52, exact in f64
-        (self.ops_since_anchor as f64) * f64::EPSILON > policy.drift_tol
+        (self.ops_since_anchor.saturating_add(delta) as f64) * f64::EPSILON > policy.drift_tol
     }
 
     /// Bring the accumulators up to date with the stream: downdate columns
-    /// evicted since the last sync, fold in columns ingested since, or —
-    /// when the re-anchor policy says so — rebuild exactly from `set`.
+    /// evicted since the last sync and fold in columns ingested since, or
+    /// rebuild exactly from `set` when the state is new or outrun (pending
+    /// delta ≥ resident), its op period elapsed, or the drift bound trips.
     ///
     /// `set` is the current **calibrated** window; `evicted`/`ingested`
     /// are the stream's lifetime sequence counters, so `set` spans
@@ -356,9 +360,9 @@ impl IncrementalState {
         let up = ingested.saturating_sub(self.synced_hi);
         let delta = down + up;
         let resident = set.len() as u64;
-        if self.ops_since_anchor.saturating_add(delta) >= policy.reanchor_after_ops.max(1)
-            || self.drift_tripped(policy)
-            || delta >= resident
+        if delta >= resident
+            || self.ops_since_anchor.saturating_add(delta) >= REANCHOR_AFTER_OPS
+            || self.drift_tripped(delta, policy)
         {
             self.anchor(set);
             self.synced_lo = evicted;
@@ -711,7 +715,7 @@ mod tests {
             evicted,
             ingested,
             &IncrementalPolicy {
-                reanchor_after_ops: 1,
+                drift_tol: 0.0,
                 ..policy
             },
         );

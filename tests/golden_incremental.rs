@@ -1,14 +1,18 @@
 //! Golden incremental-trace fixture: the canonical two-spinning-tag 2D
 //! trace streamed through a count-windowed session on the *incremental*
 //! accumulator path, with fixes interleaved mid-stream. The fixture pins,
-//! for every fix, the cumulative sync counters (columns applied and
-//! downdated, re-anchors, fallbacks) and the fix output, so both the
+//! for every fix, the cumulative sync counters after it (columns applied
+//! and downdated, re-anchors, fallbacks) and the fix output, so both the
 //! accumulator bookkeeping and the numbers it serves are regression-gated
 //! with a reviewable diff.
 //!
-//! The re-anchor period is deliberately small (64 ops) relative to the
-//! stream, so the fixture exercises anchors, rank-1 updates *and*
-//! downdates within one rotation — not just the append-only path.
+//! Fixes come every 32 reports, about 16 in and 16 out per tag: far
+//! shorter than the 256-report window, so the accumulators serve. The
+//! drift bound is deliberately small (64 ops), so
+//! the fixture exercises anchors, rank-1 updates *and* downdates within
+//! one rotation — not just the append-only path. A gap of about 300
+//! reports per tag without a fix, more than the window, sends the next
+//! refresh down the fresh path.
 //!
 //! Regenerate after an *intentional* change to the sync policy or the
 //! spectrum math with `cargo xtask golden --bless` (or `GOLDEN_BLESS=1
@@ -30,8 +34,10 @@ use tagspin::rf::tags::{TagInstance, TagModel};
 
 const TOL: f64 = 1e-9;
 const WINDOW: usize = 256;
-const STRIDE: usize = 97;
-const REANCHOR_OPS: u64 = 64;
+const STRIDE: usize = 32;
+const DRIFT_OPS: u32 = 64;
+/// Report indices with no fix: a window-sized gap.
+const GAP: std::ops::Range<usize> = 1200..1800;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -64,8 +70,7 @@ fn canonical_log() -> InventoryLog {
 fn render() -> String {
     let mut server = LocalizationServer::new(PipelineConfig {
         incremental: IncrementalPolicy {
-            reanchor_after_ops: REANCHOR_OPS,
-            engage_after_recomputes: 0,
+            drift_tol: f64::from(DRIFT_OPS) * f64::EPSILON,
             ..IncrementalPolicy::default()
         },
         ..PipelineConfig::default()
@@ -85,7 +90,8 @@ fn render() -> String {
     writeln!(w, "# tagspin golden incremental trace v1").expect(ok);
     writeln!(
         w,
-        "# canonical 2-tag 2D trace, {WINDOW}-report window, fix every {STRIDE} reports"
+        "# canonical 2-tag 2D trace, {WINDOW}-report window, fix every {STRIDE} reports \
+         outside the gap"
     )
     .expect(ok);
     writeln!(
@@ -93,17 +99,19 @@ fn render() -> String {
         "# fix <i> <applied> <downdated> <reanchors> <fallbacks> <x> <y> <residual>"
     )
     .expect(ok);
-    writeln!(w, "policy {REANCHOR_OPS}").expect(ok);
+    writeln!(w, "drift_ops {DRIFT_OPS}").expect(ok);
     writeln!(w, "window {WINDOW}").expect(ok);
     writeln!(w, "stride {STRIDE}").expect(ok);
+    writeln!(w, "gap {} {}", GAP.start, GAP.end).expect(ok);
 
     for (i, report) in log.stream().enumerate() {
         session.ingest(report);
-        if i == 0 || i % STRIDE != 0 {
+        if i == 0 || i % STRIDE != 0 || GAP.contains(&i) {
             continue;
         }
+        let fix = session.fix::<TwoD>();
         let c = session.stats().incremental;
-        match session.fix::<TwoD>() {
+        match fix {
             Ok(fix) => writeln!(
                 w,
                 "fix {i} {} {} {} {} {} {} {}",
@@ -218,9 +226,27 @@ fn golden_incremental_2d() {
     assert_fixture_matches(&rendered, &expected);
 }
 
+/// The cumulative counters `[applied, downdated, reanchors, fallbacks]`
+/// of every mid-stream `fix` line, with its report index.
+fn fix_counters(rendered: &str) -> Vec<(usize, [u64; 4])> {
+    rendered
+        .lines()
+        .filter_map(|l| l.strip_prefix("fix "))
+        .map(|l| {
+            let t: Vec<&str> = l.split_whitespace().collect();
+            let n = |k: usize| t[k].parse::<u64>().expect("counters are integers");
+            (
+                t[0].parse().expect("report index"),
+                [n(1), n(2), n(3), n(4)],
+            )
+        })
+        .collect()
+}
+
 /// The fixture trace really runs on the incremental path: anchors fire on
-/// the small re-anchor period, rank-1 updates and downdates both happen
-/// (the window slides), and nothing falls back to the reference recompute.
+/// the small drift bound, rank-1 updates and downdates both happen
+/// mid-stream (the window slides), the first fix after the gap searches
+/// fresh, and nothing falls back to the reference recompute.
 #[test]
 fn golden_trace_exercises_the_incremental_path() {
     let rendered = render();
@@ -235,6 +261,20 @@ fn golden_trace_exercises_the_incremental_path() {
     let (applied, downdated, reanchors, fallbacks) = (v[0], v[1], v[2], v[3]);
     assert!(applied > 0, "no columns ever applied");
     assert!(downdated > 0, "window never slid through a downdate");
-    assert!(reanchors > 1, "re-anchor period never elapsed");
+    assert!(reanchors > 1, "drift bound never tripped");
     assert_eq!(fallbacks, 0, "clean trace must not fall back");
+
+    let fixes = fix_counters(&rendered);
+    let grew = |k: usize| fixes.windows(2).any(|w| w[1].1[k] > w[0].1[k]);
+    assert!(grew(1), "no mid-stream fix downdated");
+    assert!(grew(2), "no mid-stream fix anchored");
+    let after_gap = fixes
+        .iter()
+        .position(|&(i, _)| i >= GAP.end)
+        .expect("fixes resume after the gap");
+    assert_eq!(
+        fixes[after_gap].1,
+        fixes[after_gap - 1].1,
+        "the first fix after the gap must search fresh"
+    );
 }

@@ -274,8 +274,8 @@ proptest! {
     }
 }
 
-/// The incremental accumulator path is visible and reconciled: once a
-/// stream passes the engage threshold, every fresh fix emits exactly one
+/// The incremental accumulator path is visible and reconciled: every
+/// refresh the refresh rule sends to the accumulators emits exactly one
 /// `IncrementalSync` event per tag whose deltas match the session counters
 /// AND the metrics registry — proving the batched counter path (one
 /// `on_batch` per sync instead of one atomic add per accumulator update)
@@ -292,10 +292,11 @@ fn incremental_sync_events_reconcile_with_stats_and_metrics() {
     ])));
     let mut session = srv.session(WindowConfig::last_reports(256));
 
-    // Fix after every chunk: fix 1 serves the legacy path (engage
-    // threshold), fix 2 anchors the incremental state, later fixes apply
-    // deltas against the count window.
-    for chunk in reports.chunks(reports.len() / 4) {
+    // Fix after every 32-report chunk, about 16 reports per tag: shorter
+    // than the window once a tag holds more than that. The first refreshes
+    // search fresh, the second small one in a row anchors, and later fixes
+    // apply deltas and, once the window is full, downdate against it.
+    for chunk in reports.chunks(32) {
         for report in chunk {
             session.ingest(report);
         }
@@ -311,6 +312,11 @@ fn incremental_sync_events_reconcile_with_stats_and_metrics() {
     assert!(
         stats.incremental.applied > 0,
         "no accumulator updates applied"
+    );
+    assert!(
+        stats.incremental.downdated > 256,
+        "syncs never slid a whole 256-report window: {:?}",
+        stats.incremental
     );
     assert_eq!(
         stats.incremental.fallbacks, 0,

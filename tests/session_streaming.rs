@@ -90,8 +90,8 @@ fn streaming_2d_matches_batch_with_interleaved_fixes() {
     assert!(!session.tag_stats(1).expect("stream exists").dirty);
 }
 
-/// A poll below the snapshot floor serves no fresh recompute, so it must
-/// not advance incremental engagement: the stream's first real fix stays
+/// A poll below the snapshot floor is no refresh, so it must not count
+/// toward the incremental refresh rule: the stream's first real fix stays
 /// fresh and matches the batch fix bit-for-bit instead of anchoring the
 /// accumulators.
 #[test]
@@ -374,7 +374,7 @@ fn incremental_session_tracks_batch_within_tolerance() {
     assert_eq!(stats.incremental.fallbacks, 0);
 }
 
-/// Forcing a re-anchor on every sync (`reanchor_after_ops = 1`) under the
+/// Forcing a re-anchor on every sync (`drift_tol = 0.0`) under the
 /// exhaustive engine makes the incremental path bit-identical to batch:
 /// every refresh replays the reference fold order exactly, so even
 /// interleaved mid-stream fixes cannot introduce drift.
@@ -383,24 +383,35 @@ fn incremental_reanchor_every_sync_is_bit_identical_to_batch() {
     let (mut server, log) = deploy(&two_disks(), Vec3::new(-0.2, 1.6, 0.0), 23);
     server.config.engine = SpectrumEngineConfig { exhaustive: true };
     server.config.incremental = IncrementalPolicy {
-        reanchor_after_ops: 1,
-        engage_after_recomputes: 0,
+        drift_tol: 0.0,
         ..IncrementalPolicy::default()
     };
     let batch_2d = server.fix::<TwoD>(&log).expect("batch 2d fix");
     let batch_3d = server.fix::<ThreeD>(&log).expect("batch 3d fix");
 
     let mut session = server.session(WindowConfig::unbounded());
+    let n = log.len();
     for (i, report) in log.stream().enumerate() {
         session.ingest(report);
         if i % 61 == 0 {
             let _ = session.fix::<TwoD>();
         }
+        // Two early 3D polls: the final 3D fix is then the second small
+        // refresh in a row, so it anchors instead of searching fresh.
+        if i == n / 8 || i == n / 4 {
+            let _ = session.fix::<ThreeD>();
+        }
     }
     assert_eq!(batch_2d, session.fix::<TwoD>().expect("streaming 2d fix"));
+    let before = session.stats().incremental.reanchors;
+    assert!(before > 0);
     assert_eq!(batch_3d, session.fix::<ThreeD>().expect("streaming 3d fix"));
     let stats = session.stats();
-    assert!(stats.incremental.reanchors > 0);
+    assert_eq!(
+        stats.incremental.reanchors,
+        before + 2,
+        "the final 3d fix must anchor both tags"
+    );
     assert_eq!(
         stats.incremental.downdated, 0,
         "anchors rebuild, never downdate"

@@ -2,8 +2,8 @@
 //!
 //! The contract under test (see `docs/INCREMENTAL_SPECTRUM.md`):
 //!
-//! 1. **Bit-identity on demand** — with `reanchor_after_ops = 1` every
-//!    sync replays the reference fold order exactly, so a session on the
+//! 1. **Bit-identity on demand** — with `drift_tol = 0.0` every sync
+//!    replays the reference fold order exactly, so a session on the
 //!    incremental path is bit-identical to the legacy recompute over any
 //!    ingest/evict interleaving the quarantine admits: duplicates,
 //!    out-of-order arrivals, corrupt phases, ghost EPCs, count and time
@@ -19,6 +19,9 @@
 //!    once they evict.
 //! 4. **Drift bound** — a ≥10⁶-operation stream stays within the
 //!    re-anchor policy's drift envelope.
+//! 5. **The path follows the traffic** — a window-sized delta searches
+//!    fresh, a polled stream anchors once and then syncs, and a gap of a
+//!    window drops the accumulators until polling resumes.
 //!
 //! Case count defaults to 256 and is pinned in CI via `PROPTEST_CASES`;
 //! the nightly soak reruns the properties at 4096 cases.
@@ -88,17 +91,23 @@ fn server_on(spectrum: SpectrumConfig, incremental: IncrementalPolicy) -> Locali
 /// fold order, so the session must be bit-identical to the legacy path.
 fn bit_identical_policy() -> IncrementalPolicy {
     IncrementalPolicy {
-        reanchor_after_ops: 1,
-        engage_after_recomputes: 0,
+        drift_tol: 0.0,
         ..IncrementalPolicy::default()
     }
 }
 
-/// Default drift policy, engaged from the first fresh recompute.
-fn engaged_default_policy() -> IncrementalPolicy {
-    IncrementalPolicy {
-        engage_after_recomputes: 0,
-        ..IncrementalPolicy::default()
+/// Reports at the head of each property stream that are polled densely.
+const PREFIX: usize = 320;
+
+/// Whether report `i` of a property stream is followed by a fix: every
+/// 16th report over the [`PREFIX`], so each stream's deltas stay shorter
+/// than even the 64-report window and its accumulators anchor whatever the
+/// case's `stride` is, then every `stride`-th.
+fn polled(i: usize, stride: usize) -> bool {
+    if i < PREFIX {
+        i.is_multiple_of(16)
+    } else {
+        i.is_multiple_of(stride)
     }
 }
 
@@ -137,8 +146,8 @@ proptest! {
     /// bit-identical to the legacy recompute over random ingest/evict
     /// interleavings — hostile streams (duplicates, reordering, corrupt
     /// phases, ghost EPCs), all four window shapes, 2D, 3D and aided fixes
-    /// queried mid-stream at a random stride (3D and aided on the coarse
-    /// `spectrum_cfg_3d` grid).
+    /// queried mid-stream, densely over a prefix and then at a random
+    /// stride (3D and aided on the coarse `spectrum_cfg_3d` grid).
     #[test]
     fn prop_reanchored_sync_is_bit_identical_over_interleavings(
         rate in 0.0f64..0.45,
@@ -160,7 +169,7 @@ proptest! {
         for (i, report) in reports.iter().enumerate() {
             prop_assert_eq!(legacy.ingest(report), incr.ingest(report));
             prop_assert_eq!(legacy_3d.ingest(report), incr_3d.ingest(report));
-            if i % stride == 0 {
+            if polled(i, stride) {
                 prop_assert_eq!(legacy.fix::<TwoD>(), incr.fix::<TwoD>());
                 prop_assert_eq!(legacy_3d.fix::<ThreeD>(), incr_3d.fix::<ThreeD>());
                 prop_assert_eq!(legacy_3d.fix::<Aided>(), incr_3d.fix::<Aided>());
@@ -186,7 +195,8 @@ proptest! {
     /// heights agree to float precision. Bearings (not fix positions) are
     /// the oracle: under tiny hostile windows the two-ray intersection
     /// amplifies a one-step bearing shift without bound, while the bearing
-    /// itself stays pinned to the spectrum peak.
+    /// itself stays pinned to the spectrum peak. Streams are polled as in
+    /// property 1, so the accumulators anchor on every case.
     #[test]
     fn prop_default_policy_traditional_drift_is_float_level(
         rate in 0.0f64..0.3,
@@ -199,13 +209,13 @@ proptest! {
         let mut legacy_server = server(IncrementalPolicy::disabled());
         legacy_server.config.profile = ProfileKind::Traditional;
         let mut legacy = legacy_server.session(window(window_sel));
-        let mut incr_server = server(engaged_default_policy());
+        let mut incr_server = server(IncrementalPolicy::default());
         incr_server.config.profile = ProfileKind::Traditional;
         let mut incr = incr_server.session(window(window_sel));
 
         for (i, report) in reports.iter().enumerate() {
             prop_assert_eq!(legacy.ingest(report), incr.ingest(report));
-            if i % stride == 0 {
+            if polled(i, stride) {
                 let (a, b) = (legacy.fix::<TwoD>(), incr.fix::<TwoD>());
                 prop_assert_eq!(a.is_ok(), b.is_ok(), "{:?} vs {:?}", a, b);
             }
@@ -256,7 +266,7 @@ fn hybrid_clean_sliding_windows_keep_the_detected_lobe() {
     for (name, shape) in shapes {
         let legacy_server = server(IncrementalPolicy::disabled());
         let mut legacy = legacy_server.session(shape);
-        let incr_server = server(engaged_default_policy());
+        let incr_server = server(IncrementalPolicy::default());
         let mut incr = incr_server.session(shape);
 
         let mut compared = 0usize;
@@ -351,12 +361,25 @@ fn permissive_nan_residency_falls_back_then_recovers() {
     let mut incr = incr_server.session(WindowConfig::last_reports(window));
 
     let clean: Vec<TagReport> = clean_log().stream().copied().collect();
+    let shifted = |r: &TagReport| TagReport {
+        timestamp_us: r.timestamp_us + 1_000,
+        ..*r
+    };
 
-    // Phase 1: a clean prefix, fix on the incremental path.
-    for r in &clean[..400] {
-        assert_eq!(legacy.ingest(r), incr.ingest(r));
+    // Phase 1: a clean prefix, then two small polls: the first refresh
+    // and the first small one search fresh, the second small one anchors.
+    let mut from = 0;
+    for to in [392, 396, 400] {
+        for r in &clean[from..to] {
+            assert_eq!(legacy.ingest(r), incr.ingest(r));
+        }
+        assert_all_kinds_equal(&mut legacy, &mut incr);
+        from = to;
     }
-    assert_all_kinds_equal(&mut legacy, &mut incr);
+    assert!(
+        incr.stats().incremental.reanchors > 0,
+        "polls never anchored"
+    );
     assert_eq!(incr.stats().incremental.fallbacks, 0);
 
     // Phase 2: inject NaN phases for both tags, then fix while resident.
@@ -373,29 +396,30 @@ fn permissive_nan_residency_falls_back_then_recovers() {
         assert_eq!(legacy.ingest(&poison), incr.ingest(&poison));
     }
     assert_all_kinds_equal(&mut legacy, &mut incr);
-    let fallbacks_during = incr.stats().incremental.fallbacks;
+    let during = incr.stats().incremental;
     assert!(
-        fallbacks_during > 0,
+        during.fallbacks > 0,
         "resident NaN must force the legacy fallback"
     );
 
     // Phase 3: enough clean reports per tag to slide every NaN out of the
-    // count window; the incremental path resumes cleanly.
-    for r in &clean[400..400 + 4 * window] {
-        let shifted = TagReport {
-            timestamp_us: r.timestamp_us + 1_000,
-            ..*r
-        };
-        assert_eq!(legacy.ingest(&shifted), incr.ingest(&shifted));
+    // count window (a window-sized delta, so that fix searches fresh), then
+    // two small polls: the incremental path resumes cleanly.
+    let end = 400 + 4 * window;
+    for to in [end, end + 4, end + 8] {
+        for r in &clean[from..to] {
+            assert_eq!(legacy.ingest(&shifted(r)), incr.ingest(&shifted(r)));
+        }
+        assert_all_kinds_equal(&mut legacy, &mut incr);
+        from = to;
     }
-    assert_all_kinds_equal(&mut legacy, &mut incr);
     let stats = incr.stats();
     assert_eq!(
-        stats.incremental.fallbacks, fallbacks_during,
+        stats.incremental.fallbacks, during.fallbacks,
         "fallbacks must stop once the poison evicts"
     );
     assert!(
-        stats.incremental.reanchors > fallbacks_during,
+        stats.incremental.reanchors > during.reanchors,
         "incremental path never resumed"
     );
 }
@@ -408,7 +432,7 @@ fn permissive_nan_residency_falls_back_then_recovers() {
 /// every sync.
 #[test]
 fn long_stream_drift_stays_within_reanchor_bound() {
-    let policy = engaged_default_policy();
+    let policy = IncrementalPolicy::default();
     let config = PipelineConfig {
         profile: ProfileKind::Traditional,
         spectrum: SpectrumConfig {
@@ -489,4 +513,112 @@ fn long_stream_drift_stays_within_reanchor_bound() {
         "re-anchoring dominated, downdate path never exercised: {:?}",
         stats.incremental
     );
+}
+
+/// `rotations` whole turns of the clean two-tag stream, the one-rotation
+/// log repeated with shifted timestamps.
+fn cycled(rotations: u64) -> Vec<TagReport> {
+    let base: Vec<TagReport> = clean_log().stream().copied().collect();
+    let span_us = base.last().expect("nonempty log").timestamp_us + 1_000;
+    (0..rotations)
+        .flat_map(|cycle| {
+            base.iter().map(move |r| TagReport {
+                timestamp_us: r.timestamp_us + cycle * span_us,
+                ..*r
+            })
+        })
+        .collect()
+}
+
+/// A session on the default grid, engine and policy whose window holds
+/// one disk period, as a served stream's does.
+fn one_period_session(server: &LocalizationServer) -> ReaderSession {
+    server.session(WindowConfig::last_seconds(
+        DiskConfig::paper_default(Vec3::ZERO).period_s(),
+    ))
+}
+
+/// Ingest `reports`, fix in 2D, and return the fix with the session's
+/// incremental counters after it.
+fn ingest_and_fix(
+    session: &mut ReaderSession,
+    reports: &[TagReport],
+) -> (Result<Fix2D, ServerError>, IncrementalCounts) {
+    for r in reports {
+        session.ingest(r);
+    }
+    let fix = session.fix::<TwoD>();
+    (fix, session.stats().incremental)
+}
+
+/// Property 5: the refresh path follows the traffic, on the default grid,
+/// engine and policy with a one-period window (about 1,330 snapshots per
+/// tag, so a delta of at least one rotation's reports is window-sized).
+#[test]
+fn refresh_path_follows_the_traffic() {
+    let mut server = LocalizationServer::new(PipelineConfig::default());
+    for (epc, x) in [(1u128, -0.3), (2u128, 0.3)] {
+        server
+            .register(epc, DiskConfig::paper_default(Vec3::new(x, 0.0, 0.0)))
+            .expect("unique EPC");
+    }
+    let stream = cycled(3);
+    let rotation = clean_log().len();
+
+    // Burst: a catch-up of more than one window searches fresh, exactly as
+    // a new session fed the same reports and fixed once does.
+    let mut session = one_period_session(&server);
+    let (_, first) = ingest_and_fix(&mut session, &stream[..rotation]);
+    assert_eq!(first, IncrementalCounts::default(), "first fix is fresh");
+    let caught_up = rotation * 5 / 2;
+    let (fix, after) = ingest_and_fix(&mut session, &stream[rotation..caught_up]);
+    assert_eq!(after, IncrementalCounts::default(), "burst fix anchored");
+    let mut fresh = one_period_session(&server);
+    let (want, _) = ingest_and_fix(&mut fresh, &stream[..caught_up]);
+    assert_eq!(fix.expect("burst fix"), want.expect("fresh fix"));
+
+    // Polled: 64 reports between fixes, about 32 in and 32 out per tag.
+    // Fixes 1 and 2 search fresh, fix 3 anchors both tags, and later fixes
+    // apply and downdate without another anchor.
+    let mut session = one_period_session(&server);
+    let mut counts = Vec::new();
+    let (_, c) = ingest_and_fix(&mut session, &stream[..rotation]);
+    counts.push(c);
+    for chunk in stream[rotation..].chunks(64).take(8) {
+        let (fix, c) = ingest_and_fix(&mut session, chunk);
+        fix.expect("polled fix");
+        counts.push(c);
+    }
+    assert_eq!(counts[1], IncrementalCounts::default(), "fix 2 is fresh");
+    assert_eq!(counts[2].reanchors, 2, "fix 3 anchors both tags");
+    assert_eq!(counts[2].downdated, 0);
+    for pair in counts[2..].windows(2) {
+        let (before, after) = (pair[0], pair[1]);
+        assert_eq!(after.reanchors, before.reanchors, "{before:?} → {after:?}");
+        assert!(after.applied > before.applied, "{before:?} → {after:?}");
+        assert!(after.downdated > before.downdated, "{before:?} → {after:?}");
+    }
+    assert_eq!(counts.last().map(|c| c.fallbacks), Some(0));
+
+    // Gap: the polled stream then misses a whole rotation. That fix
+    // searches fresh and drops both states, exactly as a new session fed
+    // the same reports and fixed once does; the next poll searches fresh
+    // too, and the one after re-anchors both tags.
+    let polled = counts.last().copied().expect("polled counts");
+    let at = rotation + 8 * 64;
+    let resumed = at + rotation;
+    let (fix, c) = ingest_and_fix(&mut session, &stream[at..resumed]);
+    assert_eq!(c, polled, "the fix after a gap synced");
+    let mut fresh = one_period_session(&server);
+    let (want, _) = ingest_and_fix(&mut fresh, &stream[..resumed]);
+    assert_eq!(fix.expect("gap fix"), want.expect("fresh fix"));
+    let (_, c) = ingest_and_fix(&mut session, &stream[resumed..resumed + 64]);
+    assert_eq!(c, polled, "the first poll after a gap synced");
+    let (_, c) = ingest_and_fix(&mut session, &stream[resumed + 64..resumed + 128]);
+    assert_eq!(
+        c.reanchors,
+        polled.reanchors + 2,
+        "polling never re-anchored"
+    );
+    assert_eq!(c.downdated, polled.downdated);
 }
