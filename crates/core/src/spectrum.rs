@@ -429,15 +429,22 @@ impl Likelihood {
     }
 }
 
-/// Per-worker buffers for the cell kernel, sized to one [`Prepared`] so
-/// that evaluating a cell never allocates.
+/// Per-worker buffers for the cell kernels, sized to one [`Prepared`] (and
+/// to a [`Harmonics`] series, by [`Scratch::with_series`]) so that
+/// evaluating a cell never allocates.
 struct Scratch {
     /// Steering terms `sᵢ` of the current cell (filled by the caller).
     steer: Vec<f64>,
     /// Steered phasors `e^{jθᵢ}·e^{jsᵢ}` (filled by [`cell_sums`]).
     steered: Vec<Complex>,
-    /// Per-reference weighted sums (filled by [`cell_sums`]).
+    /// Per-reference weighted sums (filled by [`cell_sums`] or
+    /// [`harmonic_power`]).
     weighted: Vec<Complex>,
+    /// Lane-wise power sums `Σᵢ zᵢ^m`, `m = 1..=K+1` (filled by
+    /// [`harmonic_power`]; empty without a series).
+    lanes: Vec<Lanes>,
+    /// The lanes reduced: `S_m` for `m = 0..=K+1`.
+    power_sums: Vec<Complex>,
 }
 
 impl Scratch {
@@ -447,12 +454,151 @@ impl Scratch {
             steer: vec![0.0; n],
             steered: vec![Complex::ZERO; n],
             weighted: vec![Complex::ZERO; p.references.len()],
+            lanes: Vec::new(),
+            power_sums: Vec::new(),
+        }
+    }
+
+    /// [`Scratch::new`] plus the power-sum buffers of `h`'s series.
+    fn with_series(p: &Prepared, h: &Harmonics) -> Scratch {
+        let k = h.coeffs.len();
+        Scratch {
+            lanes: vec![Lanes::ZERO; k],
+            power_sums: vec![Complex::ZERO; k + 1],
+            ..Scratch::new(p)
         }
     }
 }
 
-/// The per-cell profile kernel, shared by [`profile_power`] and the
-/// incremental anchor.
+/// Snapshots [`harmonic_power`] folds side by side: independent multiply
+/// chains the compiler keeps in vector registers.
+const LANES: usize = 4;
+
+/// One complex accumulator per lane, split into real and imaginary parts.
+#[derive(Debug, Clone, Copy)]
+struct Lanes {
+    re: [f64; LANES],
+    im: [f64; LANES],
+}
+
+impl Lanes {
+    const ZERO: Lanes = Lanes {
+        re: [0.0; LANES],
+        im: [0.0; LANES],
+    };
+}
+
+/// Power terms the harmonic kernel may spend per likelihood weight it
+/// replaces and still beat the per-pair kernel: a weight (wrap, divide
+/// and `exp`) costs about as much as 16 complex multiply-adds, measured
+/// per cell at 1,650 snapshots (see `docs/SPECTRUM_ENGINE.md`).
+const SERIES_TERMS_PER_WEIGHT: usize = 16;
+
+/// The enhanced profile's likelihood weight as a Fourier series, for the
+/// engine's [`harmonic_power`] kernel.
+///
+/// The Gaussian of the *wrapped* deviation, `w(wrap_pi(x))`, equals the
+/// wrapped normal `Σ_m w(x + 2πm)` up to the periodization error
+/// `e^{−π²/(2σ_w²)}`, and the wrapped normal has the closed-form series
+/// `Σ_k ĝ_k·e^{jkx}` with `ĝ_k = norm·σ_w/√(2π)·e^{−k²σ_w²/2}`. Truncated at
+/// `|k| ≤ K`, the smallest `K` whose first dropped coefficient is below
+/// `2⁻⁵⁴·ĝ₀`, the series is exact to rounding.
+#[derive(Debug, Clone)]
+struct Harmonics {
+    /// `ĝ_k` for `k = 0..=K` (the series is symmetric, `ĝ_{−k} = ĝ_k`).
+    coeffs: Vec<f64>,
+}
+
+impl Harmonics {
+    /// The series for `likelihood`, or `None` where it would not be exact
+    /// to rounding (periodization error at or above `2⁻⁵³`, which means
+    /// `σ·weight_inflation > 0.259`) or would cost more than the per-pair
+    /// kernel for `references` (clamped) references: `K + 2` power sums
+    /// against [`SERIES_TERMS_PER_WEIGHT`] per replaced weight.
+    fn select(likelihood: Likelihood, references: usize) -> Option<Harmonics> {
+        let sig = likelihood.sig;
+        let (period_tol, tail_tol) = (f64::EPSILON / 2.0, f64::EPSILON / 4.0); // 2⁻⁵³, 2⁻⁵⁴
+        if (-std::f64::consts::PI.powi(2) / (2.0 * sig * sig)).exp() >= period_tol {
+            return None;
+        }
+        // ĝ_k / ĝ₀
+        // lint:allow(lossy-cast) harmonic index is below the search bound, far below 2^53
+        let ratio = |k: usize| (-0.5 * (k as f64 * sig).powi(2)).exp();
+        // The smallest K with ĝ_{K+1} < 2⁻⁵⁴·ĝ₀, searched only up to the
+        // largest K the cost bound `K + 2 ≤ budget` admits.
+        let budget = SERIES_TERMS_PER_WEIGHT.saturating_mul(references);
+        let k = (0..budget.saturating_sub(1)).find(|&k| ratio(k + 1) < tail_tol)?;
+        let g0 = likelihood.norm * sig / TAU.sqrt();
+        Some(Harmonics {
+            coeffs: (0..=k).map(|k| g0 * ratio(k)).collect(),
+        })
+    }
+}
+
+/// The engine's enhanced-profile kernel: the power of the same
+/// per-reference weighted sums as [`cell_sums`], from one set of power
+/// sums shared by every reference instead of one weight per (reference,
+/// snapshot) pair.
+///
+/// With `zᵢ = e^{j(θᵢ + sᵢ)}` and the series of `h`,
+/// `Σᵢ w(ψᵢ − ψ_r)·zᵢ = Σ_{|k|≤K} ĝ_k·z̄_r^k·S_{k+1}` where
+/// `S_m = Σᵢ zᵢ^m`, `S₀ = n` and `S₋ₘ = conj(S_m)`. The power sums cost
+/// `n·(K+1)` complex multiply-adds per cell, folded in [`LANES`] lanes in
+/// snapshot order and then reduced lane by lane, so a cell's value depends
+/// only on its inputs; mixing costs `2K+1` terms per reference. The sums
+/// reduce to a power as in [`profile_power`].
+fn harmonic_power(p: &Prepared, scratch: &mut Scratch, h: &Harmonics) -> f64 {
+    let Scratch {
+        steer,
+        steered,
+        weighted,
+        lanes,
+        power_sums,
+    } = scratch;
+    // lint:allow(lossy-cast) snapshot count is < 2^32, exact in f64
+    let n = steered.len() as f64;
+    cell_sums(p, steer, steered, None);
+    lanes.fill(Lanes::ZERO);
+    for chunk in steered.chunks(LANES) {
+        // Lanes past the end of the last chunk stay zero, and so do all
+        // their powers.
+        let mut z = Lanes::ZERO;
+        for (l, s) in chunk.iter().enumerate() {
+            z.re[l] = s.re;
+            z.im[l] = s.im;
+        }
+        let mut pow = z;
+        for acc in lanes.iter_mut() {
+            for l in 0..LANES {
+                acc.re[l] += pow.re[l];
+                acc.im[l] += pow.im[l];
+                let re = pow.re[l] * z.re[l] - pow.im[l] * z.im[l];
+                pow.im[l] = pow.re[l] * z.im[l] + pow.im[l] * z.re[l];
+                pow.re[l] = re;
+            }
+        }
+    }
+    power_sums[0] = Complex::new(n, 0.0);
+    for (s, acc) in power_sums[1..].iter_mut().zip(lanes.iter()) {
+        *s = Complex::new(acc.re.iter().sum(), acc.im.iter().sum());
+    }
+    let (g, s) = (&h.coeffs, &power_sums[..]);
+    for (out, &r) in weighted.iter_mut().zip(&p.references) {
+        let zr = steered[r].conj();
+        let mut u = Complex::ONE; // z̄_r^k
+        let mut sum = g[0] * s[1];
+        for k in 1..g.len() {
+            u *= zr;
+            sum += g[k] * (u * s[k + 1] + (u * s[k - 1]).conj());
+        }
+        *out = sum;
+    }
+    mean_power(weighted, n)
+}
+
+/// The exact per-cell profile kernel, shared by [`profile_power`] and the
+/// incremental anchor ([`harmonic_power`] uses it only for the steered
+/// phasors).
 ///
 /// Computes each snapshot's steered phasor `e^{jθᵢ}·e^{jsᵢ}` once into
 /// `steered` and returns the traditional sum `Σᵢ e^{j(θᵢ + sᵢ)}`. With
@@ -505,19 +651,26 @@ fn profile_power(
         steer,
         steered,
         weighted,
+        ..
     } = scratch;
     match kind {
         ProfileKind::Traditional => cell_sums(p, steer, steered, None).abs() / n,
         ProfileKind::Enhanced | ProfileKind::Hybrid => {
             cell_sums(p, steer, steered, Some((likelihood, weighted)));
-            let mut total = 0.0;
-            for acc in weighted.iter() {
-                total += acc.abs() / n;
-            }
-            // lint:allow(lossy-cast) reference count is < 2^32, exact in f64
-            total / p.references.len() as f64
+            mean_power(weighted, n)
         }
     }
+}
+
+/// The enhanced profile's power from its per-reference weighted sums: the
+/// per-reference spectra `|Σ|/n`, averaged.
+fn mean_power(weighted: &[Complex], n: f64) -> f64 {
+    let mut total = 0.0;
+    for acc in weighted {
+        total += acc.abs() / n;
+    }
+    // lint:allow(lossy-cast) reference count is < 2^32, exact in f64
+    total / weighted.len() as f64
 }
 
 /// The textbook Definition 4.1 loop: the steered phasor recomputed for

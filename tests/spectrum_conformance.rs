@@ -3,9 +3,11 @@
 //!
 //! The engine's contract (see `docs/SPECTRUM_ENGINE.md`) is that its fast
 //! peak search lands within **one fine-grid step** of the exhaustive
-//! full-grid peak, for every profile kind, in 2D and 3D, under noise. These
-//! properties pin that contract with randomized geometry; the fixed-input
-//! regression side lives in `tests/golden_traces.rs`.
+//! full-grid peak, for every profile kind, in 2D and 3D, under noise, and
+//! that each cell it evaluates is within `1e-12` of the spectrum maximum
+//! of the reference cell. These properties pin that contract with
+//! randomized geometry; the fixed-input regression side lives in
+//! `tests/golden_traces.rs`.
 //!
 //! Case count defaults to 256 and is pinned in CI via `PROPTEST_CASES`.
 
@@ -15,7 +17,9 @@ use rand::SeedableRng;
 use std::f64::consts::TAU;
 use tagspin::core::snapshot::{Snapshot, SnapshotSet};
 use tagspin::core::spectrum::engine::{SpectrumEngine, SpectrumEngineConfig};
-use tagspin::core::spectrum::{ProfileKind, SpectrumConfig};
+use tagspin::core::spectrum::{
+    spectrum_2d, spectrum_3d, spectrum_3d_for_disk, ProfileKind, SpectrumConfig,
+};
 use tagspin::core::spinning::DiskConfig;
 use tagspin::geom::{angle, Vec3};
 use tagspin::rf::phase::round_trip_phase;
@@ -41,6 +45,17 @@ fn cfg_3d() -> SpectrumConfig {
 }
 
 const EXHAUSTIVE: SpectrumEngineConfig = SpectrumEngineConfig { exhaustive: true };
+
+/// `cfg` at its pinned reference count and at the default one (16).
+fn with_default_references(cfg: SpectrumConfig) -> [SpectrumConfig; 2] {
+    [
+        cfg,
+        SpectrumConfig {
+            references: SpectrumConfig::default().references,
+            ..cfg
+        },
+    ]
+}
 
 /// Snapshots of a full rotation seen from `reader`, with optional
 /// per-snapshot Gaussian phase noise drawn from `seed`.
@@ -84,27 +99,29 @@ proptest! {
         };
         let reader = Vec3::new(reader_r * reader_az.cos(), reader_r * reader_az.sin(), 0.0);
         let set = synthesize(&disk, reader, n, noise_rad, seed);
-        let cfg = cfg_2d();
         let ecfg = SpectrumEngineConfig::default();
         let engine = SpectrumEngine::new();
-        let step = TAU / cfg.azimuth_steps as f64;
-        for kind in [ProfileKind::Traditional, ProfileKind::Enhanced, ProfileKind::Hybrid] {
-            let fast = engine.peak_2d(&set, disk.radius, kind, &cfg, &ecfg);
-            let full = engine.peak_2d(&set, disk.radius, kind, &cfg, &EXHAUSTIVE);
-            let (fast, full) = match (fast, full) {
-                (Some(a), Some(b)) => (a, b),
-                (a, b) => {
-                    prop_assert!(a.is_none() && b.is_none(),
-                                 "{kind:?}: one path found a peak, the other did not");
-                    continue;
-                }
-            };
-            let sep = angle::separation(fast.position, full.position);
-            prop_assert!(
-                sep <= step + 1e-9,
-                "{kind:?}: fast {:.4} vs exhaustive {:.4} rad apart {:.4} (> step {:.4})",
-                fast.position, full.position, sep, step
-            );
+        for cfg in with_default_references(cfg_2d()) {
+            let step = TAU / cfg.azimuth_steps as f64;
+            let refs = cfg.references;
+            for kind in [ProfileKind::Traditional, ProfileKind::Enhanced, ProfileKind::Hybrid] {
+                let fast = engine.peak_2d(&set, disk.radius, kind, &cfg, &ecfg);
+                let full = engine.peak_2d(&set, disk.radius, kind, &cfg, &EXHAUSTIVE);
+                let (fast, full) = match (fast, full) {
+                    (Some(a), Some(b)) => (a, b),
+                    (a, b) => {
+                        prop_assert!(a.is_none() && b.is_none(),
+                                     "{kind:?}/{refs}: one path found a peak, the other did not");
+                        continue;
+                    }
+                };
+                let sep = angle::separation(fast.position, full.position);
+                prop_assert!(
+                    sep <= step + 1e-9,
+                    "{kind:?}/{refs}: fast {:.4} vs exhaustive {:.4} rad apart {:.4} (> step {:.4})",
+                    fast.position, full.position, sep, step
+                );
+            }
         }
     }
 
@@ -126,29 +143,131 @@ proptest! {
         };
         let reader = Vec3::new(reader_r * reader_az.cos(), reader_r * reader_az.sin(), reader_z);
         let set = synthesize(&disk, reader, 64, noise_rad, seed);
-        let cfg = cfg_3d();
         let ecfg = SpectrumEngineConfig::default();
         let engine = SpectrumEngine::new();
-        let az_step = TAU / cfg.azimuth_steps as f64;
-        let po_step = std::f64::consts::PI / (cfg.polar_steps - 1) as f64;
-        for kind in [ProfileKind::Traditional, ProfileKind::Enhanced, ProfileKind::Hybrid] {
-            let fast = engine.peak_3d(&set, disk.radius, kind, &cfg, &ecfg);
-            let full = engine.peak_3d(&set, disk.radius, kind, &cfg, &EXHAUSTIVE);
-            let ((fd, _), (ed, _)) = match (fast, full) {
-                (Some(a), Some(b)) => (a, b),
-                (a, b) => {
-                    prop_assert!(a.is_none() && b.is_none(),
-                                 "{kind:?}: one path found a peak, the other did not");
-                    continue;
-                }
-            };
-            let az_sep = angle::separation(fd.azimuth, ed.azimuth);
-            let po_sep = (fd.polar.abs() - ed.polar.abs()).abs();
-            prop_assert!(
-                az_sep <= az_step + 1e-9 && po_sep <= po_step + 1e-9,
-                "{kind:?}: fast ({:.4}, {:.4}) vs exhaustive ({:.4}, {:.4})",
-                fd.azimuth, fd.polar, ed.azimuth, ed.polar
-            );
+        for cfg in with_default_references(cfg_3d()) {
+            let az_step = TAU / cfg.azimuth_steps as f64;
+            let po_step = std::f64::consts::PI / (cfg.polar_steps - 1) as f64;
+            let refs = cfg.references;
+            for kind in [ProfileKind::Traditional, ProfileKind::Enhanced, ProfileKind::Hybrid] {
+                let fast = engine.peak_3d(&set, disk.radius, kind, &cfg, &ecfg);
+                let full = engine.peak_3d(&set, disk.radius, kind, &cfg, &EXHAUSTIVE);
+                let ((fd, _), (ed, _)) = match (fast, full) {
+                    (Some(a), Some(b)) => (a, b),
+                    (a, b) => {
+                        prop_assert!(a.is_none() && b.is_none(),
+                                     "{kind:?}/{refs}: one path found a peak, the other did not");
+                        continue;
+                    }
+                };
+                let az_sep = angle::separation(fd.azimuth, ed.azimuth);
+                let po_sep = (fd.polar.abs() - ed.polar.abs()).abs();
+                prop_assert!(
+                    az_sep <= az_step + 1e-9 && po_sep <= po_step + 1e-9,
+                    "{kind:?}/{refs}: fast ({:.4}, {:.4}) vs exhaustive ({:.4}, {:.4})",
+                    fd.azimuth, fd.polar, ed.azimuth, ed.polar
+                );
+            }
+        }
+    }
+
+    /// The engine's full-grid enhanced spectra against the free
+    /// functions, cell by cell, within `1e-12` of the spectrum maximum. The
+    /// engine serves enhanced cells from its harmonic series where that is
+    /// exact to rounding and cheaper (σ·`weight_inflation` ≤ 0.259 and
+    /// enough references), and from the per-pair kernel elsewhere; the
+    /// draws straddle both bounds, cover every lane remainder and more
+    /// references than snapshots. A NaN phase poisons every cell and gives
+    /// no peak on either path.
+    #[test]
+    fn prop_engine_spectra_match_free_functions(
+        radius in 0.06f64..0.15,
+        reader_r in 1.0f64..3.0,
+        reader_az in 0.0f64..TAU,
+        reader_z in -1.0f64..1.5,
+        n in 1usize..=400,
+        ref_idx in 0usize..5,
+        inflation in 0.5f64..3.0,
+        noise_rad in 0.0f64..0.25,
+        nan_draw in 0usize..1600,
+        normal_azimuth in 0.0f64..TAU,
+        seed in proptest::num::u64::ANY,
+    ) {
+        let cfg = SpectrumConfig {
+            azimuth_steps: 64,
+            polar_steps: 7,
+            references: [2, 4, 8, 16, 32][ref_idx],
+            weight_inflation: inflation,
+            ..SpectrumConfig::default()
+        };
+        let horizontal = DiskConfig {
+            radius,
+            ..DiskConfig::paper_default(Vec3::ZERO)
+        };
+        let vertical = DiskConfig {
+            radius,
+            ..DiskConfig::vertical(Vec3::ZERO, normal_azimuth)
+        };
+        let reader = Vec3::new(reader_r * reader_az.cos(), reader_r * reader_az.sin(), reader_z);
+        // A quarter of the cases carry one NaN phase.
+        let nan = (nan_draw < 400).then_some(nan_draw % n);
+        let poison = |set: SnapshotSet| match nan {
+            Some(at) => SnapshotSet::from_snapshots(
+                set.snapshots()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| if i == at { Snapshot { phase: f64::NAN, ..*s } } else { *s })
+                    .collect(),
+            ),
+            None => set,
+        };
+        let flat = poison(synthesize(&horizontal, reader, n, noise_rad, seed));
+        let upright = poison(synthesize(&vertical, reader, n, noise_rad, seed));
+        let engine = SpectrumEngine::new();
+        let ecfg = SpectrumEngineConfig::default();
+        let kind = ProfileKind::Enhanced;
+        let pairs = [
+            (
+                "spectrum_2d",
+                engine.spectrum_2d(&flat, radius, kind, &cfg, &ecfg).values().to_vec(),
+                spectrum_2d(&flat, radius, kind, &cfg).values().to_vec(),
+            ),
+            (
+                "spectrum_3d",
+                engine.spectrum_3d(&flat, radius, kind, &cfg, &ecfg).values().to_vec(),
+                spectrum_3d(&flat, radius, kind, &cfg).values().to_vec(),
+            ),
+            (
+                "spectrum_3d_for_disk",
+                engine.spectrum_3d_for_disk(&upright, &vertical, kind, &cfg, &ecfg).values().to_vec(),
+                spectrum_3d_for_disk(&upright, &vertical, kind, &cfg).values().to_vec(),
+            ),
+        ];
+        let refs = cfg.references;
+        for (name, fast, exact) in &pairs {
+            if nan.is_some() {
+                prop_assert!(
+                    fast.iter().chain(exact).all(|v| v.is_nan()),
+                    "{name}/{refs}: a NaN phase left a cell finite"
+                );
+                continue;
+            }
+            let max = exact.iter().copied().fold(0.0, f64::max);
+            for (cell, (a, b)) in fast.iter().zip(exact).enumerate() {
+                prop_assert!(
+                    (a - b).abs() <= 1e-12 * max,
+                    "{name}/{refs}, inflation {inflation}, n {n}: cell {cell} {a} vs {b} (max {max})"
+                );
+            }
+        }
+        if nan.is_some() {
+            for path in [ecfg, EXHAUSTIVE] {
+                prop_assert!(engine.peak_2d(&flat, radius, kind, &cfg, &path).is_none());
+                prop_assert!(engine.peak_3d(&flat, radius, kind, &cfg, &path).is_none());
+                prop_assert!(engine
+                    .peak_3d_for_disk(&upright, &vertical, kind, &cfg, &path)
+                    .is_none());
+            }
         }
     }
 
