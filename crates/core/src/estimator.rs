@@ -1,37 +1,41 @@
-//! Pluggable fix estimators: the spectrum pipeline and a phase-based
-//! maximum-likelihood search behind one [`Estimator`] trait.
+//! Fix estimators: the spectrum pipeline and a phase-based
+//! maximum-likelihood search as backends of one estimate body,
+//! [`EstimatorBackend::estimate`].
 //!
 //! The paper localizes a reader by beamforming each spinning tag's angle
 //! spectrum and intersecting the per-tag bearing lines (Sections IV–V).
 //! The same wrapped-phase model admits a *direct* likelihood search over
 //! reader position — Li et al.'s phase-based variant maximum-likelihood
 //! positioning — which fuses every tag's raw snapshots jointly instead of
-//! compressing each tag to one bearing first. This module hosts both:
+//! compressing each tag to one bearing first. Every fix kind and backend
+//! starts from the same seed, the kind's bearing intersection
+//! ([`locate_2d`](crate::locate::plane::locate_2d),
+//! [`locate_3d`](crate::locate::space::locate_3d) or
+//! [`locate_3d_resolved`](crate::locate::aided::locate_3d_resolved)):
 //!
-//! * [`SpectrumEstimator`] — the existing engine output (per-tag peaks,
-//!   incremental accumulators and all) fused by weighted line
-//!   intersection. It is the default backend and is **bit-identical** to
-//!   the historical fix path: it calls the very same
-//!   [`locate_2d`]/[`locate_3d`]/[`locate_3d_resolved`] free functions on
-//!   the very same bearings.
-//! * [`MlEstimator`] — seeds from the spectrum fix and runs a damped
-//!   Gauss–Newton (Levenberg) search over position against the
-//!   wrapped-phase residual model `e = wrap_pi(θ − k·d(p) − c_tag)`,
-//!   with the per-tag diversity offset `c_tag` eliminated in closed form
-//!   (circular mean) and IRLS Gaussian weights for fault robustness.
-//! * [`HybridEstimator`] — runs the ML refinement but accepts it only on
-//!   captures the phase model explains well (mean inlier weight above a
-//!   floor); heavily corrupted windows fall back to the spectrum fix.
+//! * [`EstimatorBackend::Spectrum`] serves the seed. It is the default
+//!   and is **bit-identical** to the historical fix path, because the seed
+//!   is the same free function on the same bearings.
+//! * [`EstimatorBackend::Ml`] refines the seed by a damped Gauss–Newton
+//!   (Levenberg) search over position against the wrapped-phase residual
+//!   model `e = wrap_pi(θ − k·d(p) − c_tag)`, with the per-tag diversity
+//!   offset `c_tag` eliminated in closed form (circular mean) and IRLS
+//!   Gaussian weights for fault robustness.
+//! * [`EstimatorBackend::Hybrid`] is the ML arm with a floor: it serves
+//!   the refinement only on captures the phase model explains well (mean
+//!   inlier weight above 0.5); heavily corrupted windows get the seed.
 //!
-//! Every backend also reports a typed [`FixConfidence`]: a position
+//! Every estimate also carries a typed [`FixConfidence`]: a position
 //! covariance extended from [`crate::diagnostics::bearing_crlb_worst`]
-//! (spectrum) or the Gauss–Newton normal matrix (ML), with degenerate
-//! geometries refused as a [`ConfidenceError`] — never `NaN`.
+//! (the seed) or the Gauss–Newton normal matrix (an accepted refinement),
+//! with degenerate geometries refused as a [`ConfidenceError`] — never
+//! `NaN`.
 
-use crate::locate::aided::{locate_3d_resolved, AmbiguousBearing, ResolvedFix};
-use crate::locate::plane::{locate_2d, Bearing2D, Fix2D};
-use crate::locate::space::{locate_3d, Bearing3D, Fix3D};
+use crate::locate::aided::AmbiguousBearing;
+use crate::locate::plane::{Bearing2D, Fix2D};
+use crate::locate::space::{Bearing3D, Fix3D};
 use crate::server::{PipelineConfig, ServerError};
+use crate::session::{FixPath, ThreeD, TwoD};
 use crate::snapshot::SnapshotSet;
 use crate::spinning::DiskConfig;
 use serde::{Deserialize, Serialize};
@@ -297,362 +301,100 @@ pub struct Estimate<F> {
     pub ml: Option<MlReport>,
 }
 
-/// A 2D fix with confidence and backend provenance.
-pub type Estimate2D = Estimate<Fix2D>;
-
-/// A 3D fix (with its mirror candidate) with confidence and backend
-/// provenance.
-pub type Estimate3D = Estimate<Fix3D>;
-
-/// An ambiguity-resolved 3D fix with confidence and backend provenance.
-pub type EstimateAided = Estimate<ResolvedFix>;
-
-/// A multi-tag fix resolver: turns per-tag bearings (and, for backends
-/// that consume raw phases, the windowed snapshot views behind them) into
-/// a position estimate with typed confidence.
-///
-/// `bearings[i]` and `observations[i]` describe the same tag, in the same
-/// order; `observations` may be empty, in which case phase-consuming
-/// backends fall back to the spectrum fix and confidence is
-/// [`ConfidenceError::NotComputed`].
-pub trait Estimator: fmt::Debug + Send + Sync {
-    /// Which backend this estimator implements.
-    fn backend(&self) -> EstimatorBackend;
-
-    /// Resolve a 2D fix.
+impl EstimatorBackend {
+    /// Resolve the multi-tag fix of kind `K` from per-tag bearings and,
+    /// for the ml and hybrid backends, the windowed snapshot views behind
+    /// them.
+    ///
+    /// One body serves every (kind, backend) pair. The bearings are
+    /// intersected into a seed fix (the spectrum backend serves it as is).
+    /// The ml and hybrid backends refine the seed by maximum likelihood
+    /// over the raw phases and serve the refinement when it is accepted
+    /// (hybrid only above its mean-weight floor); otherwise they serve the
+    /// seed with its CRLB confidence.
+    ///
+    /// `bearings[i]` and `observations[i]` describe the same tag, in the
+    /// same order. `observations` may be empty: the ml and hybrid backends
+    /// then serve the seed, and confidence is
+    /// [`ConfidenceError::NotComputed`].
     ///
     /// # Errors
     ///
     /// [`ServerError::Locate`] on degenerate bearing geometry.
-    fn estimate_2d(
-        &self,
-        bearings: &[Bearing2D],
+    pub fn estimate<K: FixPath>(
+        self,
+        bearings: &[K::Bearing],
         observations: &[TagObservation],
         config: &PipelineConfig,
-    ) -> Result<Estimate2D, ServerError>;
+    ) -> Result<Estimate<K::Fix>, ServerError> {
+        let seed = K::locate(bearings).map_err(ServerError::from)?;
+        let serve_seed = |seed: K::Fix, ml: Option<MlReport>| Estimate {
+            confidence: crlb_confidence::<K>(bearings, observations, config, &seed),
+            fix: seed,
+            backend: self,
+            ml,
+        };
+        let weight_floor = match self {
+            EstimatorBackend::Spectrum => return Ok(serve_seed(seed, None)),
+            EstimatorBackend::Ml => None,
+            EstimatorBackend::Hybrid => Some(HYBRID_MIN_MEAN_WEIGHT),
+        };
+        let fit = ml_fit(K::position(&seed), K::PLANAR, observations, config);
+        Ok(match accepted_fit(fit, weight_floor) {
+            Ok(fit) => {
+                let cov_zz = (!K::PLANAR).then_some(fit.cov[3]);
+                Estimate {
+                    confidence: FixConfidence::from_covariance(
+                        fit.cov[0], fit.cov[1], fit.cov[2], cov_zz, fit.tags,
+                    ),
+                    fix: K::refined(seed, bearings, fit.position),
+                    backend: self,
+                    ml: Some(fit.report),
+                }
+            }
+            Err(report) => serve_seed(seed, Some(report)),
+        })
+    }
 
-    /// Resolve a 3D fix.
+    /// `estimate::<TwoD>` with concrete parameter types, kept only because
+    /// the `perfbench` benchmark package calls it (`src/layers.rs`).
     ///
     /// # Errors
     ///
-    /// Same as [`Estimator::estimate_2d`].
-    fn estimate_3d(
-        &self,
-        bearings: &[Bearing3D],
+    /// Same as [`EstimatorBackend::estimate`].
+    #[doc(hidden)]
+    pub fn estimate_2d(
+        self,
+        bearings: &[Bearing2D],
         observations: &[TagObservation],
         config: &PipelineConfig,
-    ) -> Result<Estimate3D, ServerError>;
+    ) -> Result<Estimate<Fix2D>, ServerError> {
+        self.estimate::<TwoD>(bearings, observations, config)
+    }
 
-    /// Resolve an ambiguity-aided 3D fix.
+    /// `estimate::<ThreeD>` with concrete parameter types, kept only
+    /// because the `perfbench` benchmark package calls it
+    /// (`src/batch_3d.rs`).
     ///
     /// # Errors
     ///
-    /// Same as [`Estimator::estimate_2d`].
-    fn estimate_3d_aided(
-        &self,
-        bearings: &[AmbiguousBearing],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<EstimateAided, ServerError>;
-}
-
-/// The statically-dispatched implementation of a backend.
-pub fn backend_impl(backend: EstimatorBackend) -> &'static dyn Estimator {
-    match backend {
-        EstimatorBackend::Spectrum => &SpectrumEstimator,
-        EstimatorBackend::Ml => &MlEstimator,
-        EstimatorBackend::Hybrid => &HybridEstimator,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Spectrum backend
-// ---------------------------------------------------------------------------
-
-/// The paper's estimator: per-tag spectrum-peak bearings fused by weighted
-/// line intersection. Bit-identical to the historical fix path — it calls
-/// the same `locate_*` free functions on the same bearings.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpectrumEstimator;
-
-impl Estimator for SpectrumEstimator {
-    fn backend(&self) -> EstimatorBackend {
-        EstimatorBackend::Spectrum
-    }
-
-    fn estimate_2d(
-        &self,
-        bearings: &[Bearing2D],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<Estimate2D, ServerError> {
-        let fix = locate_2d(bearings).map_err(ServerError::from)?;
-        let confidence = spectrum_confidence_2d(bearings, observations, config, fix.position);
-        Ok(Estimate2D {
-            fix,
-            confidence,
-            backend: EstimatorBackend::Spectrum,
-            ml: None,
-        })
-    }
-
-    fn estimate_3d(
-        &self,
+    /// Same as [`EstimatorBackend::estimate`].
+    #[doc(hidden)]
+    pub fn estimate_3d(
+        self,
         bearings: &[Bearing3D],
         observations: &[TagObservation],
         config: &PipelineConfig,
-    ) -> Result<Estimate3D, ServerError> {
-        let fix = locate_3d(bearings).map_err(ServerError::from)?;
-        let confidence = spectrum_confidence_3d(bearings, observations, config, fix.position);
-        Ok(Estimate3D {
-            fix,
-            confidence,
-            backend: EstimatorBackend::Spectrum,
-            ml: None,
-        })
-    }
-
-    fn estimate_3d_aided(
-        &self,
-        bearings: &[AmbiguousBearing],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<EstimateAided, ServerError> {
-        let fix = locate_3d_resolved(bearings).map_err(ServerError::from)?;
-        let confidence = spectrum_confidence_aided(bearings, observations, config, &fix);
-        Ok(EstimateAided {
-            fix,
-            confidence,
-            backend: EstimatorBackend::Spectrum,
-            ml: None,
-        })
+    ) -> Result<Estimate<Fix3D>, ServerError> {
+        self.estimate::<ThreeD>(bearings, observations, config)
     }
 }
 
-// ---------------------------------------------------------------------------
-// ML and hybrid backends
-// ---------------------------------------------------------------------------
-
-/// Maximum-likelihood estimator: damped Gauss–Newton over position against
-/// the wrapped-phase residual model, seeded from the spectrum fix, fusing
-/// all spinning tags jointly. Falls back to the seed when the refinement
-/// cannot improve the robust cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MlEstimator;
-
-impl Estimator for MlEstimator {
-    fn backend(&self) -> EstimatorBackend {
-        EstimatorBackend::Ml
-    }
-
-    fn estimate_2d(
-        &self,
-        bearings: &[Bearing2D],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<Estimate2D, ServerError> {
-        ml_estimate_2d(bearings, observations, config, EstimatorBackend::Ml, None)
-    }
-
-    fn estimate_3d(
-        &self,
-        bearings: &[Bearing3D],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<Estimate3D, ServerError> {
-        ml_estimate_3d(bearings, observations, config, EstimatorBackend::Ml, None)
-    }
-
-    fn estimate_3d_aided(
-        &self,
-        bearings: &[AmbiguousBearing],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<EstimateAided, ServerError> {
-        ml_estimate_aided(bearings, observations, config, EstimatorBackend::Ml, None)
-    }
-}
-
-/// Hybrid estimator: serves the ML refinement on captures the phase model
-/// explains well (mean inlier weight ≥ 0.5) and the spectrum fix
-/// otherwise.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HybridEstimator;
-
-impl Estimator for HybridEstimator {
-    fn backend(&self) -> EstimatorBackend {
-        EstimatorBackend::Hybrid
-    }
-
-    fn estimate_2d(
-        &self,
-        bearings: &[Bearing2D],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<Estimate2D, ServerError> {
-        ml_estimate_2d(
-            bearings,
-            observations,
-            config,
-            EstimatorBackend::Hybrid,
-            Some(HYBRID_MIN_MEAN_WEIGHT),
-        )
-    }
-
-    fn estimate_3d(
-        &self,
-        bearings: &[Bearing3D],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<Estimate3D, ServerError> {
-        ml_estimate_3d(
-            bearings,
-            observations,
-            config,
-            EstimatorBackend::Hybrid,
-            Some(HYBRID_MIN_MEAN_WEIGHT),
-        )
-    }
-
-    fn estimate_3d_aided(
-        &self,
-        bearings: &[AmbiguousBearing],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<EstimateAided, ServerError> {
-        ml_estimate_aided(
-            bearings,
-            observations,
-            config,
-            EstimatorBackend::Hybrid,
-            Some(HYBRID_MIN_MEAN_WEIGHT),
-        )
-    }
-}
-
-fn ml_estimate_2d(
-    bearings: &[Bearing2D],
-    observations: &[TagObservation],
-    config: &PipelineConfig,
-    backend: EstimatorBackend,
-    weight_floor: Option<f64>,
-) -> Result<Estimate2D, ServerError> {
-    let seed = locate_2d(bearings).map_err(ServerError::from)?;
-    let seed3 = seed.position.with_z(0.0);
-    let fit = ml_fit(seed3, true, observations, config);
-    match accepted_fit(fit, weight_floor) {
-        Ok(fit) => {
-            let position = fit.position.xy();
-            let confidence =
-                FixConfidence::from_covariance(fit.cov[0], fit.cov[1], fit.cov[2], None, fit.tags);
-            Ok(Estimate2D {
-                fix: Fix2D {
-                    position,
-                    residual_m: rms_line_residual_2d(bearings, position),
-                },
-                confidence,
-                backend,
-                ml: Some(fit.report),
-            })
-        }
-        Err(report) => {
-            let confidence = spectrum_confidence_2d(bearings, observations, config, seed.position);
-            Ok(Estimate2D {
-                fix: seed,
-                confidence,
-                backend,
-                ml: Some(report),
-            })
-        }
-    }
-}
-
-fn ml_estimate_3d(
-    bearings: &[Bearing3D],
-    observations: &[TagObservation],
-    config: &PipelineConfig,
-    backend: EstimatorBackend,
-    weight_floor: Option<f64>,
-) -> Result<Estimate3D, ServerError> {
-    let seed = locate_3d(bearings).map_err(ServerError::from)?;
-    let fit = ml_fit(seed.position, false, observations, config);
-    match accepted_fit(fit, weight_floor) {
-        Ok(fit) => {
-            let position = fit.position;
-            // Mirror across the same disk plane the seed mirrored over.
-            let plane_z = 0.5 * (seed.position.z + seed.mirror.z);
-            let confidence = FixConfidence::from_covariance(
-                fit.cov[0],
-                fit.cov[1],
-                fit.cov[2],
-                Some(fit.cov[3]),
-                fit.tags,
-            );
-            Ok(Estimate3D {
-                fix: Fix3D {
-                    position,
-                    mirror: position.xy().with_z(2.0 * plane_z - position.z),
-                    residual_m: rms_line_residual_3d(bearings, position.xy()),
-                    z_spread_m: seed.z_spread_m,
-                },
-                confidence,
-                backend,
-                ml: Some(fit.report),
-            })
-        }
-        Err(report) => {
-            let confidence = spectrum_confidence_3d(bearings, observations, config, seed.position);
-            Ok(Estimate3D {
-                fix: seed,
-                confidence,
-                backend,
-                ml: Some(report),
-            })
-        }
-    }
-}
-
-fn ml_estimate_aided(
-    bearings: &[AmbiguousBearing],
-    observations: &[TagObservation],
-    config: &PipelineConfig,
-    backend: EstimatorBackend,
-    weight_floor: Option<f64>,
-) -> Result<EstimateAided, ServerError> {
-    let seed = locate_3d_resolved(bearings).map_err(ServerError::from)?;
-    let fit = ml_fit(seed.position, false, observations, config);
-    match accepted_fit(fit, weight_floor) {
-        Ok(fit) => {
-            let position = fit.position;
-            let confidence = FixConfidence::from_covariance(
-                fit.cov[0],
-                fit.cov[1],
-                fit.cov[2],
-                Some(fit.cov[3]),
-                fit.tags,
-            );
-            Ok(EstimateAided {
-                fix: ResolvedFix {
-                    position,
-                    residual_m: rms_chosen_residual(bearings, &seed.chosen, position),
-                    chosen: seed.chosen.clone(),
-                    runner_up_residual_m: seed.runner_up_residual_m,
-                },
-                confidence,
-                backend,
-                ml: Some(fit.report),
-            })
-        }
-        Err(report) => {
-            let confidence = spectrum_confidence_aided(bearings, observations, config, &seed);
-            Ok(EstimateAided {
-                fix: seed,
-                confidence,
-                backend,
-                ml: Some(report),
-            })
-        }
-    }
+/// `backend` itself, kept only because the `perfbench` benchmark package
+/// calls it (`src/layers.rs`, `src/batch_3d.rs`).
+#[doc(hidden)]
+pub fn backend_impl(backend: EstimatorBackend) -> EstimatorBackend {
+    backend
 }
 
 /// Filter an ML fit through the acceptance policy: the fit must exist
@@ -1105,46 +847,47 @@ pub fn confidence_from_bearing_lines(
     FixConfidence::from_covariance(iyy / det, -ixy / det, ixx / det, cov_zz, informative)
 }
 
-fn spectrum_confidence_2d(
-    bearings: &[Bearing2D],
+/// Confidence of an intersection fix of kind `K`: the line each usable
+/// bearing contributes, with its observation's worst-case CRLB as the
+/// angular σ, fused at the fix's horizontal position. The 3D kinds add the
+/// vertical variance of the height estimate.
+fn crlb_confidence<K: FixPath>(
+    bearings: &[K::Bearing],
     observations: &[TagObservation],
     config: &PipelineConfig,
-    position: Vec2,
+    fix: &K::Fix,
 ) -> Result<FixConfidence, ConfidenceError> {
     let sigmas =
         bearing_sigmas(bearings.len(), observations, config).ok_or(ConfidenceError::NotComputed)?;
-    let lines: Vec<(Vec2, f64, f64)> = bearings
+    let lines = K::lines(bearings, fix);
+    let position = K::position(fix).xy();
+    let cov_zz = if K::PLANAR {
+        None
+    } else {
+        height_variance(&lines, &sigmas, position)?
+    };
+    let lines: Vec<(Vec2, f64, f64)> = lines
         .iter()
-        .zip(&sigmas)
-        .filter(|(b, _)| b.weight > 0.0)
-        .map(|(b, &s)| (b.origin, b.azimuth, s))
+        .map(|&(i, b)| (b.origin.xy(), b.direction.azimuth, sigmas[i]))
         .collect();
-    confidence_from_bearing_lines(&lines, position, None)
+    confidence_from_bearing_lines(&lines, position, cov_zz)
 }
 
-fn spectrum_confidence_3d(
-    bearings: &[Bearing3D],
-    observations: &[TagObservation],
-    config: &PipelineConfig,
-    position: Vec3,
-) -> Result<FixConfidence, ConfidenceError> {
-    let sigmas =
-        bearing_sigmas(bearings.len(), observations, config).ok_or(ConfidenceError::NotComputed)?;
-    let lines: Vec<(Vec2, f64, f64)> = bearings
-        .iter()
-        .zip(&sigmas)
-        .filter(|(b, _)| b.weight > 0.0)
-        .map(|(b, &s)| (b.origin.xy(), b.direction.azimuth, s))
-        .collect();
-    // Vertical variance: z is the weighted mean of per-tag Eqn-13 height
-    // estimates; propagate each tag's angular CRLB through
-    // dz/dγ = ρ_h·sec²γ.
+/// Vertical variance of a 3D fix: z is the weighted mean of per-tag
+/// Eqn-13 height estimates, so each line's angular CRLB propagates
+/// through dz/dγ = ρ_h·sec²γ. `None` when no line carries weight.
+fn height_variance(
+    lines: &[(usize, Bearing3D)],
+    sigmas: &[f64],
+    position: Vec2,
+) -> Result<Option<f64>, ConfidenceError> {
     let (mut num, mut w_sum) = (0.0f64, 0.0f64);
-    for (b, &s) in bearings.iter().zip(&sigmas).filter(|(b, _)| b.weight > 0.0) {
+    for &(i, b) in lines {
+        let s = sigmas[i];
         if !s.is_finite() {
             continue;
         }
-        let rho_h = (position.xy() - b.origin.xy()).norm();
+        let rho_h = (position - b.origin.xy()).norm();
         let sec2 = {
             let c = b.direction.polar.cos();
             if c.abs() < 1e-9 {
@@ -1156,63 +899,7 @@ fn spectrum_confidence_3d(
         num += b.weight * b.weight * sd * sd;
         w_sum += b.weight;
     }
-    let cov_zz = if w_sum > 0.0 {
-        Some(num / (w_sum * w_sum))
-    } else {
-        None
-    };
-    confidence_from_bearing_lines(&lines, position.xy(), cov_zz)
-}
-
-fn spectrum_confidence_aided(
-    bearings: &[AmbiguousBearing],
-    observations: &[TagObservation],
-    config: &PipelineConfig,
-    fix: &ResolvedFix,
-) -> Result<FixConfidence, ConfidenceError> {
-    let sigmas =
-        bearing_sigmas(bearings.len(), observations, config).ok_or(ConfidenceError::NotComputed)?;
-    // The resolver's `chosen` indexes the weight-filtered bearings in
-    // order; rebuild that pairing to read each chosen direction.
-    let usable: Vec<(&AmbiguousBearing, f64)> = bearings
-        .iter()
-        .zip(&sigmas)
-        .filter(|(b, _)| b.weight > 0.0)
-        .map(|(b, &s)| (b, s))
-        .collect();
-    if usable.len() != fix.chosen.len() {
-        return Err(ConfidenceError::NotComputed);
-    }
-    let lines: Vec<(Vec2, f64, f64)> = usable
-        .iter()
-        .zip(&fix.chosen)
-        .map(|(&(b, s), &c)| {
-            let dir = b.candidates[usize::from(c.min(1))];
-            (b.origin.xy(), dir.azimuth, s)
-        })
-        .collect();
-    // Same height propagation as the plain 3D fix, over chosen candidates.
-    let (mut num, mut w_sum) = (0.0f64, 0.0f64);
-    for (&(b, s), &c) in usable.iter().zip(&fix.chosen) {
-        if !s.is_finite() {
-            continue;
-        }
-        let dir = b.candidates[usize::from(c.min(1))];
-        let rho_h = (fix.position.xy() - b.origin.xy()).norm();
-        let cp = dir.polar.cos();
-        if cp.abs() < 1e-9 {
-            return Err(ConfidenceError::DegenerateGeometry);
-        }
-        let sd = rho_h * s / (cp * cp);
-        num += b.weight * b.weight * sd * sd;
-        w_sum += b.weight;
-    }
-    let cov_zz = if w_sum > 0.0 {
-        Some(num / (w_sum * w_sum))
-    } else {
-        None
-    };
-    confidence_from_bearing_lines(&lines, fix.position.xy(), cov_zz)
+    Ok((w_sum > 0.0).then(|| num / (w_sum * w_sum)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1220,8 +907,9 @@ fn spectrum_confidence_aided(
 // ---------------------------------------------------------------------------
 
 /// RMS perpendicular distance from `p` to the (weight-positive) bearing
-/// lines — the same self-consistency figure [`locate_2d`] reports.
-fn rms_line_residual_2d(bearings: &[Bearing2D], p: Vec2) -> f64 {
+/// lines — the same self-consistency figure
+/// [`locate_2d`](crate::locate::plane::locate_2d) reports.
+pub(crate) fn rms_line_residual_2d(bearings: &[Bearing2D], p: Vec2) -> f64 {
     let mut ss = 0.0;
     let mut n = 0usize;
     for b in bearings.iter().filter(|b| b.weight > 0.0) {
@@ -1236,7 +924,9 @@ fn rms_line_residual_2d(bearings: &[Bearing2D], p: Vec2) -> f64 {
     (ss / n as f64).sqrt()
 }
 
-fn rms_line_residual_3d(bearings: &[Bearing3D], p: Vec2) -> f64 {
+/// [`rms_line_residual_2d`] over the horizontal projections of 3D
+/// bearings.
+pub(crate) fn rms_line_residual_3d(bearings: &[Bearing3D], p: Vec2) -> f64 {
     let planar: Vec<Bearing2D> = bearings
         .iter()
         .map(|b| Bearing2D {
@@ -1249,7 +939,7 @@ fn rms_line_residual_3d(bearings: &[Bearing3D], p: Vec2) -> f64 {
 }
 
 /// RMS distance from `p` to the chosen candidate rays of an aided fix.
-fn rms_chosen_residual(bearings: &[AmbiguousBearing], chosen: &[u8], p: Vec3) -> f64 {
+pub(crate) fn rms_chosen_residual(bearings: &[AmbiguousBearing], chosen: &[u8], p: Vec3) -> f64 {
     let usable: Vec<&AmbiguousBearing> = bearings.iter().filter(|b| b.weight > 0.0).collect();
     if usable.len() != chosen.len() || usable.is_empty() {
         return 0.0;
@@ -1268,6 +958,10 @@ fn rms_chosen_residual(bearings: &[AmbiguousBearing], chosen: &[u8], p: Vec3) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::locate::aided::locate_3d_resolved;
+    use crate::locate::plane::locate_2d;
+    use crate::locate::space::locate_3d;
+    use crate::session::Aided;
     use crate::snapshot::Snapshot;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1330,6 +1024,74 @@ mod tests {
         (observations, bearings)
     }
 
+    /// Three disks seen from above the disk plane, with 3D and aided
+    /// bearings a little off the truth (the seed the ML refinement should
+    /// improve on).
+    fn three_disk_setup() -> (Vec<TagObservation>, Vec<Bearing3D>, Vec<AmbiguousBearing>) {
+        let truth = Vec3::new(0.3, 1.6, 0.5);
+        let mut rng = StdRng::seed_from_u64(23);
+        let disks = [
+            DiskConfig::paper_default(Vec3::new(-0.3, 0.0, 0.0)),
+            DiskConfig::paper_default(Vec3::new(0.3, 0.0, 0.0)),
+            DiskConfig::paper_default(Vec3::new(0.0, -0.4, 0.0)),
+        ];
+        let mut observations = Vec::new();
+        let mut bearings = Vec::new();
+        let mut aided = Vec::new();
+        for (i, disk) in disks.iter().enumerate() {
+            let set = synthesize(disk, truth, 400, 0.1, 0.5 * i as f64, &mut rng);
+            observations.push(TagObservation {
+                epc: i as u128 + 1,
+                disk: *disk,
+                set,
+            });
+            let rel = truth - disk.center;
+            let dir =
+                tagspin_geom::vec3::Direction3::new(rel.azimuth() + 0.012, rel.polar() + 0.01);
+            bearings.push(Bearing3D::new(disk.center, dir));
+            aided.push(AmbiguousBearing::horizontal(disk.center, dir));
+        }
+        (observations, bearings, aided)
+    }
+
+    /// Replace every observation's phases with wrapped Gaussian junk
+    /// (finite but model-free) of the given spread.
+    fn corrupt(observations: &mut [TagObservation], seed: u64, spread: f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for obs in observations {
+            obs.set = SnapshotSet::from_snapshots(
+                obs.set
+                    .snapshots()
+                    .iter()
+                    .map(|s| Snapshot {
+                        phase: angle::wrap_tau(spread * gaussian(&mut rng)),
+                        ..*s
+                    })
+                    .collect(),
+            );
+        }
+    }
+
+    /// Assert that `backend` serves `seed`, the kind's own intersection of
+    /// `bearings`, verbatim; return the ML report and confidence it
+    /// carries.
+    fn served_seed<K: FixPath>(
+        backend: EstimatorBackend,
+        bearings: &[K::Bearing],
+        observations: &[TagObservation],
+        seed: &K::Fix,
+    ) -> (Option<MlReport>, Result<FixConfidence, ConfidenceError>)
+    where
+        K::Fix: PartialEq + fmt::Debug,
+    {
+        let out = backend
+            .estimate::<K>(bearings, observations, &PipelineConfig::default())
+            .unwrap();
+        assert_eq!(&out.fix, seed, "{backend:?} must serve the intersection");
+        assert_eq!(out.backend, backend);
+        (out.ml, out.confidence)
+    }
+
     #[test]
     fn backend_names_parse_round_trip() {
         for b in [
@@ -1349,15 +1111,16 @@ mod tests {
 
     #[test]
     fn spectrum_backend_is_locate_verbatim() {
-        let (_, bearings) = paper_setup(Vec3::new(0.4, 1.7, 0.0));
-        let est = backend_impl(EstimatorBackend::Spectrum);
-        let cfg = PipelineConfig::default();
-        let out = est.estimate_2d(&bearings, &[], &cfg).unwrap();
-        let reference = locate_2d(&bearings).unwrap();
-        assert_eq!(out.fix, reference);
-        assert_eq!(out.backend, EstimatorBackend::Spectrum);
-        assert!(out.ml.is_none());
-        assert_eq!(out.confidence, Err(ConfidenceError::NotComputed));
+        let (_, b2) = paper_setup(Vec3::new(0.4, 1.7, 0.0));
+        let (_, b3, ba) = three_disk_setup();
+        let spectrum = EstimatorBackend::Spectrum;
+        for served in [
+            served_seed::<TwoD>(spectrum, &b2, &[], &locate_2d(&b2).unwrap()),
+            served_seed::<ThreeD>(spectrum, &b3, &[], &locate_3d(&b3).unwrap()),
+            served_seed::<Aided>(spectrum, &ba, &[], &locate_3d_resolved(&ba).unwrap()),
+        ] {
+            assert_eq!(served, (None, Err(ConfidenceError::NotComputed)));
+        }
     }
 
     #[test]
@@ -1366,8 +1129,8 @@ mod tests {
         let (observations, bearings) = paper_setup(truth);
         let cfg = PipelineConfig::default();
         let seed = locate_2d(&bearings).unwrap();
-        let out = backend_impl(EstimatorBackend::Ml)
-            .estimate_2d(&bearings, &observations, &cfg)
+        let out = EstimatorBackend::Ml
+            .estimate::<TwoD>(&bearings, &observations, &cfg)
             .unwrap();
         let report = out.ml.expect("ml report");
         assert!(report.accepted, "{report:?}");
@@ -1385,13 +1148,18 @@ mod tests {
 
     #[test]
     fn ml_without_observations_falls_back_to_seed() {
-        let (_, bearings) = paper_setup(Vec3::new(0.4, 1.7, 0.0));
-        let cfg = PipelineConfig::default();
-        let out = backend_impl(EstimatorBackend::Ml)
-            .estimate_2d(&bearings, &[], &cfg)
-            .unwrap();
-        assert_eq!(out.fix, locate_2d(&bearings).unwrap());
-        assert!(!out.ml.expect("report").accepted);
+        let (_, b2) = paper_setup(Vec3::new(0.4, 1.7, 0.0));
+        let (_, b3, ba) = three_disk_setup();
+        for backend in [EstimatorBackend::Ml, EstimatorBackend::Hybrid] {
+            for (ml, confidence) in [
+                served_seed::<TwoD>(backend, &b2, &[], &locate_2d(&b2).unwrap()),
+                served_seed::<ThreeD>(backend, &b3, &[], &locate_3d(&b3).unwrap()),
+                served_seed::<Aided>(backend, &ba, &[], &locate_3d_resolved(&ba).unwrap()),
+            ] {
+                assert!(!ml.expect("report").accepted, "{backend:?}");
+                assert_eq!(confidence, Err(ConfidenceError::NotComputed));
+            }
+        }
     }
 
     #[test]
@@ -1399,22 +1167,10 @@ mod tests {
         let truth = Vec3::new(0.4, 1.7, 0.0);
         let (mut observations, bearings) = paper_setup(truth);
         // Replace one tag's phases with junk (finite but model-free).
-        let mut rng = StdRng::seed_from_u64(99);
-        let junk = SnapshotSet::from_snapshots(
-            observations[0]
-                .set
-                .snapshots()
-                .iter()
-                .map(|s| Snapshot {
-                    phase: angle::wrap_tau(7.31 * gaussian(&mut rng)),
-                    ..*s
-                })
-                .collect(),
-        );
-        observations[0].set = junk;
+        corrupt(&mut observations[..1], 99, 7.31);
         let cfg = PipelineConfig::default();
-        let out = backend_impl(EstimatorBackend::Ml)
-            .estimate_2d(&bearings, &observations, &cfg)
+        let out = EstimatorBackend::Ml
+            .estimate::<TwoD>(&bearings, &observations, &cfg)
             .unwrap();
         assert!(out.fix.position.x.is_finite() && out.fix.position.y.is_finite());
         if let Ok(conf) = out.confidence {
@@ -1424,29 +1180,19 @@ mod tests {
 
     #[test]
     fn hybrid_serves_spectrum_on_corrupted_capture() {
-        let truth = Vec3::new(0.4, 1.7, 0.0);
-        let (mut observations, bearings) = paper_setup(truth);
-        // Corrupt *both* tags heavily: mean inlier weight collapses.
-        let mut rng = StdRng::seed_from_u64(5);
-        for obs in &mut observations {
-            obs.set = SnapshotSet::from_snapshots(
-                obs.set
-                    .snapshots()
-                    .iter()
-                    .map(|s| Snapshot {
-                        phase: angle::wrap_tau(9.17 * gaussian(&mut rng)),
-                        ..*s
-                    })
-                    .collect(),
-            );
+        // Corrupt *every* tag heavily: mean inlier weight collapses.
+        let (mut o2, b2) = paper_setup(Vec3::new(0.4, 1.7, 0.0));
+        corrupt(&mut o2, 5, 9.17);
+        let (mut o3, b3, ba) = three_disk_setup();
+        corrupt(&mut o3, 5, 9.17);
+        let hybrid = EstimatorBackend::Hybrid;
+        for (ml, _) in [
+            served_seed::<TwoD>(hybrid, &b2, &o2, &locate_2d(&b2).unwrap()),
+            served_seed::<ThreeD>(hybrid, &b3, &o3, &locate_3d(&b3).unwrap()),
+            served_seed::<Aided>(hybrid, &ba, &o3, &locate_3d_resolved(&ba).unwrap()),
+        ] {
+            assert!(!ml.expect("report").accepted);
         }
-        let cfg = PipelineConfig::default();
-        let out = backend_impl(EstimatorBackend::Hybrid)
-            .estimate_2d(&bearings, &observations, &cfg)
-            .unwrap();
-        let seed = locate_2d(&bearings).unwrap();
-        assert_eq!(out.fix, seed, "hybrid must fall back to the spectrum fix");
-        assert!(!out.ml.expect("report").accepted);
     }
 
     #[test]
@@ -1454,11 +1200,11 @@ mod tests {
         let truth = Vec3::new(0.4, 1.7, 0.0);
         let (observations, bearings) = paper_setup(truth);
         let cfg = PipelineConfig::default();
-        let hybrid = backend_impl(EstimatorBackend::Hybrid)
-            .estimate_2d(&bearings, &observations, &cfg)
+        let hybrid = EstimatorBackend::Hybrid
+            .estimate::<TwoD>(&bearings, &observations, &cfg)
             .unwrap();
-        let ml = backend_impl(EstimatorBackend::Ml)
-            .estimate_2d(&bearings, &observations, &cfg)
+        let ml = EstimatorBackend::Ml
+            .estimate::<TwoD>(&bearings, &observations, &cfg)
             .unwrap();
         assert!(hybrid.ml.expect("report").accepted);
         assert_eq!(hybrid.fix, ml.fix);
@@ -1467,31 +1213,11 @@ mod tests {
     #[test]
     fn ml_3d_refines_position() {
         let truth = Vec3::new(0.3, 1.6, 0.5);
-        let mut rng = StdRng::seed_from_u64(23);
-        let disks = [
-            DiskConfig::paper_default(Vec3::new(-0.3, 0.0, 0.0)),
-            DiskConfig::paper_default(Vec3::new(0.3, 0.0, 0.0)),
-            DiskConfig::paper_default(Vec3::new(0.0, -0.4, 0.0)),
-        ];
-        let mut observations = Vec::new();
-        let mut bearings = Vec::new();
-        for (i, disk) in disks.iter().enumerate() {
-            let set = synthesize(disk, truth, 400, 0.1, 0.5 * i as f64, &mut rng);
-            observations.push(TagObservation {
-                epc: i as u128 + 1,
-                disk: *disk,
-                set,
-            });
-            let rel = truth - disk.center;
-            bearings.push(Bearing3D::new(
-                disk.center,
-                tagspin_geom::vec3::Direction3::new(rel.azimuth() + 0.012, rel.polar() + 0.01),
-            ));
-        }
+        let (observations, bearings, _) = three_disk_setup();
         let cfg = PipelineConfig::default();
         let seed = locate_3d(&bearings).unwrap();
-        let out = backend_impl(EstimatorBackend::Ml)
-            .estimate_3d(&bearings, &observations, &cfg)
+        let out = EstimatorBackend::Ml
+            .estimate::<ThreeD>(&bearings, &observations, &cfg)
             .unwrap();
         assert!(out.ml.expect("report").accepted);
         let seed_err = (seed.position - truth).norm();

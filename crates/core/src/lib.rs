@@ -79,8 +79,8 @@ pub mod prelude {
     pub use crate::calib::orientation::OrientationCalibration;
     pub use crate::diagnostics::CaptureQuality;
     pub use crate::estimator::{
-        ConfidenceError, Estimate, Estimate2D, Estimate3D, EstimateAided, Estimator,
-        EstimatorBackend, EstimatorConfig, FixConfidence, MlReport, TagObservation,
+        ConfidenceError, Estimate, EstimatorBackend, EstimatorConfig, FixConfidence, MlReport,
+        TagObservation,
     };
     pub use crate::locate::plane::{Bearing2D, Fix2D};
     pub use crate::locate::space::{Bearing3D, Fix3D};

@@ -33,7 +33,7 @@ pub mod stats;
 pub mod window;
 
 use crate::diagnostics::CaptureQuality;
-use crate::estimator::{backend_impl, Estimate, EstimatorBackend, MlReport, TagObservation};
+use crate::estimator::{Estimate, EstimatorBackend, MlReport, TagObservation};
 use crate::locate::plane::{Bearing2D, Fix2D};
 use crate::obs::{Event, FixKind, ObsHandle, Observer, Stage};
 use crate::registry::{RegisteredTag, TagRegistry};
@@ -614,12 +614,7 @@ impl ReaderSession {
             None => {
                 let backend = self.config.estimator.backend;
                 let refine_t0 = self.refine_start();
-                let result = K::estimate(
-                    backend_impl(backend),
-                    &bearings,
-                    &observations,
-                    &self.config,
-                );
+                let result = backend.estimate::<K>(&bearings, &observations, &self.config);
                 let ml = result.as_ref().ok().and_then(|e| e.ml);
                 self.note_estimate(K::KIND, backend, refine_t0, ml, result.is_ok());
                 result

@@ -8,10 +8,11 @@
 //! path, which is what makes the streaming/batch equivalence guarantee
 //! hold bit-for-bit.
 
-use crate::estimator::{Estimate, Estimator, TagObservation};
-use crate::locate::aided::{AmbiguousBearing, ResolvedFix};
-use crate::locate::plane::{Bearing2D, Fix2D};
-use crate::locate::space::{Bearing3D, Fix3D};
+use crate::estimator::{rms_chosen_residual, rms_line_residual_2d, rms_line_residual_3d};
+use crate::locate::aided::{locate_3d_resolved, AmbiguousBearing, ResolvedFix};
+use crate::locate::plane::{locate_2d, Bearing2D, Fix2D};
+use crate::locate::space::{locate_3d, Bearing3D, Fix3D};
+use crate::locate::LocateError;
 use crate::obs::FixKind;
 use crate::registry::RegisteredTag;
 use crate::server::{PipelineConfig, ServerError};
@@ -19,6 +20,8 @@ use crate::snapshot::{SnapshotError, SnapshotSet};
 use crate::spectrum::engine::SpectrumEngine;
 use crate::spectrum::incremental::{fits_budget, IncrementalState, SyncOutcome};
 use std::borrow::Cow;
+use tagspin_geom::vec3::Direction3;
+use tagspin_geom::Vec3;
 
 /// Enforce the minimum-snapshot floor and apply the tag's orientation
 /// calibration when configured. Borrows the input set when no calibration
@@ -210,12 +213,17 @@ pub trait FixPath: sealed::Sealed {
     /// The event tag of this kind, which also keys its incremental grid.
     const KIND: FixKind;
     /// The multi-tag fix this kind serves; its estimate is
-    /// [`Estimate<Self::Fix>`](Estimate).
+    /// [`Estimate<Self::Fix>`](crate::estimator::Estimate).
     type Fix;
 
     /// One tag's bearing.
     #[doc(hidden)]
     type Bearing: Clone;
+
+    /// Whether the ML refinement searches the horizontal plane only, and
+    /// the estimate carries no vertical variance.
+    #[doc(hidden)]
+    const PLANAR: bool;
 
     /// This kind's cache and accumulator slot on a tag stream.
     #[doc(hidden)]
@@ -236,18 +244,32 @@ pub trait FixPath: sealed::Sealed {
     #[doc(hidden)]
     fn reduce(slot: &Slot<Self::Bearing>, tag: &RegisteredTag) -> Option<Self::Bearing>;
 
-    /// Resolve the multi-tag fix through `estimator`.
+    /// Intersect the bearings into this kind's fix: the spectrum estimate,
+    /// and the seed of the ML refinement.
     ///
     /// # Errors
     ///
-    /// The estimator's [`ServerError::Locate`] on degenerate geometry.
+    /// The locate layer's refusal on degenerate geometry.
     #[doc(hidden)]
-    fn estimate(
-        estimator: &dyn Estimator,
-        bearings: &[Self::Bearing],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<Estimate<Self::Fix>, ServerError>;
+    fn locate(bearings: &[Self::Bearing]) -> Result<Self::Fix, LocateError>;
+
+    /// The fix's position: the ML seed, and the point confidence is
+    /// linearized at (a 2D fix sits at z = 0).
+    #[doc(hidden)]
+    fn position(fix: &Self::Fix) -> Vec3;
+
+    /// The fix served at an accepted ML position `p`: what the seed knows
+    /// beyond its position carries over, and the residual is re-measured
+    /// at `p`.
+    #[doc(hidden)]
+    fn refined(seed: Self::Fix, bearings: &[Self::Bearing], p: Vec3) -> Self::Fix;
+
+    /// The line each usable (weight-positive) bearing contributes to the
+    /// confidence of `fix`, this kind's intersection of `bearings`, in
+    /// bearing order, each with its index in `bearings` (which pairs it
+    /// with its observation).
+    #[doc(hidden)]
+    fn lines(bearings: &[Self::Bearing], fix: &Self::Fix) -> Vec<(usize, Bearing3D)>;
 }
 
 /// The 2D fix ([`Fix2D`]): azimuth bearings intersected in the horizontal
@@ -269,6 +291,7 @@ impl FixPath for TwoD {
     const KIND: FixKind = FixKind::Fix2D;
     type Fix = Fix2D;
     type Bearing = Bearing2D;
+    const PLANAR: bool = true;
 
     fn slot(slots: &mut Slots) -> &mut Slot<Bearing2D> {
         &mut slots.two_d
@@ -295,13 +318,38 @@ impl FixPath for TwoD {
         Some(Bearing2D::from_peak(tag.disk.center.xy(), &peak))
     }
 
-    fn estimate(
-        estimator: &dyn Estimator,
-        bearings: &[Bearing2D],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<Estimate<Fix2D>, ServerError> {
-        estimator.estimate_2d(bearings, observations, config)
+    fn locate(bearings: &[Bearing2D]) -> Result<Fix2D, LocateError> {
+        locate_2d(bearings)
+    }
+
+    fn position(fix: &Fix2D) -> Vec3 {
+        fix.position.with_z(0.0)
+    }
+
+    fn refined(_: Fix2D, bearings: &[Bearing2D], p: Vec3) -> Fix2D {
+        Fix2D {
+            position: p.xy(),
+            residual_m: rms_line_residual_2d(bearings, p.xy()),
+        }
+    }
+
+    fn lines(bearings: &[Bearing2D], _: &Fix2D) -> Vec<(usize, Bearing3D)> {
+        // A horizontal line: a planar kind's confidence has no height
+        // term, so nothing reads its polar angle.
+        let line = |b: &Bearing2D| Bearing3D {
+            origin: b.origin.with_z(0.0),
+            direction: Direction3 {
+                azimuth: b.azimuth,
+                polar: 0.0,
+            },
+            weight: b.weight,
+        };
+        bearings
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.weight > 0.0)
+            .map(|(i, b)| (i, line(b)))
+            .collect()
     }
 }
 
@@ -309,6 +357,7 @@ impl FixPath for ThreeD {
     const KIND: FixKind = FixKind::Fix3D;
     type Fix = Fix3D;
     type Bearing = Bearing3D;
+    const PLANAR: bool = false;
 
     fn slot(slots: &mut Slots) -> &mut Slot<Bearing3D> {
         &mut slots.three_d
@@ -335,13 +384,32 @@ impl FixPath for ThreeD {
         Some(Bearing3D::from_peak(tag.disk.center, dir, power))
     }
 
-    fn estimate(
-        estimator: &dyn Estimator,
-        bearings: &[Bearing3D],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<Estimate<Fix3D>, ServerError> {
-        estimator.estimate_3d(bearings, observations, config)
+    fn locate(bearings: &[Bearing3D]) -> Result<Fix3D, LocateError> {
+        locate_3d(bearings)
+    }
+
+    fn position(fix: &Fix3D) -> Vec3 {
+        fix.position
+    }
+
+    fn refined(seed: Fix3D, bearings: &[Bearing3D], p: Vec3) -> Fix3D {
+        // Mirror across the same disk plane the seed mirrored over.
+        let plane_z = 0.5 * (seed.position.z + seed.mirror.z);
+        Fix3D {
+            position: p,
+            mirror: p.xy().with_z(2.0 * plane_z - p.z),
+            residual_m: rms_line_residual_3d(bearings, p.xy()),
+            z_spread_m: seed.z_spread_m,
+        }
+    }
+
+    fn lines(bearings: &[Bearing3D], _: &Fix3D) -> Vec<(usize, Bearing3D)> {
+        bearings
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, b)| b.weight > 0.0)
+            .collect()
     }
 }
 
@@ -349,6 +417,7 @@ impl FixPath for Aided {
     const KIND: FixKind = FixKind::Fix3DAided;
     type Fix = ResolvedFix;
     type Bearing = AmbiguousBearing;
+    const PLANAR: bool = false;
 
     fn slot(slots: &mut Slots) -> &mut Slot<AmbiguousBearing> {
         &mut slots.aided
@@ -371,13 +440,40 @@ impl FixPath for Aided {
         Some(AmbiguousBearing::from_disk_peak(&tag.disk, dir, power))
     }
 
-    fn estimate(
-        estimator: &dyn Estimator,
-        bearings: &[AmbiguousBearing],
-        observations: &[TagObservation],
-        config: &PipelineConfig,
-    ) -> Result<Estimate<ResolvedFix>, ServerError> {
-        estimator.estimate_3d_aided(bearings, observations, config)
+    fn locate(bearings: &[AmbiguousBearing]) -> Result<ResolvedFix, LocateError> {
+        locate_3d_resolved(bearings)
+    }
+
+    fn position(fix: &ResolvedFix) -> Vec3 {
+        fix.position
+    }
+
+    fn refined(seed: ResolvedFix, bearings: &[AmbiguousBearing], p: Vec3) -> ResolvedFix {
+        ResolvedFix {
+            position: p,
+            residual_m: rms_chosen_residual(bearings, &seed.chosen, p),
+            chosen: seed.chosen,
+            runner_up_residual_m: seed.runner_up_residual_m,
+        }
+    }
+
+    /// Each usable bearing's chosen candidate: the resolver's `chosen`
+    /// holds one entry per usable bearing, in order.
+    fn lines(bearings: &[AmbiguousBearing], fix: &ResolvedFix) -> Vec<(usize, Bearing3D)> {
+        bearings
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.weight > 0.0)
+            .zip(&fix.chosen)
+            .map(|((i, b), &c)| {
+                let line = Bearing3D {
+                    origin: b.origin,
+                    direction: b.candidates[usize::from(c.min(1))],
+                    weight: b.weight,
+                };
+                (i, line)
+            })
+            .collect()
     }
 }
 

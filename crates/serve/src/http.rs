@@ -53,9 +53,10 @@ pub(crate) fn run_http(shared: &std::sync::Arc<Shared>, listener: &TcpListener) 
 /// Why no request head could be parsed from a connection.
 #[derive(Debug, Clone, Copy)]
 enum HeadError {
-    /// The peer closed or reset the connection, or sent a head that is
-    /// not UTF-8; nothing is answered.
+    /// The peer closed or reset the connection; nothing is answered.
     Dropped,
+    /// The whole head arrived but is not UTF-8: 400.
+    NotUtf8,
     /// The whole head did not arrive within [`REQUEST_TIMEOUT`]: 408.
     TimedOut,
     /// The head passed 8 KiB without its blank line: 431.
@@ -82,7 +83,7 @@ fn read_head(stream: &mut TcpStream, deadline: Instant) -> Result<String, HeadEr
     let mut len = 0;
     loop {
         if let Some(end) = head[..len].windows(4).position(|w| w == b"\r\n\r\n") {
-            return String::from_utf8(head[..end + 4].to_vec()).map_err(|_| HeadError::Dropped);
+            return String::from_utf8(head[..end + 4].to_vec()).map_err(|_| HeadError::NotUtf8);
         }
         if len == head.len() {
             return Err(HeadError::TooLarge);
@@ -119,6 +120,11 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
     let _ = stream.flush();
 }
 
+/// Answer a head that arrived whole but cannot be parsed.
+fn bad_request(stream: &mut TcpStream) {
+    respond(stream, "400 Bad Request", "text/plain", "bad request\n");
+}
+
 fn handle_request(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(REQUEST_TIMEOUT));
     // A connection deadline is a socket timeout, not pipeline timing.
@@ -127,6 +133,7 @@ fn handle_request(shared: &Shared, mut stream: TcpStream) {
     let head = match read_head(&mut stream, deadline) {
         Ok(head) => head,
         Err(HeadError::Dropped) => return,
+        Err(HeadError::NotUtf8) => return bad_request(&mut stream),
         Err(HeadError::TimedOut) => {
             let body = "request head timed out\n";
             return refuse(&mut stream, "408 Request Timeout", body, deadline);
@@ -147,15 +154,7 @@ fn handle_request(shared: &Shared, mut stream: TcpStream) {
     let mut parts = start_line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m, t),
-        _ => {
-            respond(
-                &mut stream,
-                "400 Bad Request",
-                "text/plain",
-                "bad request\n",
-            );
-            return;
-        }
+        _ => return bad_request(&mut stream),
     };
     if method != "GET" {
         respond(
@@ -223,11 +222,13 @@ fn handle_request(shared: &Shared, mut stream: TcpStream) {
     }
 }
 
-/// Extract `antenna=N` from a query string.
+/// Extract `antenna=N` from a query string. `N` is ASCII digits only:
+/// `u8::from_str` alone would also take a leading `+`.
 fn parse_antenna(query: &str) -> Option<u8> {
     query.split('&').find_map(|pair| {
         let (key, value) = pair.split_once('=')?;
-        (key == "antenna").then(|| value.parse().ok())?
+        let digits = value.bytes().all(|b| b.is_ascii_digit());
+        (key == "antenna" && digits).then(|| value.parse().ok())?
     })
 }
 
@@ -257,6 +258,7 @@ mod tests {
         assert_eq!(parse_antenna("foo=1&antenna=255"), Some(255));
         assert_eq!(parse_antenna("antenna=256"), None);
         assert_eq!(parse_antenna("antenna=-1"), None);
+        assert_eq!(parse_antenna("antenna=+3"), None);
         assert_eq!(parse_antenna("antenna="), None);
         assert_eq!(parse_antenna("foo=3"), None);
     }

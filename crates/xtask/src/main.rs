@@ -15,7 +15,8 @@ fn usage() -> ExitCode {
     eprintln!("  lint         run the domain-aware static-analysis gate (see docs/LINTS.md)");
     eprintln!("               --json prints a tagspin-lint/v1 report on stdout;");
     eprintln!("               --json-out <file> writes it to a file as well");
-    eprintln!("  golden       run the golden-trace suite; --bless regenerates tests/golden/");
+    eprintln!("  golden       run the golden-trace suite; --bless rewrites the fixtures");
+    eprintln!("               under tests/golden/ that are missing or fail their test");
     eprintln!("  bench-check  compare BENCH_*.json against bench/baselines/; --bless records");
     eprintln!("               the current artifacts as the new baselines");
     ExitCode::from(2)
@@ -33,7 +34,9 @@ fn workspace_root() -> PathBuf {
 
 /// Run (or re-bless) the golden fixtures by driving the root package's
 /// `golden_traces`, `golden_metrics` and `golden_incremental` integration
-/// tests with `GOLDEN_BLESS` set.
+/// tests with `GOLDEN_BLESS` set. Under `--bless` each test rewrites its
+/// fixture only when the fixture is missing or fails the test's own
+/// comparison.
 fn golden(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut bless = false;
     for arg in args.by_ref() {
@@ -62,7 +65,7 @@ fn golden(mut args: impl Iterator<Item = String>) -> ExitCode {
     match cmd.status() {
         Ok(status) if status.success() => {
             if bless {
-                println!("xtask golden: fixtures regenerated under tests/golden/");
+                println!("xtask golden: missing or failing fixtures rewritten under tests/golden/");
             } else {
                 println!("xtask golden: fixtures match");
             }

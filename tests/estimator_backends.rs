@@ -5,19 +5,21 @@
 //! streaming (`ReaderSession`) `fix::<K>` / `estimate::<K>` entry points.
 //! The contract:
 //!
-//! 1. **Default invariance** — the spectrum backend's estimate carries
-//!    exactly the plain `fix::<TwoD>` fix, bit for bit.
+//! 1. **Default invariance** — the spectrum backend's estimate of every
+//!    kind carries exactly the plain `fix::<K>` fix, bit for bit.
 //! 2. **Refinement quality** — the ML and hybrid backends deliver finite
 //!    fixes within a small radius of the true reader position, with a
 //!    finite PSD confidence when one is computed.
 //! 3. **Hybrid policy** — on a clean capture the hybrid fix equals the ML
-//!    fix; on a corrupted capture it falls back to the spectrum fix.
+//!    fix; on a corrupted capture it falls back to the spectrum fix, for
+//!    every kind.
 //! 4. **Plain/estimate parity** — `fix::<TwoD>()` and
 //!    `estimate::<TwoD>().fix` agree for every backend (one generic body
 //!    serves both).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt::Debug;
 use std::sync::OnceLock;
 use tagspin::core::prelude::*;
 use tagspin::epc::inventory::{run_inventory, ReaderConfig, Transponder};
@@ -62,12 +64,20 @@ fn clean_log() -> &'static InventoryLog {
 
 #[test]
 fn spectrum_estimate_is_legacy_fix_verbatim() {
+    fn check<K: FixPath>(server: &LocalizationServer)
+    where
+        K::Fix: PartialEq + Debug,
+    {
+        let est = server.estimate::<K>(clean_log()).expect("fix");
+        let legacy = server.fix::<K>(clean_log()).expect("fix");
+        assert_eq!(est.fix, legacy);
+        assert_eq!(est.backend, EstimatorBackend::Spectrum);
+        assert!(est.ml.is_none());
+    }
     let server = server_with(EstimatorBackend::Spectrum);
-    let est = server.estimate::<TwoD>(clean_log()).expect("fix");
-    let legacy = server.fix::<TwoD>(clean_log()).expect("fix");
-    assert_eq!(est.fix, legacy);
-    assert_eq!(est.backend, EstimatorBackend::Spectrum);
-    assert!(est.ml.is_none());
+    check::<TwoD>(&server);
+    check::<ThreeD>(&server);
+    check::<Aided>(&server);
 }
 
 #[test]
@@ -132,18 +142,24 @@ fn hybrid_falls_back_to_spectrum_on_corrupted_phases() {
             r
         })
         .collect();
-    let hybrid_server = server_with(EstimatorBackend::Hybrid);
-    let spectrum_server = server_with(EstimatorBackend::Spectrum);
-    let (Ok(hybrid), Ok(spectrum)) = (
-        hybrid_server.estimate::<TwoD>(&corrupted),
-        spectrum_server.estimate::<TwoD>(&corrupted),
-    ) else {
-        // Fully scrambled phases may fail the spectrum fix itself; that
-        // refusal path is exercised elsewhere.
-        return;
-    };
-    assert_eq!(hybrid.fix, spectrum.fix);
-    assert!(!hybrid.ml.expect("report").accepted);
+    fn check<K: FixPath>(corrupted: &InventoryLog)
+    where
+        K::Fix: PartialEq + Debug,
+    {
+        let (Ok(hybrid), Ok(spectrum)) = (
+            server_with(EstimatorBackend::Hybrid).estimate::<K>(corrupted),
+            server_with(EstimatorBackend::Spectrum).estimate::<K>(corrupted),
+        ) else {
+            // Fully scrambled phases may fail the spectrum fix itself; that
+            // refusal path is exercised elsewhere.
+            return;
+        };
+        assert_eq!(hybrid.fix, spectrum.fix);
+        assert!(!hybrid.ml.expect("report").accepted);
+    }
+    check::<TwoD>(&corrupted);
+    check::<ThreeD>(&corrupted);
+    check::<Aided>(&corrupted);
 }
 
 #[test]

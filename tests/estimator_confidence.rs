@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::f64::consts::TAU;
-use tagspin::core::estimator::{backend_impl, confidence_from_bearing_lines};
+use tagspin::core::estimator::confidence_from_bearing_lines;
 use tagspin::core::prelude::*;
 use tagspin::geom::{Vec2, Vec3};
 use tagspin::rf::noise::gaussian;
@@ -168,7 +168,7 @@ proptest! {
             _ => EstimatorBackend::Hybrid,
         };
         let cfg = PipelineConfig::default();
-        match backend_impl(backend).estimate_3d(&[bearing], &[obs], &cfg) {
+        match backend.estimate::<ThreeD>(&[bearing], &[obs], &cfg) {
             Ok(est) => {
                 prop_assert!(est.fix.position.is_finite(), "{:?}", est.fix);
                 assert_confidence_sane(&est.confidence);

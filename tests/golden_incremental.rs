@@ -17,8 +17,9 @@
 //! Regenerate after an *intentional* change to the sync policy or the
 //! spectrum math with `cargo xtask golden --bless` (or `GOLDEN_BLESS=1
 //! cargo test --test golden_incremental`), and review the fixture diff
-//! like any other code. Counters compare exactly; floats are written with
-//! shortest-round-trip `Display` and compared at `1e-9`.
+//! like any other code; a bless rewrites the fixture only when it is
+//! missing or fails the comparison. Counters compare exactly; floats are
+//! written with shortest-round-trip `Display` and compared at `1e-9`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -212,12 +213,21 @@ fn assert_fixture_matches(got: &str, want: &str) {
 fn golden_incremental_2d() {
     let rendered = render();
     let path = golden_path();
+    let expected = std::fs::read_to_string(&path);
     if std::env::var_os("GOLDEN_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create tests/golden");
-        std::fs::write(&path, rendered).expect("write fixture");
+        // Rewrite only a fixture that is missing or fails the comparison
+        // below, so a passing fixture keeps its bits.
+        let passes = expected.as_deref().is_ok_and(|want| {
+            std::panic::catch_unwind(|| assert_fixture_matches(&rendered, want)).is_ok()
+        });
+        if !passes {
+            std::fs::create_dir_all(path.parent().expect("golden dir"))
+                .expect("create tests/golden");
+            std::fs::write(&path, rendered).expect("write fixture");
+        }
         return;
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let expected = expected.unwrap_or_else(|e| {
         panic!(
             "missing fixture {} ({e}); run `cargo xtask golden --bless`",
             path.display()

@@ -13,7 +13,8 @@
 //!
 //! Regenerate after an *intentional* instrumentation change with
 //! `cargo xtask golden --bless` (or `GOLDEN_BLESS=1 cargo test --test
-//! golden_metrics`), and review the fixture diff like any other code.
+//! golden_metrics`), and review the fixture diff like any other code. A
+//! bless rewrites the fixture only when it is missing or differs.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -110,12 +111,17 @@ fn golden_metrics_2d() {
     let registry = canonical_metrics();
     let rendered = render(&registry.snapshot());
     let path = golden_path();
+    let expected = std::fs::read_to_string(&path);
     if std::env::var_os("GOLDEN_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create tests/golden");
-        std::fs::write(&path, rendered).expect("write fixture");
+        // Rewrite only a fixture that is missing or differs.
+        if expected.as_deref().ok() != Some(rendered.as_str()) {
+            std::fs::create_dir_all(path.parent().expect("golden dir"))
+                .expect("create tests/golden");
+            std::fs::write(&path, rendered).expect("write fixture");
+        }
         return;
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let expected = expected.unwrap_or_else(|e| {
         panic!(
             "missing fixture {} ({e}); run `cargo xtask golden --bless`",
             path.display()

@@ -12,14 +12,15 @@
 //!
 //! Regenerate after an *intentional* numeric change with
 //! `cargo xtask golden --bless` (or `GOLDEN_BLESS=1 cargo test --test
-//! golden_traces`), and review the fixture diff like any other code.
+//! golden_traces`), and review the fixture diff like any other code. A
+//! bless rewrites only the fixtures that are missing or fail their check.
 //!
 //! Values are written with Rust's shortest-round-trip float `Display`, so
 //! parsing a fixture recovers the exact bits that were blessed.
 
 use std::f64::consts::{FRAC_PI_2, TAU};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use tagspin::core::snapshot::{Snapshot, SnapshotSet};
 use tagspin::core::spectrum::engine::{SpectrumEngine, SpectrumEngineConfig};
 use tagspin::core::spectrum::{ProfileKind, SpectrumConfig};
@@ -292,15 +293,25 @@ fn parse(text: &str, name: &str) -> Fixture {
     fixture
 }
 
+/// Check one case against its fixture. Under `GOLDEN_BLESS=1`, rewrite
+/// the fixture only when that check fails on it (a missing or unreadable
+/// fixture fails too), so blessing a passing tree changes nothing.
 fn check(case: &GoldenCase) {
     let path = golden_dir().join(format!("{}.txt", case.name));
-    let set = synthesize(&case.disk, case.reader, case.snapshots);
     if std::env::var_os("GOLDEN_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        std::fs::write(&path, render(case, &set)).expect("write fixture");
+        if std::panic::catch_unwind(|| compare(case, &path)).is_err() {
+            let set = synthesize(&case.disk, case.reader, case.snapshots);
+            std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
+            std::fs::write(&path, render(case, &set)).expect("write fixture");
+        }
         return;
     }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    compare(case, &path);
+}
+
+/// Recompute a case from its fixture at `path` and assert that it matches.
+fn compare(case: &GoldenCase, path: &Path) {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "{}: missing fixture {} ({e}); run `cargo xtask golden --bless`",
             case.name,

@@ -1,6 +1,7 @@
 //! HTTP plane hardening: the daemon's request-timeout budget covers the
 //! whole request head and the head is capped at 8 KiB, so a slow or
-//! oversized client gets a status line and frees its handler thread.
+//! oversized client gets a status line and frees its handler thread; a
+//! head that arrives whole but cannot be parsed gets a 400.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -119,4 +120,27 @@ fn head_split_across_writes_is_reassembled() {
     let (status, body) = http_get(daemon.http_addr(), "/healthz").expect("healthz answers");
     daemon.shutdown();
     assert_eq!((status, body.as_str()), (200, "ok\n"));
+}
+
+#[test]
+fn unparsable_heads_get_400() {
+    let daemon = boot();
+    // A head that is not UTF-8, and a start line without a target.
+    for head in [
+        &b"GET /fix/2d?antenna=\xff HTTP/1.1\r\n\r\n"[..],
+        b"GET\r\n\r\n",
+    ] {
+        let mut stream = TcpStream::connect(daemon.http_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(REQUEST_TIMEOUT))
+            .expect("read timeout");
+        stream.write_all(head).expect("send head");
+        let mut answer = String::new();
+        let read = stream.read_to_string(&mut answer);
+        assert!(
+            answer.starts_with("HTTP/1.1 400 "),
+            "{head:?} answered {answer:?} ({read:?})"
+        );
+    }
+    daemon.shutdown();
 }
