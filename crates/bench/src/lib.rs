@@ -72,6 +72,7 @@ pub fn bench_inventory(rotations: f64, seed: u64) -> (InventoryLog, DiskConfig) 
 }
 
 pub mod estimator_bench;
+pub mod fault_sweep;
 pub mod ingest_bench;
 pub mod obs_bench;
 pub mod robustness_bench;

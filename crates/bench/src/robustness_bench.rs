@@ -3,34 +3,30 @@
 //! robustness` as `BENCH_robustness.json` (schema
 //! `tagspin-bench-robustness/v1`).
 //!
-//! Each rate point runs seeded [`tagspin_sim::fault::run_trial_2d_ab`]
-//! trials: one simulated observation corrupted by
-//! [`tagspin_sim::FaultPlan::at_rate`], then the *same* hostile stream
-//! through a hardened session (value/duplicate screens + quality gate) and
-//! a permissive one. The artifact is the accuracy curve pair — the
-//! measured answer to "what does the quarantine layer buy?" — and the CI
-//! regression gate (`cargo xtask bench-check`) holds the hardened curve to
-//! its committed baseline and requires hardened ≤ permissive at every rate
-//! of at least 10%.
-//!
-//! Trials that fail to produce a fix (for the permissive arm under NaN
-//! bombardment that is common) are scored as a bounded room-scale penalty
-//! rather than dropped, so medians stay comparable across arms and every
-//! artifact field stays numeric.
+//! Each rate point runs the seeded trials of [`crate::fault_sweep`]: one
+//! simulated observation corrupted by [`tagspin_sim::FaultPlan::at_rate`],
+//! then the *same* hostile stream replayed under the hardened ingest
+//! posture (value/duplicate screens + quality gate) and the permissive
+//! one. The artifact is the accuracy curve pair — the measured answer to
+//! "what does the quarantine layer buy?" — and the CI regression gate
+//! (`cargo xtask bench-check`) holds the hardened curve to its committed
+//! baseline and requires hardened ≤ permissive at every rate of at least
+//! 10%.
 
-use tagspin_geom::Vec2;
-use tagspin_sim::fault::run_trial_2d_ab;
-use tagspin_sim::{FaultPlan, Scenario};
+use crate::fault_sweep::{self, Arm};
+use tagspin_sim::fault::{hardened, permissive};
 use xtask::bench_check::BenchCase;
 
-/// Error charged to a trial arm that produced no fix: a room-diagonal
-/// miss, far beyond any real fix in the paper's office scenario.
-pub const FAILED_FIX_PENALTY_M: f64 = 10.0;
+/// The arms, in artifact order: quarantine on, then off.
+const ARMS: [Arm; 2] = [hardened, permissive];
+
+/// Per-trial seeds start here (disjoint from the estimator bench's).
+const SEED_BLOCK: u64 = 0xAB00;
 
 /// One measured fault-rate point of the accuracy curve pair.
 #[derive(Debug, Clone)]
 pub struct RatePoint {
-    /// The fault-mixture knob fed to [`FaultPlan::at_rate`].
+    /// The fault-mixture knob fed to [`tagspin_sim::FaultPlan::at_rate`].
     pub rate: f64,
     /// Trials run at this rate.
     pub trials: usize,
@@ -48,69 +44,22 @@ pub struct RatePoint {
     pub fails_off: usize,
 }
 
-fn median(sorted: &[f64]) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    }
-}
-
 /// Run the robustness sweep. `quick` shrinks the per-rate trial count for
 /// CI; the measured rates are identical either way.
 pub fn run(quick: bool) -> Vec<RatePoint> {
-    let trials = if quick { 6 } else { 30 };
-    let rates = [0.0, 0.05, 0.1, 0.2, 0.3];
-    let scenario = Scenario::paper_2d(Vec2::new(0.4, 1.8)).quick();
-
-    rates
-        .iter()
-        .map(|&rate| {
-            let plan = FaultPlan::at_rate(rate);
-            let mut errs_on = Vec::with_capacity(trials);
-            let mut errs_off = Vec::with_capacity(trials);
-            let (mut fails_on, mut fails_off) = (0usize, 0usize);
-            for t in 0..trials {
-                // Stable per-trial seeds, disjoint across rates.
-                let seed = 0xAB00 + ((rate * 100.0).round() as u64) * 1000 + t as u64;
-                let Ok(ab) = run_trial_2d_ab(&scenario, &plan, seed) else {
-                    // Shared-setup failure hits both arms identically.
-                    fails_on += 1;
-                    fails_off += 1;
-                    errs_on.push(FAILED_FIX_PENALTY_M);
-                    errs_off.push(FAILED_FIX_PENALTY_M);
-                    continue;
-                };
-                match ab.hardened {
-                    Ok(out) => errs_on.push(out.error.combined),
-                    Err(_) => {
-                        fails_on += 1;
-                        errs_on.push(FAILED_FIX_PENALTY_M);
-                    }
-                }
-                match ab.permissive {
-                    Ok(out) => errs_off.push(out.error.combined),
-                    Err(_) => {
-                        fails_off += 1;
-                        errs_off.push(FAILED_FIX_PENALTY_M);
-                    }
-                }
-            }
-            errs_on.sort_by(f64::total_cmp);
-            errs_off.sort_by(f64::total_cmp);
+    fault_sweep::run(quick, SEED_BLOCK, ARMS)
+        .into_iter()
+        .map(|point| {
+            let [on, off] = &point.arms;
             RatePoint {
-                rate,
-                trials,
-                median_err_on_m: median(&errs_on),
-                median_err_off_m: median(&errs_off),
-                mean_err_on_m: errs_on.iter().sum::<f64>() / trials as f64,
-                mean_err_off_m: errs_off.iter().sum::<f64>() / trials as f64,
-                fails_on,
-                fails_off,
+                rate: point.rate,
+                trials: point.trials,
+                median_err_on_m: on.median_err(),
+                median_err_off_m: off.median_err(),
+                mean_err_on_m: on.mean_err(),
+                mean_err_off_m: off.mean_err(),
+                fails_on: on.fails,
+                fails_off: off.fails,
             }
         })
         .collect()
@@ -177,12 +126,5 @@ mod tests {
         }];
         crate::assert_gate_reads("robustness", cases(&results), &["rate_020"]);
         assert!(!report(&results).is_empty());
-    }
-
-    #[test]
-    fn median_of_even_and_odd() {
-        assert!((median(&[1.0, 2.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((median(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!(median(&[]).is_nan());
     }
 }

@@ -92,9 +92,7 @@ pub mod prelude {
     pub use crate::registry::{RegisteredTag, TagRegistry};
     pub use crate::server::{LocalizationServer, PipelineConfig, ServerError};
     pub use crate::session::quarantine::{IngestPolicy, QualityGate, RejectCounts, RejectReason};
-    pub use crate::session::stats::{
-        IncrementalCounts, SessionStats, SkipCounts, StageTimes, TagStreamStats,
-    };
+    pub use crate::session::stats::{IncrementalCounts, SessionStats, SkipCounts, TagStreamStats};
     pub use crate::session::window::WindowConfig;
     pub use crate::session::{
         Aided, FixPath, IngestOutcome, ReaderSession, SessionManager, ThreeD, TwoD,

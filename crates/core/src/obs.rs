@@ -19,10 +19,11 @@
 //!   folds the event stream into it; the canonical metric-name inventory
 //!   is [`names`], cross-checked against `docs/OBSERVABILITY.md` by
 //!   `cargo xtask lint`.
-//! * Stage timers ([`Span`]) wrapping the coarse pass, the fine pass and
-//!   the per-window recompute, surfaced through
-//!   [`crate::session::stats::SessionStats`] and as
-//!   [`Event::StageTime`] events.
+//! * Stage timers around ingest, the coarse pass, the fine pass, the
+//!   per-window recompute, the fix and the estimator refinement. Each
+//!   reads the clock through [`ObsHandle::clock_start`] and reports as an
+//!   [`Event::StageTime`]; that event stream is the one record of stage
+//!   time.
 //!
 //! The default observer is [`NullObserver`]: its [`ObsHandle`] caches
 //! `enabled = false`, so every instrumentation point collapses to one
@@ -318,17 +319,6 @@ impl ObsHandle {
         }
     }
 
-    /// Start a stage timer. Disabled handles never read the clock; the
-    /// returned [`Span`] then reports `None` elapsed and emits nothing.
-    #[inline]
-    pub fn span(&self, stage: Stage) -> Span<'_> {
-        Span {
-            obs: self,
-            stage,
-            start: self.clock_start(),
-        }
-    }
-
     /// Read the monotonic clock iff this handle is enabled.
     ///
     /// The one blessed pipeline `Instant::now` call site (clippy's
@@ -338,41 +328,6 @@ impl ObsHandle {
     pub fn clock_start(&self) -> Option<Instant> {
         #[allow(clippy::disallowed_methods)]
         self.enabled.then(Instant::now)
-    }
-}
-
-/// A monotonic stage timer tied to an [`ObsHandle`].
-///
-/// On [`Span::finish`] (or drop) an enabled span emits
-/// [`Event::StageTime`] with the elapsed nanoseconds; a disabled span
-/// does nothing at all.
-#[must_use = "a span measures the time until finish() or drop"]
-#[derive(Debug)]
-pub struct Span<'a> {
-    obs: &'a ObsHandle,
-    stage: Stage,
-    start: Option<Instant>,
-}
-
-impl Span<'_> {
-    fn close(&mut self) -> Option<u64> {
-        let start = self.start.take()?;
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let stage = self.stage;
-        self.obs.emit(|| Event::StageTime { stage, nanos });
-        Some(nanos)
-    }
-
-    /// Stop the timer, emit the event, and return the elapsed nanoseconds
-    /// (`None` when the handle is disabled).
-    pub fn finish(mut self) -> Option<u64> {
-        self.close()
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let _ = self.close();
     }
 }
 
@@ -491,7 +446,7 @@ mod tests {
         assert!(!obs.enabled());
         obs.emit(|| unreachable!("disabled handles must not build events"));
         obs.emit_batch(|| unreachable!("disabled handles must not build batches"));
-        assert_eq!(obs.span(Stage::Coarse).finish(), None);
+        assert!(obs.clock_start().is_none());
     }
 
     #[test]
@@ -531,30 +486,6 @@ mod tests {
                 Event::GateWithheld { epc: 9 },
             ]
         );
-    }
-
-    #[test]
-    fn span_emits_stage_time() {
-        let rec = Arc::new(RecordingObserver::new());
-        let obs = ObsHandle::new(Arc::clone(&rec) as Arc<dyn Observer>);
-        let ns = obs.span(Stage::Fine).finish();
-        assert!(ns.is_some());
-        let events = rec.events();
-        assert!(
-            matches!(
-                events.as_slice(),
-                [Event::StageTime {
-                    stage: Stage::Fine,
-                    ..
-                }]
-            ),
-            "{events:?}"
-        );
-        // Dropping unfinished also emits, exactly once.
-        {
-            let _span = obs.span(Stage::Coarse);
-        }
-        assert_eq!(rec.events().len(), 2);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::spectrum::engine::SpectrumEngine;
 use pipeline::Slots;
 pub use pipeline::{Aided, FixPath, ThreeD, TwoD};
 use quarantine::{RejectCounts, RejectReason};
-use stats::{IncrementalCounts, SessionStats, SkipCounts, StageTimes, TagStreamStats};
+use stats::{IncrementalCounts, SessionStats, SkipCounts, TagStreamStats};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -100,17 +100,6 @@ impl TagStream {
         self.cached_obs = None;
     }
 
-    /// Drop the incremental accumulator states (the tag's calibration
-    /// changed, so every frozen column is stale). The slots' refresh
-    /// history survives, so each kind's next refresh picks its path by the
-    /// usual rule: a polled stream re-anchors at once, a rarely fixed one
-    /// searches fresh.
-    fn reset_incremental(&mut self) {
-        self.slots.two_d.state = None;
-        self.slots.three_d.state = None;
-        self.slots.aided.state = None;
-    }
-
     fn dirty(&self) -> bool {
         let s = &self.slots;
         s.two_d.cached.is_none() && s.three_d.cached.is_none() && s.aided.cached.is_none()
@@ -119,10 +108,9 @@ impl TagStream {
 
 /// A streaming localization session for one reader antenna.
 ///
-/// Created from a configured server via
-/// [`crate::server::LocalizationServer::session`] (shares the server's
-/// registry and steering-table cache) or standalone via
-/// [`ReaderSession::new`].
+/// Created from a registered server via
+/// [`crate::server::LocalizationServer::session`]: it shares the server's
+/// registry, steering-table cache and observer.
 #[derive(Debug, Clone)]
 pub struct ReaderSession {
     registry: Arc<TagRegistry>,
@@ -138,25 +126,15 @@ pub struct ReaderSession {
     /// Observability sink, inherited from the engine at construction.
     obs: ObsHandle,
     /// Fresh bearing computations (accounting counters below always tick,
-    /// observer or not; only the `*_ns` timers are observer-gated).
+    /// observer or not; only the stage timers are observer-gated).
     recomputes: u64,
     gate_withheld: u64,
     fixes: u64,
     skips: SkipCounts,
     incremental: IncrementalCounts,
-    ingest_ns: u64,
-    recompute_ns: u64,
-    fix_ns: u64,
-    refine_ns: u64,
 }
 
 impl ReaderSession {
-    /// A standalone session over its own spectrum engine.
-    pub fn new(registry: Arc<TagRegistry>, config: PipelineConfig, window: WindowConfig) -> Self {
-        let engine = SpectrumEngine::new();
-        ReaderSession::with_engine(registry, engine, config, window)
-    }
-
     /// A session sharing an existing engine (and thus its steering cache).
     pub(crate) fn with_engine(
         registry: Arc<TagRegistry>,
@@ -182,10 +160,6 @@ impl ReaderSession {
             fixes: 0,
             skips: SkipCounts::default(),
             incremental: IncrementalCounts::default(),
-            ingest_ns: 0,
-            recompute_ns: 0,
-            fix_ns: 0,
-            refine_ns: 0,
         }
     }
 
@@ -212,22 +186,6 @@ impl ReaderSession {
         self.window
     }
 
-    /// Swap in an updated registry (registration / calibration changed on
-    /// the owning [`SessionManager`]).
-    pub(crate) fn set_registry(&mut self, registry: Arc<TagRegistry>) {
-        self.registry = registry;
-    }
-
-    /// Drop the cached bearings of one tag (its calibration changed), and
-    /// its incremental accumulators with them — their frozen columns were
-    /// built from the old calibration.
-    pub(crate) fn invalidate_epc(&mut self, epc: u128) {
-        if let Some(stream) = self.streams.get_mut(&epc) {
-            stream.invalidate();
-            stream.reset_incremental();
-        }
-    }
-
     /// Ingest one tag report into its per-tag snapshot buffer, applying the
     /// quarantine screens and the sliding window. Never fails: hostile
     /// input is counted and dropped, and the returned [`IngestOutcome`]
@@ -247,7 +205,6 @@ impl ReaderSession {
         }
         if let Some(t0) = t0 {
             let nanos = elapsed_ns(t0);
-            self.ingest_ns += nanos;
             self.obs.emit(|| Event::StageTime {
                 stage: Stage::Ingest,
                 nanos,
@@ -259,11 +216,10 @@ impl ReaderSession {
     /// Bulk-ingest `reports` in order, coalescing observer traffic: every
     /// per-report event is collected and handed to
     /// [`crate::obs::Observer::on_batch`] in one call, followed by a single
-    /// [`Event::StageTime`] covering the whole batch (one clock read, one
-    /// `ingest_ns` advance). Buffering, rejection accounting and
-    /// [`SessionStats`] report counts are identical to calling
-    /// [`ReaderSession::ingest`] per report. Returns how many reports were
-    /// buffered.
+    /// [`Event::StageTime`] covering the whole batch (one clock read).
+    /// Buffering, rejection accounting and [`SessionStats`] report counts
+    /// are identical to calling [`ReaderSession::ingest`] per report.
+    /// Returns how many reports were buffered.
     pub fn ingest_batch(&mut self, reports: &[TagReport]) -> usize {
         let t0 = self.obs.clock_start();
         let mut events = Vec::new();
@@ -275,7 +231,6 @@ impl ReaderSession {
         }
         if let Some(t0) = t0 {
             let nanos = elapsed_ns(t0);
-            self.ingest_ns += nanos;
             events.push(Event::StageTime {
                 stage: Stage::Ingest,
                 nanos,
@@ -437,11 +392,11 @@ impl ReaderSession {
     }
 
     /// Book-keep one served bearing: the `recomputed` accounting counters
-    /// always tick; the recompute timer advances only when an observer is
-    /// enabled (`t0` is `Some`). `GateWithheld` fires only on the *fresh*
-    /// computation that hit the gate — cached reuses of a gated result
-    /// re-emit `BearingServed { recomputed: false }` but not the gate
-    /// event, so its count matches `gate_withheld` exactly.
+    /// always tick; the recompute stage time is emitted only when an
+    /// observer is enabled (`t0` is `Some`). `GateWithheld` fires only on
+    /// the *fresh* computation that hit the gate — cached reuses of a gated
+    /// result re-emit `BearingServed { recomputed: false }` but not the
+    /// gate event, so its count matches `gate_withheld` exactly.
     fn note_bearing(&mut self, epc: u128, kind: FixKind, t0: Option<Instant>, gated: bool) {
         self.recomputes += 1;
         if gated {
@@ -450,7 +405,6 @@ impl ReaderSession {
         }
         if let Some(t0) = t0 {
             let nanos = elapsed_ns(t0);
-            self.recompute_ns += nanos;
             self.obs.emit(|| Event::StageTime {
                 stage: Stage::Recompute,
                 nanos,
@@ -625,7 +579,8 @@ impl ReaderSession {
     }
 
     /// Book-keep one completed fix attempt: the attempt counter always
-    /// ticks; the fix timer advances only when an observer is enabled.
+    /// ticks; the fix stage time is emitted only when an observer is
+    /// enabled.
     fn note_fix(
         &mut self,
         kind: FixKind,
@@ -637,7 +592,6 @@ impl ReaderSession {
         self.fixes += 1;
         if let Some(t0) = t0 {
             let nanos = elapsed_ns(t0);
-            self.fix_ns += nanos;
             self.obs.emit(|| Event::StageTime {
                 stage: Stage::Fix,
                 nanos,
@@ -704,7 +658,6 @@ impl ReaderSession {
     ) {
         if let Some(t0) = t0 {
             let nanos = elapsed_ns(t0);
-            self.refine_ns += nanos;
             self.obs.emit(|| Event::StageTime {
                 stage: Stage::Refine,
                 nanos,
@@ -732,7 +685,6 @@ impl ReaderSession {
         } else {
             0.0
         };
-        let (coarse_ns, fine_ns) = self.engine.stage_ns();
         SessionStats {
             ingested: self.ingested,
             rejects: self.rejects,
@@ -747,14 +699,6 @@ impl ReaderSession {
             fixes: self.fixes,
             skips: self.skips,
             incremental: self.incremental,
-            stage: StageTimes {
-                ingest_ns: self.ingest_ns,
-                coarse_ns,
-                fine_ns,
-                recompute_ns: self.recompute_ns,
-                fix_ns: self.fix_ns,
-                refine_ns: self.refine_ns,
-            },
         }
     }
 
@@ -796,9 +740,10 @@ impl ReaderSession {
 /// shared [`TagRegistry`] and a single shared spectrum-engine steering
 /// cache.
 ///
-/// Reports are routed by their `antenna_id`; sessions are created lazily on
-/// first sight of an antenna. Registration and calibration go through the
-/// manager so every session sees the update (copy-on-write `Arc` swap).
+/// Created from a registered server via
+/// [`crate::server::LocalizationServer::session_manager`], whose registry,
+/// engine and observer every session shares. Reports are routed by their
+/// `antenna_id`; sessions are created lazily on first sight of an antenna.
 #[derive(Debug, Clone)]
 pub struct SessionManager {
     registry: Arc<TagRegistry>,
@@ -811,16 +756,6 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// An empty manager with its own registry and engine.
-    pub fn new(config: PipelineConfig, window: WindowConfig) -> Self {
-        SessionManager::with_shared(
-            Arc::new(TagRegistry::new()),
-            SpectrumEngine::new(),
-            config,
-            window,
-        )
-    }
-
     /// A manager sharing an existing registry and engine (used by
     /// [`crate::server::LocalizationServer::session_manager`]).
     pub(crate) fn with_shared(
@@ -841,55 +776,6 @@ impl SessionManager {
     /// The shared registry.
     pub fn registry(&self) -> &TagRegistry {
         &self.registry
-    }
-
-    /// Attach an observer to the shared engine, every live session, and
-    /// every session created from now on.
-    pub fn set_observer(&mut self, observer: Arc<dyn Observer>) {
-        self.engine.set_observer(Arc::clone(&observer));
-        for session in self.sessions.values_mut() {
-            session.set_observer(Arc::clone(&observer));
-        }
-    }
-
-    /// Register a spinning tag; every existing session sees it immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::DuplicateTag`].
-    pub fn register(
-        &mut self,
-        epc: u128,
-        disk: crate::spinning::DiskConfig,
-    ) -> Result<(), ServerError> {
-        Arc::make_mut(&mut self.registry).register(epc, disk)?;
-        self.propagate_registry();
-        Ok(())
-    }
-
-    /// Attach an orientation calibration to a tag; every session drops its
-    /// cached bearings for that tag.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::UnknownTag`].
-    pub fn set_orientation_calibration(
-        &mut self,
-        epc: u128,
-        cal: crate::calib::orientation::OrientationCalibration,
-    ) -> Result<(), ServerError> {
-        Arc::make_mut(&mut self.registry).set_orientation_calibration(epc, cal)?;
-        self.propagate_registry();
-        for session in self.sessions.values_mut() {
-            session.invalidate_epc(epc);
-        }
-        Ok(())
-    }
-
-    fn propagate_registry(&mut self) {
-        for session in self.sessions.values_mut() {
-            session.set_registry(Arc::clone(&self.registry));
-        }
     }
 
     /// Route one report to its antenna's session, creating the session on
@@ -1008,17 +894,24 @@ impl SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::LocalizationServer;
     use crate::spinning::DiskConfig;
     use tagspin_geom::Vec3;
 
-    fn registry_with(epcs: &[u128]) -> Arc<TagRegistry> {
-        let mut reg = TagRegistry::new();
+    /// A server with `epcs` registered 0.6 m apart along x.
+    fn server_with(epcs: &[u128], config: PipelineConfig) -> LocalizationServer {
+        let mut server = LocalizationServer::new(config);
         for (i, &epc) in epcs.iter().enumerate() {
             let x = i as f64 * 0.6 - 0.3;
-            reg.register(epc, DiskConfig::paper_default(Vec3::new(x, 0.0, 0.0)))
+            server
+                .register(epc, DiskConfig::paper_default(Vec3::new(x, 0.0, 0.0)))
                 .unwrap();
         }
-        Arc::new(reg)
+        server
+    }
+
+    fn session_of(epcs: &[u128], config: PipelineConfig, window: WindowConfig) -> ReaderSession {
+        server_with(epcs, config).session(window)
     }
 
     fn report(epc: u128, t_us: u64, antenna: u8) -> TagReport {
@@ -1034,8 +927,8 @@ mod tests {
 
     #[test]
     fn ingest_counts_and_routes() {
-        let mut session = ReaderSession::new(
-            registry_with(&[1, 2]),
+        let mut session = session_of(
+            &[1, 2],
             PipelineConfig::default(),
             WindowConfig::unbounded(),
         );
@@ -1075,11 +968,7 @@ mod tests {
     #[test]
     fn value_screens_quarantine_malformed_reports() {
         use tagspin_epc::ReportDefect;
-        let mut session = ReaderSession::new(
-            registry_with(&[1]),
-            PipelineConfig::default(),
-            WindowConfig::unbounded(),
-        );
+        let mut session = session_of(&[1], PipelineConfig::default(), WindowConfig::unbounded());
         let nan = TagReport {
             phase: f64::NAN,
             ..report(1, 0, 1)
@@ -1095,7 +984,7 @@ mod tests {
             ingest: quarantine::IngestPolicy::permissive(),
             ..PipelineConfig::default()
         };
-        let mut loose = ReaderSession::new(registry_with(&[1]), cfg, WindowConfig::unbounded());
+        let mut loose = session_of(&[1], cfg, WindowConfig::unbounded());
         assert!(loose.ingest(&nan).is_buffered());
         assert_eq!(
             loose.ingest(&report(1, 0, 1)),
@@ -1111,7 +1000,7 @@ mod tests {
             min_snapshots: 5,
             ..PipelineConfig::default()
         };
-        let mut session = ReaderSession::new(registry_with(&[1]), cfg, WindowConfig::unbounded());
+        let mut session = session_of(&[1], cfg, WindowConfig::unbounded());
         // Plenty of reads, but all at nearly the same instant → the disk
         // barely turned, coverage collapses, the gate withholds the tag.
         for i in 0..40u64 {
@@ -1131,8 +1020,8 @@ mod tests {
 
     #[test]
     fn count_window_bounds_buffers() {
-        let mut session = ReaderSession::new(
-            registry_with(&[1]),
+        let mut session = session_of(
+            &[1],
             PipelineConfig::default(),
             WindowConfig::last_reports(3),
         );
@@ -1148,8 +1037,8 @@ mod tests {
 
     #[test]
     fn time_window_ages_out_silent_tags_at_fix_time() {
-        let mut session = ReaderSession::new(
-            registry_with(&[1, 2]),
+        let mut session = session_of(
+            &[1, 2],
             PipelineConfig::default(),
             WindowConfig::last_seconds(0.5),
         );
@@ -1168,8 +1057,8 @@ mod tests {
 
     #[test]
     fn fixes_use_cached_bearings_until_dirty() {
-        let mut session = ReaderSession::new(
-            registry_with(&[1, 2]),
+        let mut session = session_of(
+            &[1, 2],
             PipelineConfig::default(),
             WindowConfig::unbounded(),
         );
@@ -1188,11 +1077,7 @@ mod tests {
 
     #[test]
     fn unknown_epc_bearing_query_errors() {
-        let mut session = ReaderSession::new(
-            registry_with(&[1]),
-            PipelineConfig::default(),
-            WindowConfig::unbounded(),
-        );
+        let mut session = session_of(&[1], PipelineConfig::default(), WindowConfig::unbounded());
         assert_eq!(session.tag_bearing_2d(42), Err(ServerError::UnknownTag(42)));
         // Registered but never read → NoReads, the batch pipeline's error.
         assert_eq!(
@@ -1208,10 +1093,9 @@ mod tests {
     }
 
     #[test]
-    fn manager_routes_by_antenna_and_propagates_registration() {
-        let mut mgr = SessionManager::new(PipelineConfig::default(), WindowConfig::unbounded());
-        mgr.register(1, DiskConfig::paper_default(Vec3::new(-0.3, 0.0, 0.0)))
-            .unwrap();
+    fn manager_routes_by_antenna() {
+        let mut mgr =
+            server_with(&[1], PipelineConfig::default()).session_manager(WindowConfig::unbounded());
         assert_eq!(mgr.ingest(&report(1, 0, 2)), IngestOutcome::Buffered);
         assert_eq!(mgr.ingest(&report(1, 100, 1)), IngestOutcome::Buffered);
         assert_eq!(
@@ -1221,15 +1105,6 @@ mod tests {
         // Ascending antenna order, and the unknown-EPC antenna still has a
         // session (it saw traffic).
         assert_eq!(mgr.antennas(), vec![1, 2, 3]);
-        // Late registration reaches existing sessions.
-        mgr.register(7, DiskConfig::paper_default(Vec3::new(0.3, 0.0, 0.0)))
-            .unwrap();
-        assert_eq!(mgr.ingest(&report(7, 300, 3)), IngestOutcome::Buffered);
-        assert_eq!(mgr.session(3).unwrap().registry().len(), 2);
-        assert_eq!(
-            mgr.register(1, DiskConfig::paper_default(Vec3::ZERO)),
-            Err(ServerError::DuplicateTag(1))
-        );
         // No-session antenna behaves like an empty log.
         assert_eq!(
             mgr.fix::<TwoD>(99),

@@ -68,33 +68,6 @@ pub struct IncrementalCounts {
     pub fallbacks: u64,
 }
 
-/// Cumulative wall-clock nanoseconds per pipeline stage.
-///
-/// All five stay **zero unless an enabled observer is attached**: the
-/// disabled path never reads the clock, which is what keeps it both
-/// zero-cost and deterministic. `coarse_ns` / `fine_ns` come from the
-/// shared spectrum engine, so — like
-/// [`crate::spectrum::engine::CacheStats`] — they aggregate over every
-/// session cloned from the same engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageTimes {
-    /// Time inside [`crate::session::ReaderSession::ingest`], screens
-    /// included.
-    pub ingest_ns: u64,
-    /// Engine coarse-pass time (engine-wide, shared across clones).
-    pub coarse_ns: u64,
-    /// Engine fine-pass time (engine-wide, shared across clones).
-    pub fine_ns: u64,
-    /// Fresh per-window bearing recomputes (includes the engine passes
-    /// they trigger).
-    pub recompute_ns: u64,
-    /// Whole multi-tag fix attempts (includes their recomputes).
-    pub fix_ns: u64,
-    /// Estimator-backend position refinements (the ml/hybrid damped
-    /// Gauss–Newton search; zero on the default spectrum backend).
-    pub refine_ns: u64,
-}
-
 /// Session-wide ingestion counters and freshness figures.
 ///
 /// Accounting invariant: every report ever offered to the session is either
@@ -131,9 +104,6 @@ pub struct SessionStats {
     pub fixes: u64,
     /// Tags skipped by fix attempts, by skippable reason.
     pub skips: SkipCounts,
-    /// Cumulative per-stage wall-clock time (zeros unless an enabled
-    /// observer is attached).
-    pub stage: StageTimes,
     /// Incremental-accumulator sync counters (zeros until the incremental
     /// path engages).
     pub incremental: IncrementalCounts,

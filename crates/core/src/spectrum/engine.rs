@@ -363,14 +363,6 @@ pub struct SpectrumEngine {
     /// Observability sink; [`crate::obs::NullObserver`] by default, so the
     /// instrumentation points below cost one predictable branch each.
     obs: ObsHandle,
-    /// Cumulative coarse-pass nanoseconds. Like the cache counters, this
-    /// is engine-wide and shared across clones; it only advances while an
-    /// enabled observer is attached (the disabled path never reads the
-    /// clock, keeping stage times deterministic zeros).
-    coarse_ns: Arc<AtomicU64>,
-    /// Cumulative fine-pass nanoseconds (same sharing and gating as
-    /// `coarse_ns`).
-    fine_ns: Arc<AtomicU64>,
 }
 
 impl Default for SpectrumEngine {
@@ -396,8 +388,6 @@ impl SpectrumEngine {
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
             obs: ObsHandle::null(),
-            coarse_ns: Arc::new(AtomicU64::new(0)),
-            fine_ns: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -424,32 +414,13 @@ impl SpectrumEngine {
         &self.obs
     }
 
-    /// Cumulative (coarse, fine) peak-search pass nanoseconds since
-    /// construction, shared across clones like [`CacheStats`]. Both stay
-    /// zero unless an enabled observer is attached — the disabled path
-    /// never reads the clock.
-    pub fn stage_ns(&self) -> (u64, u64) {
-        // ordering: relaxed — independent monotonic tallies, no cross-counter consistency needed
-        let coarse = self.coarse_ns.load(Ordering::Relaxed);
-        // ordering: relaxed — same as coarse_ns above
-        let fine = self.fine_ns.load(Ordering::Relaxed);
-        (coarse, fine)
-    }
-
-    /// [`eval_cells`] wrapped in a stage timer: accumulates into the
-    /// engine-wide coarse/fine counters and emits [`Event::StageTime`]
+    /// [`eval_cells`] wrapped in a stage timer: emits [`Event::StageTime`]
     /// when an observer is enabled, and is exactly `eval_cells` otherwise.
     fn timed_eval(&self, stage: Stage, ctx: &EvalContext<'_>, cells: &[usize], values: &mut [f64]) {
         let t0 = self.obs.clock_start();
         eval_cells(ctx, auto_workers(), cells, values);
         if let Some(t0) = t0 {
             let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let counter = match stage {
-                Stage::Coarse => &self.coarse_ns,
-                _ => &self.fine_ns,
-            };
-            // ordering: relaxed — monotonic accumulation; readers tolerate any interleaving
-            counter.fetch_add(nanos, Ordering::Relaxed);
             self.obs.emit(|| Event::StageTime { stage, nanos });
         }
     }

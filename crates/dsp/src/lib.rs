@@ -9,13 +9,10 @@
 //!   reflections) used by the Fourier fit and the baselines' Gauss-Newton.
 //! * [`fourier`] — Fourier-series fitting on angular data, the tool the
 //!   paper uses to quantify the tag-orientation phase effect (Observation 3.1).
-//! * [`gaussian`] — the Gaussian PDF used as the probability weight in the
-//!   enhanced power profile `R(φ)` (Definition 4.1).
 //! * [`peak`] — grid argmax with parabolic sub-grid refinement for spectrum
 //!   peak extraction.
 //! * [`stats`] — scalar summary statistics and empirical CDFs used by the
 //!   evaluation harness.
-//! * [`window`] — moving-average and median filters for report smoothing.
 //!
 //! # Example: recovering a hidden Fourier series
 //!
@@ -40,15 +37,12 @@
 pub mod complex;
 pub mod float;
 pub mod fourier;
-pub mod gaussian;
 pub mod lstsq;
 pub mod peak;
 pub mod stats;
 pub mod unwrap;
-pub mod window;
 
 pub use complex::Complex;
 pub use fourier::FourierSeries;
-pub use gaussian::Gaussian;
 pub use peak::PeakEstimate;
 pub use stats::Summary;

@@ -381,8 +381,8 @@ impl ServeDaemon {
         for shard in 0..shards {
             let (tx, rx) = channel::bounded(config.queue_capacity.max(1));
             let depth = ShardDepth::new(metrics.shard_queue_depth(shard));
-            let mut manager = server.session_manager(config.window);
-            manager.set_observer(observer.clone());
+            // The manager inherits the observer through its engine clone.
+            let manager = server.session_manager(config.window);
             senders.push(tx);
             depths.push(depth.clone());
             let delay = config.shard_delay;

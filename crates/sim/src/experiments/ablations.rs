@@ -292,7 +292,8 @@ pub fn abl_hopping(fid: &Fidelity) -> Report {
 
 /// Ablation: the vertical third disk vs the dead-space prior (3D).
 pub fn abl_vertical(fid: &Fidelity) -> Report {
-    use crate::trial::{observe, setup_trial};
+    use crate::fault::FaultPlan;
+    use crate::trial::Trial;
     use tagspin_core::session::Aided;
     let trials = fid.trials.min(if fid.quick { 4 } else { 15 });
     let mut margins = Vec::new();
@@ -310,12 +311,10 @@ pub fn abl_vertical(fid: &Fidelity) -> Report {
             std::f64::consts::FRAC_PI_2,
         ));
 
-        let mut rng = StdRng::seed_from_u64(seed);
-        let Ok(setup) = setup_trial(&scenario, &mut rng) else {
+        let Ok(trial) = Trial::prepare(&scenario, &FaultPlan::clean(), seed) else {
             continue;
         };
-        let log = observe(&scenario, &setup, &mut rng);
-        if let Ok(fix) = setup.server.fix::<Aided>(&log) {
+        if let Ok(fix) = trial.replay(|_| {}).fix::<Aided>() {
             errs_aided.push(fix.position.distance(scenario.reader_truth.position));
             margins.push(fix.runner_up_residual_m / fix.residual_m.max(1e-6));
         }
@@ -323,12 +322,10 @@ pub fn abl_vertical(fid: &Fidelity) -> Report {
         // Control: the same trial with only the two horizontal disks.
         let mut flat = scenario.clone();
         flat.disks.truncate(2);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let Ok(setup) = setup_trial(&flat, &mut rng) else {
+        let Ok(trial) = Trial::prepare(&flat, &FaultPlan::clean(), seed) else {
             continue;
         };
-        let log = observe(&flat, &setup, &mut rng);
-        if let Ok(fix) = setup.server.fix::<Aided>(&log) {
+        if let Ok(fix) = trial.replay(|_| {}).fix::<Aided>() {
             margins_flat.push(fix.runner_up_residual_m / fix.residual_m.max(1e-6));
         }
     }

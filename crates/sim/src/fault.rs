@@ -1,5 +1,5 @@
-//! Composable fault injection for inventory logs, plus A/B robustness
-//! trials.
+//! Composable fault injection for inventory logs, plus the two ingest
+//! postures robustness A/B trials compare.
 //!
 //! The paper's clean simulation is the best case; real COTS captures are
 //! not. A [`FaultPlan`] describes, rate by rate, the corruption a deployed
@@ -10,15 +10,11 @@
 //! `(plan, log, seed)` always yields the same corrupted stream, so
 //! robustness trials are exactly reproducible.
 //!
-//! [`run_trial_2d_ab`] is the measurement harness built on top: one
-//! simulated observation, one corruption pass, then the *same* hostile
-//! stream through two sessions — the hardened ingest posture
-//! (value/duplicate screens + quality gate) versus the permissive one — so
+//! A robustness A/B trial prepares one [`crate::trial::Trial`] with a
+//! plan and replays the *same* hostile stream under [`hardened`] (value
+//! and duplicate screens plus the quality gate) and [`permissive`], so
 //! accuracy-vs-fault-rate curves isolate what the quarantine layer buys.
 
-use crate::metrics::TrialError;
-use crate::scenario::Scenario;
-use crate::trial::{observe, setup_trial, Trial2DOutcome, TrialFailure};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tagspin_core::prelude::*;
@@ -216,75 +212,23 @@ impl FaultPlan {
     }
 }
 
-/// Both arms of one robustness A/B trial over the same corrupted stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AbOutcome {
-    /// Hardened arm: value/duplicate screens on, quality gate enabled.
-    pub hardened: Result<Trial2DOutcome, TrialFailure>,
-    /// Permissive arm: screens and gate off (out-of-order rejection only).
-    pub permissive: Result<Trial2DOutcome, TrialFailure>,
-    /// Reports delivered after corruption (both arms saw this stream).
-    pub delivered: usize,
+/// The hardened ingest posture: value and duplicate screens on, and the
+/// paper-default quality gate.
+pub fn hardened(config: &mut PipelineConfig) {
+    config.ingest = IngestPolicy::hardened();
+    config.quality_gate = QualityGate::paper_default();
 }
 
-/// Run one 2D localization trial with the corrupted stream fed to **two**
-/// sessions sharing the same world: the hardened ingest posture and the
-/// permissive one. Everything upstream — tag manufacture, calibration, the
-/// observation, the corruption pass — happens exactly once, so the arms
-/// differ *only* in ingest policy and quality gate.
-///
-/// # Errors
-///
-/// [`TrialFailure::Calibration`] when the shared setup fails; per-arm
-/// pipeline failures are reported inside [`AbOutcome`], not here.
-pub fn run_trial_2d_ab(
-    scenario: &Scenario,
-    plan: &FaultPlan,
-    seed: u64,
-) -> Result<AbOutcome, TrialFailure> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut setup = setup_trial(scenario, &mut rng)?;
-    let log = observe(scenario, &setup, &mut rng);
-    let reports = plan.apply(&log, seed);
-
-    setup.server.config.ingest = IngestPolicy::hardened();
-    setup.server.config.quality_gate = QualityGate::paper_default();
-    let hardened = run_arm(&setup.server, &reports, scenario);
-
-    setup.server.config.ingest = IngestPolicy::permissive();
-    setup.server.config.quality_gate = QualityGate::default();
-    let permissive = run_arm(&setup.server, &reports, scenario);
-
-    Ok(AbOutcome {
-        hardened,
-        permissive,
-        delivered: reports.len(),
-    })
-}
-
-fn run_arm(
-    server: &LocalizationServer,
-    reports: &[TagReport],
-    scenario: &Scenario,
-) -> Result<Trial2DOutcome, TrialFailure> {
-    let mut session = server.session(WindowConfig::unbounded());
-    for report in reports {
-        session.ingest(report);
-    }
-    let fix = session.fix::<TwoD>().map_err(TrialFailure::Server)?;
-    let error = TrialError::planar(fix.position, scenario.reader_truth.position.xy());
-    Ok(Trial2DOutcome {
-        fix,
-        error,
-        reads: reports.len(),
-    })
+/// The permissive ingest posture: screens and gate off (out-of-order
+/// rejection only).
+pub fn permissive(config: &mut PipelineConfig) {
+    config.ingest = IngestPolicy::permissive();
+    config.quality_gate = QualityGate::default();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::run_trial_2d;
-    use tagspin_geom::Vec2;
 
     fn small_log() -> InventoryLog {
         (0..200u64)
@@ -407,37 +351,6 @@ mod tests {
             }
         }
         assert!(touched > 10, "burst touched only {touched} reads");
-    }
-
-    #[test]
-    fn ab_trial_hardened_survives_hostile_stream() {
-        let scenario = Scenario::paper_2d(Vec2::new(0.4, 1.8)).quick();
-        let clean = run_trial_2d(&scenario, 42).unwrap();
-        let out = run_trial_2d_ab(&scenario, &FaultPlan::at_rate(0.3), 42).unwrap();
-        let hardened = out.hardened.expect("hardened arm should fix");
-        // Quarantine keeps the hostile stream near clean accuracy.
-        assert!(
-            hardened.error.combined < clean.error.combined + 0.15,
-            "hardened error {:.3} m vs clean {:.3} m",
-            hardened.error.combined,
-            clean.error.combined
-        );
-        // The permissive arm ingested NaN phases; whatever it produced is
-        // worse or failed outright.
-        if let Ok(p) = out.permissive {
-            assert!(p.error.combined >= hardened.error.combined);
-        }
-    }
-
-    #[test]
-    fn ab_trial_equals_plain_trial_when_clean() {
-        let scenario = Scenario::paper_2d(Vec2::new(-0.5, 2.2)).quick();
-        let plain = run_trial_2d(&scenario, 7).unwrap();
-        let out = run_trial_2d_ab(&scenario, &FaultPlan::clean(), 7).unwrap();
-        let hardened = out.hardened.unwrap();
-        let permissive = out.permissive.unwrap();
-        assert_eq!(hardened.fix, plain.fix);
-        assert_eq!(permissive.fix, plain.fix);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! * [`scenario`] — the paper's office-room deployments (2D desktop, 3D
 //!   desk + elevated reader) as configurable scenario values.
 //! * [`trial`] — one end-to-end localization run: manufacture tags,
-//!   center-spin calibration, inventory, pipeline, error scoring.
-//! * [`fault`] — seeded fault injection ([`fault::FaultPlan`]) and A/B
-//!   robustness trials (hardened vs permissive ingest).
+//!   center-spin calibration, inventory, pipeline, error scoring. A
+//!   prepared [`trial::Trial`] replays one delivered stream under each arm
+//!   of an A/B study.
+//! * [`fault`] — seeded fault injection ([`fault::FaultPlan`]) and the
+//!   hardened and permissive ingest postures robustness trials compare.
 //! * [`metrics`] — the paper's error-distance metrics, per-axis and CDF.
 //! * [`sweep`] — seeded repetition and parameter sweeps (parallelized).
 //! * [`baseline_adapters`] — the four comparison systems run in the same
@@ -18,7 +20,6 @@
 
 pub mod baseline_adapters;
 pub mod config;
-pub mod estimator_ab;
 pub mod experiments;
 pub mod fault;
 pub mod metrics;
@@ -27,8 +28,7 @@ pub mod sweep;
 pub mod trial;
 
 pub use config::Deployment;
-pub use estimator_ab::{run_trial_2d_estimators, EstimatorAbOutcome};
-pub use fault::{run_trial_2d_ab, FaultPlan};
+pub use fault::FaultPlan;
 pub use metrics::{ErrorStats, TrialError};
 pub use scenario::Scenario;
-pub use trial::{run_trial_2d, run_trial_3d, TrialFailure};
+pub use trial::{run_trial_2d, run_trial_3d, Trial, TrialFailure};

@@ -5,7 +5,15 @@
 //! optionally orientation-calibrated with a center-spin capture, spun on
 //! their disks while the reader inventories them, and the server pipeline
 //! produces a fix that is scored against ground truth.
+//!
+//! [`Trial`] is that run split at the fix: [`Trial::prepare`] does
+//! everything up to the delivered report stream once, optionally through a
+//! [`FaultPlan`], and [`Trial::replay`] feeds the same stream to a fresh
+//! session under one arm's configuration. Every single-arm trial and every
+//! A/B study (ingest posture, estimator backend) goes through it, so arms
+//! differ only in what the arm changes.
 
+use crate::fault::FaultPlan;
 use crate::metrics::TrialError;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
@@ -15,7 +23,8 @@ use tagspin_core::prelude::*;
 use tagspin_core::server::ServerError;
 use tagspin_core::snapshot::SnapshotSet;
 use tagspin_epc::inventory::{run_inventory, ReaderConfig, Transponder};
-use tagspin_epc::InventoryLog;
+use tagspin_epc::{InventoryLog, TagReport};
+use tagspin_geom::Vec3;
 use tagspin_rf::TagInstance;
 
 /// Why a trial could not produce a fix.
@@ -165,22 +174,79 @@ pub fn observe(scenario: &Scenario, setup: &TrialSetup, rng: &mut StdRng) -> Inv
     }
 }
 
+/// One prepared trial: the world manufactured, observed and corrupted
+/// once, ready to be replayed under any number of arms.
+#[derive(Debug)]
+pub struct Trial {
+    /// The server, with disks registered and calibrations attached, under
+    /// the scenario's configuration.
+    server: LocalizationServer,
+    /// The stream the reader delivered, after the fault plan.
+    reports: Vec<TagReport>,
+    /// Where the reader really is.
+    truth: Vec3,
+}
+
+impl Trial {
+    /// Seed the trial's RNG with `seed`, manufacture and calibrate the
+    /// world ([`setup_trial`]), run the observation ([`observe`]) and
+    /// corrupt it with `plan` (also seeded by `seed`). A
+    /// [`FaultPlan::clean`] plan delivers the log verbatim.
+    ///
+    /// # Errors
+    ///
+    /// [`TrialFailure::Calibration`] when the center-spin fit fails.
+    pub fn prepare(scenario: &Scenario, plan: &FaultPlan, seed: u64) -> Result<Self, TrialFailure> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let setup = setup_trial(scenario, &mut rng)?;
+        let log = observe(scenario, &setup, &mut rng);
+        Ok(Trial {
+            server: setup.server,
+            reports: plan.apply(&log, seed),
+            truth: scenario.reader_truth.position,
+        })
+    }
+
+    /// Reports delivered after the fault plan (every arm sees them all).
+    pub fn delivered(&self) -> usize {
+        self.reports.len()
+    }
+
+    /// A one-shot session with an unbounded window, fed every delivered
+    /// report in order, under the scenario's configuration as changed by
+    /// `arm` — the path [`LocalizationServer::fix`] takes for a log.
+    pub fn replay(&self, arm: impl FnOnce(&mut PipelineConfig)) -> ReaderSession {
+        let mut server = self.server.clone();
+        arm(&mut server.config);
+        let mut session = server.session(WindowConfig::unbounded());
+        for report in &self.reports {
+            session.ingest(report);
+        }
+        session
+    }
+
+    /// Score a 2D fix against the truth.
+    pub fn outcome_2d(&self, fix: Fix2D) -> Trial2DOutcome {
+        Trial2DOutcome {
+            error: TrialError::planar(fix.position, self.truth.xy()),
+            fix,
+            reads: self.delivered(),
+        }
+    }
+}
+
 /// Run one full 2D trial.
 ///
 /// # Errors
 ///
 /// [`TrialFailure`] when any pipeline stage fails.
 pub fn run_trial_2d(scenario: &Scenario, seed: u64) -> Result<Trial2DOutcome, TrialFailure> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let setup = setup_trial(scenario, &mut rng)?;
-    let log = observe(scenario, &setup, &mut rng);
-    let reads = log.len();
-    let fix = setup
-        .server
-        .fix::<TwoD>(&log)
+    let trial = Trial::prepare(scenario, &FaultPlan::clean(), seed)?;
+    let fix = trial
+        .replay(|_| {})
+        .fix::<TwoD>()
         .map_err(TrialFailure::Server)?;
-    let error = TrialError::planar(fix.position, scenario.reader_truth.position.xy());
-    Ok(Trial2DOutcome { fix, error, reads })
+    Ok(trial.outcome_2d(fix))
 }
 
 /// Run one full 3D trial; the ±z ambiguity is resolved with the scenario's
@@ -191,31 +257,29 @@ pub fn run_trial_2d(scenario: &Scenario, seed: u64) -> Result<Trial2DOutcome, Tr
 /// [`TrialFailure`] when any pipeline stage fails or neither candidate is
 /// feasible.
 pub fn run_trial_3d(scenario: &Scenario, seed: u64) -> Result<Trial3DOutcome, TrialFailure> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let setup = setup_trial(scenario, &mut rng)?;
-    let log = observe(scenario, &setup, &mut rng);
-    let reads = log.len();
-    let fix = setup
-        .server
-        .fix::<ThreeD>(&log)
+    let trial = Trial::prepare(scenario, &FaultPlan::clean(), seed)?;
+    let fix = trial
+        .replay(|_| {})
+        .fix::<ThreeD>()
         .map_err(TrialFailure::Server)?;
     let (lo, hi) = scenario.z_feasible;
     let position = fix
         .resolve(|p| p.z >= lo && p.z <= hi)
         .ok_or(TrialFailure::AmbiguityUnresolved)?;
-    let error = TrialError::spatial(position, scenario.reader_truth.position);
+    let error = TrialError::spatial(position, trial.truth);
     Ok(Trial3DOutcome {
         position,
         fix,
         error,
-        reads,
+        reads: trial.delivered(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tagspin_geom::{Vec2, Vec3};
+    use crate::fault::{hardened, permissive};
+    use tagspin_geom::Vec2;
 
     #[test]
     fn trial_2d_centimeter_accuracy() {
@@ -289,6 +353,108 @@ mod tests {
         match run_trial_2d(&scenario, 1) {
             Err(TrialFailure::Server(_)) | Err(TrialFailure::Calibration(_)) => {}
             other => panic!("expected failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ab_trial_hardened_survives_hostile_stream() {
+        let scenario = Scenario::paper_2d(Vec2::new(0.4, 1.8)).quick();
+        let clean = run_trial_2d(&scenario, 42).unwrap();
+        let trial = Trial::prepare(&scenario, &FaultPlan::at_rate(0.3), 42).unwrap();
+        let fix = trial.replay(hardened).fix::<TwoD>();
+        let hardened = trial.outcome_2d(fix.expect("hardened arm should fix"));
+        // Quarantine keeps the hostile stream near clean accuracy.
+        assert!(
+            hardened.error.combined < clean.error.combined + 0.15,
+            "hardened error {:.3} m vs clean {:.3} m",
+            hardened.error.combined,
+            clean.error.combined
+        );
+        // The permissive arm ingested NaN phases; whatever it produced is
+        // worse or failed outright.
+        if let Ok(fix) = trial.replay(permissive).fix::<TwoD>() {
+            assert!(trial.outcome_2d(fix).error.combined >= hardened.error.combined);
+        }
+    }
+
+    #[test]
+    fn ab_trial_equals_plain_trial_when_clean() {
+        let scenario = Scenario::paper_2d(Vec2::new(-0.5, 2.2)).quick();
+        let plain = run_trial_2d(&scenario, 7).unwrap();
+        let trial = Trial::prepare(&scenario, &FaultPlan::clean(), 7).unwrap();
+        assert_eq!(trial.delivered(), plain.reads);
+        for arm in [hardened, permissive] {
+            assert_eq!(trial.replay(arm).fix::<TwoD>().unwrap(), plain.fix);
+        }
+    }
+
+    /// The hardened posture with estimator backend `backend`: one arm of
+    /// the estimator shootout.
+    fn estimates(trial: &Trial, backend: EstimatorBackend) -> Estimate<Fix2D> {
+        trial
+            .replay(|config| {
+                hardened(config);
+                config.estimator.backend = backend;
+            })
+            .estimate::<TwoD>()
+            .expect("every backend fixes")
+    }
+
+    fn error_m(trial: &Trial, estimate: &Estimate<Fix2D>) -> f64 {
+        trial.outcome_2d(estimate.fix).error.combined
+    }
+
+    #[test]
+    fn replay_is_deterministic_per_seed() {
+        let scenario = Scenario::paper_2d(Vec2::new(0.4, 1.8)).quick();
+        let plan = FaultPlan::at_rate(0.1);
+        let a = Trial::prepare(&scenario, &plan, 5).unwrap();
+        let b = Trial::prepare(&scenario, &plan, 5).unwrap();
+        for backend in [
+            EstimatorBackend::Spectrum,
+            EstimatorBackend::Ml,
+            EstimatorBackend::Hybrid,
+        ] {
+            assert_eq!(estimates(&a, backend), estimates(&b, backend));
+            assert_eq!(estimates(&a, backend), estimates(&a, backend));
+        }
+    }
+
+    #[test]
+    fn ml_arm_competitive_on_clean_capture() {
+        let scenario = Scenario::paper_2d(Vec2::new(0.4, 1.8)).quick();
+        let trial = Trial::prepare(&scenario, &FaultPlan::clean(), 42).unwrap();
+        let spectrum = estimates(&trial, EstimatorBackend::Spectrum);
+        let ml = estimates(&trial, EstimatorBackend::Ml);
+        assert!(spectrum.ml.is_none());
+        assert!(
+            error_m(&trial, &ml) < error_m(&trial, &spectrum) + 0.05,
+            "ml {:.3} m vs spectrum {:.3} m",
+            error_m(&trial, &ml),
+            error_m(&trial, &spectrum)
+        );
+        let report = ml.ml.expect("ml arm reports");
+        assert!(report.accepted, "{report:?}");
+    }
+
+    #[test]
+    fn hybrid_never_worse_than_both_arms_by_much() {
+        let scenario = Scenario::paper_2d(Vec2::new(-0.5, 2.2)).quick();
+        for &rate in &[0.0, 0.3] {
+            let trial = Trial::prepare(&scenario, &FaultPlan::at_rate(rate), 7).unwrap();
+            let spectrum = estimates(&trial, EstimatorBackend::Spectrum);
+            let ml = estimates(&trial, EstimatorBackend::Ml);
+            let hybrid = estimates(&trial, EstimatorBackend::Hybrid);
+            let floor = error_m(&trial, &spectrum).max(error_m(&trial, &ml));
+            assert!(
+                error_m(&trial, &hybrid) <= floor + 1e-9,
+                "rate {rate}: hybrid {:.3} m vs worst arm {floor:.3} m",
+                error_m(&trial, &hybrid),
+            );
+            // A rejected hybrid refinement serves the spectrum fix verbatim.
+            if hybrid.ml.is_some_and(|r| !r.accepted) {
+                assert_eq!(hybrid.fix, spectrum.fix);
+            }
         }
     }
 

@@ -6,15 +6,14 @@
 //! corrupt phases, ghost EPCs):
 //!
 //! 1. **Invisible** — a session with a [`RecordingObserver`] attached
-//!    produces bit-identical ingest outcomes, fixes and stats (stage
-//!    timers aside) to the default [`NullObserver`] session, and the null
-//!    session's stage timers stay exactly zero (the disabled path never
-//!    reads the clock).
+//!    produces bit-identical ingest outcomes, fixes and stats to the
+//!    default [`NullObserver`] session.
 //! 2. **Exact** — the recorded event stream reconciles with
 //!    [`SessionStats`] and [`RejectCounts`] counter-for-counter: no event
 //!    double-counted, none missing, across accepts, per-reason rejects,
-//!    evictions, fresh/cached recomputes, gate withholdings, fix attempts
-//!    and per-stage timer sums.
+//!    evictions, fresh/cached recomputes, gate withholdings and fix
+//!    attempts. Stage time has no counter to reconcile: its one record is
+//!    the [`Event::StageTime`] stream.
 //!
 //! Case count defaults to 256 and is pinned in CI via `PROPTEST_CASES`.
 
@@ -87,7 +86,7 @@ struct EventTotals {
     fix_ok: u64,
     skipped: u64,
     estimator_fixes: u64,
-    stage: StageTimes,
+    refine_stages: u64,
     cache_lookups: u64,
     peak_searches: u64,
     incremental: IncrementalCounts,
@@ -114,16 +113,7 @@ fn fold(events: &[Event]) -> EventTotals {
                 t.skipped += *skipped as u64;
             }
             Event::EstimatorFix { .. } => t.estimator_fixes += 1,
-            Event::StageTime { stage, nanos } => match stage {
-                Stage::Ingest => t.stage.ingest_ns += nanos,
-                Stage::Coarse => t.stage.coarse_ns += nanos,
-                Stage::Fine => t.stage.fine_ns += nanos,
-                Stage::Recompute => t.stage.recompute_ns += nanos,
-                Stage::Fix => t.stage.fix_ns += nanos,
-                Stage::Refine => t.stage.refine_ns += nanos,
-                // Serve-daemon stages; the session pipeline never emits them.
-                Stage::Decode | Stage::Route => {}
-            },
+            Event::StageTime { stage, .. } => t.refine_stages += u64::from(*stage == Stage::Refine),
             Event::CacheLookup { .. } => t.cache_lookups += 1,
             Event::PeakSearch { .. } => t.peak_searches += 1,
             Event::IncrementalSync {
@@ -155,9 +145,8 @@ proptest! {
     ) {
         let reports = FaultPlan::at_rate(rate).apply(clean_log(), seed);
 
-        // Separate servers per arm: sessions cloned from one engine share
-        // its stage-time atomics, and the point here is that the *null*
-        // arm's timers stay untouched.
+        // Separate servers per arm, so the recording arm's observer never
+        // reaches the null arm's engine.
         let null_server = server();
         let mut null_session = null_server.session(window(window_sel));
 
@@ -179,16 +168,8 @@ proptest! {
         let null_stats = null_session.stats();
         let rec_stats = rec_session.stats();
 
-        // Invariant 1: identical outputs. Stats agree field-for-field once
-        // the (observer-gated, wall-clock) stage timers are set aside —
-        // and the null arm's timers are exactly zero.
-        let mut rec_flat = rec_stats;
-        rec_flat.stage = StageTimes::default();
-        let mut null_flat = null_stats;
-        null_flat.stage = StageTimes::default();
-        prop_assert_eq!(null_flat, rec_flat);
-        prop_assert_eq!(null_stats.stage, StageTimes::default(),
-            "disabled observer path read the clock");
+        // Invariant 1: identical outputs, stats field-for-field.
+        prop_assert_eq!(null_stats, rec_stats);
 
         // Invariant 2: exact reconciliation, counter-for-counter.
         let totals = fold(&recorder.take());
@@ -203,8 +184,7 @@ proptest! {
         // exactly one EstimatorFix event per FixAttempt { ok: true }.
         prop_assert_eq!(totals.estimator_fixes, totals.fix_ok);
         // The default spectrum backend never runs a refinement.
-        prop_assert_eq!(rec_stats.stage.refine_ns, 0);
-        prop_assert_eq!(totals.stage, rec_stats.stage);
+        prop_assert_eq!(totals.refine_stages, 0);
         prop_assert_eq!(totals.incremental, rec_stats.incremental);
         // Conservation: every buffered report is still buffered or evicted.
         prop_assert_eq!(rec_stats.ingested,
