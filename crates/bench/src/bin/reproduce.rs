@@ -16,10 +16,12 @@
 //!                                   # tagspin-metrics/v1 JSON
 //! ```
 //!
-//! Output goes to stdout in the `Report` text format; a copy of each full
-//! experiment run is written to `reproduce_csv/reproduce_<fidelity>.log`
-//! (run artifacts belong under the output directory, not the repo root).
-//! EXPERIMENTS.md records a full run.
+//! Output goes to stdout in the `Report` text format; a copy of each
+//! report is written to `reproduce_<fidelity>.log` under the CSV directory
+//! (default `reproduce_csv/`; run artifacts belong under the output
+//! directory, not the repo root). Wall-clock lines (`[<id> took … s]`, the
+//! `total:` footer) go to stdout only, so two exports of one build diff
+//! clean. EXPERIMENTS.md records a full run.
 
 // The reproduction driver reports per-experiment wall time; like the bench
 // crate proper, its clock reads are the product, not pipeline overhead.
@@ -133,8 +135,9 @@ fn main() {
     if let Some(trials) = trials_override {
         fidelity.trials = trials;
     }
-    // Accumulate a copy of everything printed; the run log lands under the
-    // CSV output directory instead of polluting the repo root.
+    // Accumulate a copy of everything printed except wall-clock lines; the
+    // run log lands under the CSV output directory instead of polluting the
+    // repo root.
     let mut log = String::new();
     let header = format!(
         "# Tagspin reproduction — fidelity: {} ({} trials/config, seed {:#x})\n",
@@ -177,14 +180,9 @@ fn main() {
                 eprintln!("warning: csv export for {id} failed: {e}");
             }
         }
-        let timing = format!("  [{} took {:.1} s]\n", id, t0.elapsed().as_secs_f64());
-        println!("{timing}");
-        log.push_str(&timing);
+        println!("  [{} took {:.1} s]\n", id, t0.elapsed().as_secs_f64());
     }
-    let footer = format!("total: {:.1} s", total.elapsed().as_secs_f64());
-    println!("{footer}");
-    log.push_str(&footer);
-    log.push('\n');
+    println!("total: {:.1} s", total.elapsed().as_secs_f64());
 
     let log_dir = csv_dir.unwrap_or_else(|| PathBuf::from("reproduce_csv"));
     let log_path = log_dir.join(format!(

@@ -27,9 +27,18 @@ pub struct Snapshot {
 }
 
 /// A time-ordered snapshot collection for one spinning tag.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// A sliding window evicts from the front on almost every ingest, so
+/// eviction moves a head offset instead of shifting the buffer: the live
+/// window is `buf[head..]`, and the dead prefix is compacted only once it
+/// outgrows the live window. Eviction is therefore amortized O(1) per
+/// evicted snapshot, and the buffer never holds more than twice the live
+/// window. Every accessor, `==` and `clone` see the live window only.
+#[derive(Default)]
 pub struct SnapshotSet {
-    snapshots: Vec<Snapshot>,
+    buf: Vec<Snapshot>,
+    /// Evicted prefix of `buf`.
+    head: usize,
 }
 
 /// Error from snapshot extraction.
@@ -98,7 +107,7 @@ impl SnapshotSet {
         if snapshots.is_empty() {
             return Err(SnapshotError::NoReads);
         }
-        Ok(SnapshotSet { snapshots })
+        Ok(SnapshotSet::from_vec(snapshots))
     }
 
     /// Build directly from snapshots (testing / synthetic data).
@@ -111,7 +120,11 @@ impl SnapshotSet {
             snapshots.windows(2).all(|w| w[1].t_s >= w[0].t_s),
             "snapshots must be time-ordered"
         );
-        SnapshotSet { snapshots }
+        SnapshotSet::from_vec(snapshots)
+    }
+
+    fn from_vec(buf: Vec<Snapshot>) -> SnapshotSet {
+        SnapshotSet { buf, head: 0 }
     }
 
     /// Append one snapshot — the incremental-ingestion counterpart of
@@ -124,58 +137,67 @@ impl SnapshotSet {
     /// set is time-ordered by construction (reader clocks are monotonic).
     pub fn push(&mut self, snapshot: Snapshot) {
         assert!(
-            self.snapshots
-                .last()
-                .is_none_or(|last| snapshot.t_s >= last.t_s),
+            self.last().is_none_or(|last| snapshot.t_s >= last.t_s),
             "snapshots must be appended in time order"
         );
-        self.snapshots.push(snapshot);
+        self.buf.push(snapshot);
     }
 
     /// Evict every snapshot strictly older than `t0` seconds (the sliding
     /// window's time bound). Returns how many snapshots were dropped.
     pub fn evict_before(&mut self, t0: f64) -> usize {
-        let keep_from = self.snapshots.iter().take_while(|s| s.t_s < t0).count();
-        self.snapshots.drain(..keep_from);
-        keep_from
+        let n = self.snapshots().iter().take_while(|s| s.t_s < t0).count();
+        self.evict_front(n);
+        n
     }
 
     /// Keep only the newest `max` snapshots (the sliding window's count
     /// bound). Returns how many snapshots were dropped.
     pub fn evict_to_len(&mut self, max: usize) -> usize {
-        let excess = self.snapshots.len().saturating_sub(max);
-        self.snapshots.drain(..excess);
+        let excess = self.len().saturating_sub(max);
+        self.evict_front(excess);
         excess
+    }
+
+    /// Drop the oldest `n` live snapshots (`n <= len()`).
+    fn evict_front(&mut self, n: usize) {
+        self.head += n;
+        // Compact once the dead prefix is longer than the live window:
+        // the move costs at most the evictions since the last compaction.
+        if self.head > self.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
     }
 
     /// The oldest buffered snapshot.
     pub fn first(&self) -> Option<&Snapshot> {
-        self.snapshots.first()
+        self.snapshots().first()
     }
 
     /// The newest buffered snapshot.
     pub fn last(&self) -> Option<&Snapshot> {
-        self.snapshots.last()
+        self.snapshots().last()
     }
 
     /// The snapshots, time-ordered.
     pub fn snapshots(&self) -> &[Snapshot] {
-        &self.snapshots
+        &self.buf[self.head..]
     }
 
     /// Number of snapshots.
     pub fn len(&self) -> usize {
-        self.snapshots.len()
+        self.buf.len() - self.head
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
+        self.len() == 0
     }
 
     /// The raw phase sequence.
     pub fn phases(&self) -> Vec<f64> {
-        self.snapshots.iter().map(|s| s.phase).collect()
+        self.snapshots().iter().map(|s| s.phase).collect()
     }
 
     /// Replace the phase sequence (used by the calibration stages), keeping
@@ -185,14 +207,14 @@ impl SnapshotSet {
     ///
     /// Panics when the length differs.
     pub fn with_phases(&self, phases: &[f64]) -> SnapshotSet {
-        assert_eq!(phases.len(), self.snapshots.len(), "length mismatch");
+        assert_eq!(phases.len(), self.len(), "length mismatch");
         let snapshots = self
-            .snapshots
+            .snapshots()
             .iter()
             .zip(phases)
             .map(|(s, &p)| Snapshot { phase: p, ..*s })
             .collect();
-        SnapshotSet { snapshots }
+        SnapshotSet::from_vec(snapshots)
     }
 
     /// Keep at most every `stride`-th snapshot (decimation for sweeps).
@@ -202,29 +224,46 @@ impl SnapshotSet {
     /// Panics when `stride == 0`.
     pub fn decimate(&self, stride: usize) -> SnapshotSet {
         assert!(stride > 0, "stride must be positive");
-        SnapshotSet {
-            snapshots: self.snapshots.iter().step_by(stride).copied().collect(),
-        }
+        SnapshotSet::from_vec(self.snapshots().iter().step_by(stride).copied().collect())
     }
 
     /// Keep only snapshots within `[t0, t1)` seconds.
     pub fn window(&self, t0: f64, t1: f64) -> SnapshotSet {
-        SnapshotSet {
-            snapshots: self
-                .snapshots
+        SnapshotSet::from_vec(
+            self.snapshots()
                 .iter()
                 .filter(|s| s.t_s >= t0 && s.t_s < t1)
                 .copied()
                 .collect(),
-        }
+        )
     }
 
     /// Observation span, seconds.
     pub fn span_s(&self) -> f64 {
-        match (self.snapshots.first(), self.snapshots.last()) {
+        match (self.first(), self.last()) {
             (Some(a), Some(b)) => b.t_s - a.t_s,
             _ => 0.0,
         }
+    }
+}
+
+impl Clone for SnapshotSet {
+    fn clone(&self) -> Self {
+        SnapshotSet::from_vec(self.snapshots().to_vec())
+    }
+}
+
+impl PartialEq for SnapshotSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.snapshots() == other.snapshots()
+    }
+}
+
+impl std::fmt::Debug for SnapshotSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SnapshotSet")
+            .field("snapshots", &self.snapshots())
+            .finish()
     }
 }
 
@@ -232,7 +271,7 @@ impl<'a> IntoIterator for &'a SnapshotSet {
     type Item = &'a Snapshot;
     type IntoIter = std::slice::Iter<'a, Snapshot>;
     fn into_iter(self) -> Self::IntoIter {
-        self.snapshots.iter()
+        self.snapshots().iter()
     }
 }
 
@@ -353,6 +392,110 @@ mod tests {
         // No-ops once inside the bounds.
         assert_eq!(set.evict_before(0.0), 0);
         assert_eq!(set.evict_to_len(10), 0);
+    }
+
+    fn at(tick: i64) -> Snapshot {
+        Snapshot {
+            t_s: tick as f64 * 0.1,
+            phase: tagspin_geom::angle::wrap_tau(tick as f64 * 0.7),
+            disk_angle: tick as f64 * 0.05,
+            lambda: 0.325,
+            rssi_dbm: -60.0,
+        }
+    }
+
+    /// Every accessor of `set` agrees with a plain `Vec` holding the same
+    /// live window, and the backing buffer holds at most twice it.
+    fn assert_matches_model(set: &SnapshotSet, model: &[Snapshot]) {
+        let expect = SnapshotSet::from_snapshots(model.to_vec());
+        assert_eq!(set.snapshots(), model);
+        assert_eq!(set.len(), model.len());
+        assert_eq!(set.is_empty(), model.is_empty());
+        assert_eq!(set.first(), model.first());
+        assert_eq!(set.last(), model.last());
+        assert_eq!(set.span_s().to_bits(), expect.span_s().to_bits());
+        assert_eq!(set.phases(), expect.phases());
+        assert_eq!(*set, expect);
+        let copy = set.clone();
+        assert_eq!(copy, expect);
+        assert_eq!(copy.buf.len(), model.len());
+        assert!(
+            set.buf.len() <= 2 * set.len(),
+            "backing {} for a live window of {}",
+            set.buf.len(),
+            set.len()
+        );
+    }
+
+    #[test]
+    fn window_edge_cases() {
+        let mut set = SnapshotSet::default();
+        let mut model = Vec::new();
+        for tick in 0..8 {
+            set.push(at(tick));
+            model.push(at(tick));
+        }
+        // Evicting nothing, by either bound.
+        assert_eq!(set.evict_before(at(0).t_s), 0);
+        assert_eq!(set.evict_to_len(8), 0);
+        assert_matches_model(&set, &model);
+        // A partial eviction leaves the dead prefix in place...
+        assert_eq!(set.evict_to_len(5), 3);
+        model.drain(..3);
+        assert_matches_model(&set, &model);
+        assert_eq!(set.head, 3);
+        // ...until it outgrows the live window.
+        assert_eq!(set.evict_before(at(5).t_s), 2);
+        model.drain(..2);
+        assert_matches_model(&set, &model);
+        assert_eq!(set.head, 0);
+        // Evicting everything, then pushing an older read than the
+        // evicted ones: the emptied window imposes no order.
+        assert_eq!(set.evict_before(at(100).t_s), 3);
+        model.clear();
+        assert_matches_model(&set, &model);
+        set.push(at(2));
+        model.push(at(2));
+        assert_matches_model(&set, &model);
+        assert_eq!(set.evict_to_len(0), 1);
+        model.clear();
+        assert_matches_model(&set, &model);
+    }
+
+    proptest::proptest! {
+        /// Random push / evict sequences match a `Vec` model step by step.
+        /// Op kinds 0–2 push (0, 1 or 2 ticks after the newest read),
+        /// 3 evicts before `arg` ticks back from just past the newest read
+        /// (0: everything; large: nothing), 4 keeps the newest `arg`.
+        #[test]
+        fn prop_window_matches_vec_model(
+            ops in proptest::collection::vec((0u8..5, 0usize..40), 0..300),
+        ) {
+            let mut set = SnapshotSet::default();
+            let mut model: Vec<Snapshot> = Vec::new();
+            let mut now = 0i64;
+            for (kind, arg) in ops {
+                match kind {
+                    0..=2 => {
+                        now += i64::from(kind);
+                        set.push(at(now));
+                        model.push(at(now));
+                    }
+                    3 => {
+                        let t0 = at(now + 1 - arg as i64).t_s;
+                        let n = model.iter().take_while(|s| s.t_s < t0).count();
+                        proptest::prop_assert_eq!(set.evict_before(t0), n);
+                        model.drain(..n);
+                    }
+                    _ => {
+                        let n = model.len().saturating_sub(arg);
+                        proptest::prop_assert_eq!(set.evict_to_len(arg), n);
+                        model.drain(..n);
+                    }
+                }
+                assert_matches_model(&set, &model);
+            }
+        }
     }
 
     #[test]

@@ -128,6 +128,13 @@ impl InventoryLog {
         InventoryLog::default()
     }
 
+    /// An empty log with room for `capacity` reports.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        InventoryLog {
+            reports: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Append a report.
     ///
     /// # Panics

@@ -1,14 +1,15 @@
 //! Property-based tests for the length-prefixed serve framing: round
 //! trips over arbitrary report batches and arbitrary delivery chunking,
-//! plus adversarial inputs — truncation, garbage, oversized prefixes —
-//! which must always surface as typed protocol errors, never a panic and
-//! never a silently desynchronized stream.
+//! plus adversarial inputs — truncation, garbage, single corrupted bytes,
+//! oversized prefixes — which must always surface as typed protocol
+//! errors, never a panic and never a silently desynchronized stream.
 
 use proptest::prelude::*;
 use tagspin_epc::frame::{
     encode_frame, encode_report_frame, FrameDecoder, FrameError, ProtocolError,
     DEFAULT_MAX_FRAME_LEN,
 };
+use tagspin_epc::llrp::encode_report;
 use tagspin_epc::{InventoryLog, TagReport};
 
 fn arb_report() -> impl Strategy<Value = TagReport> {
@@ -37,6 +38,22 @@ fn arb_log() -> impl Strategy<Value = InventoryLog> {
         reports.sort_by_key(|r| r.timestamp_us);
         reports.into_iter().collect()
     })
+}
+
+/// Every field of `sent` came back in `got`, up to the wire's documented
+/// quantization (the framed twin of `proptests.rs::llrp_roundtrip`).
+fn prop_assert_same_log(got: &InventoryLog, sent: &InventoryLog) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), sent.len());
+    for (a, b) in got.reports().iter().zip(sent.reports()) {
+        prop_assert_eq!(a.epc, b.epc & ((1u128 << 96) - 1));
+        prop_assert_eq!(a.timestamp_us, b.timestamp_us);
+        prop_assert_eq!(a.channel_index, b.channel_index);
+        prop_assert_eq!(a.antenna_id, b.antenna_id);
+        let dq = tagspin_geom::angle::separation(a.phase, b.phase);
+        prop_assert!(dq <= std::f64::consts::TAU / 4096.0 / 2.0 + 1e-12);
+        prop_assert!((a.rssi_dbm - b.rssi_dbm).abs() <= 0.005 + 1e-9);
+    }
+    Ok(())
 }
 
 /// Deterministically split `wire` into chunks whose sizes cycle through
@@ -79,7 +96,7 @@ proptest! {
         prop_assert_eq!(got.len(), logs.len());
         for (id, ((log, rid), sent)) in got.iter().zip(&logs).enumerate() {
             prop_assert_eq!(*rid, id as u32);
-            prop_assert_eq!(log.len(), sent.len());
+            prop_assert_same_log(log, sent)?;
         }
         prop_assert!(dec.finish().is_ok());
         prop_assert_eq!(dec.pending(), 0);
@@ -140,6 +157,35 @@ proptest! {
         let (decoded, rid) = dec.try_report().unwrap().expect("good frame after junk");
         prop_assert_eq!(rid, 77);
         prop_assert_eq!(decoded.len(), log.len());
+        prop_assert!(dec.finish().is_ok());
+    }
+
+    /// Overwriting one byte of a valid frame's payload at any offset,
+    /// length fields included, yields a log or a typed LLRP error, never a
+    /// panic, and costs at most that frame: the next one decodes intact.
+    #[test]
+    fn corrupt_payload_byte_is_contained(
+        log in arb_log(),
+        next in arb_log(),
+        offset_frac in 0.0f64..1.0,
+        byte in proptest::num::u8::ANY,
+    ) {
+        let mut payload = encode_report(&log, 5).to_vec();
+        let at = ((payload.len() as f64 * offset_frac) as usize).min(payload.len() - 1);
+        let unchanged = payload[at] == byte;
+        payload[at] = byte;
+        let mut wire = encode_frame(&payload, DEFAULT_MAX_FRAME_LEN).unwrap();
+        wire.extend_from_slice(&encode_report_frame(&next, 6, DEFAULT_MAX_FRAME_LEN).unwrap());
+        let mut dec = FrameDecoder::new();
+        dec.push(&wire);
+        match dec.try_report() {
+            Ok(Some((decoded, _))) if unchanged => prop_assert_same_log(&decoded, &log)?,
+            Ok(Some(_)) | Err(ProtocolError::Llrp(_)) if !unchanged => {}
+            other => prop_assert!(false, "byte {byte:#04x} at {at}: got {other:?}"),
+        }
+        let (decoded, rid) = dec.try_report().unwrap().expect("next frame intact");
+        prop_assert_eq!(rid, 6);
+        prop_assert_same_log(&decoded, &next)?;
         prop_assert!(dec.finish().is_ok());
     }
 
