@@ -93,9 +93,8 @@ impl OrientationCalibration {
             .zip(&phases)
             .map(|(s, &p)| (angle::wrap_tau(s.disk_angle), p))
             .collect();
-        let series =
-            FourierSeries::fit(&samples, order).map_err(OrientationCalibrationError::Fit)?;
-        let rms_residual = series.rms_residual(&samples);
+        let (series, rms_residual) = FourierSeries::fit_with_residual(&samples, order)
+            .map_err(OrientationCalibrationError::Fit)?;
         Ok(OrientationCalibration {
             series,
             rms_residual,

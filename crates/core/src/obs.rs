@@ -125,9 +125,12 @@ pub enum Event {
         three_d: bool,
         /// The profile the search evaluated.
         kind: ProfileKind,
-        /// Cells evaluated by the coarse stride pass.
+        /// Cells evaluated by the coarse stride pass. A horizontal disk's
+        /// 3D search evaluates each `(φ, ±γ)` mirror pair once and counts
+        /// it once.
         coarse_cells: usize,
-        /// Cells evaluated by the fine window pass(es).
+        /// Cells evaluated by the fine window pass(es), counted like
+        /// `coarse_cells`.
         fine_cells: usize,
         /// The strongest detected lobe's coarse value.
         peak: f64,

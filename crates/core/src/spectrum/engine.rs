@@ -6,7 +6,7 @@
 //! evaluates the same profiles, through the exact kernel (`profile_power`)
 //! or, for enhanced cells where it is exact to rounding and cheaper, the
 //! harmonic series (`harmonic_power`; see "The kernel" in
-//! `docs/SPECTRUM_ENGINE.md`), and adds three orthogonal accelerations:
+//! `docs/SPECTRUM_ENGINE.md`), and adds four orthogonal accelerations:
 //!
 //! 1. **Steering-table cache.** The candidate-grid trigonometry
 //!    (`cos φ`, `sin φ`, `cos γ`, `sin γ`) depends only on the disk geometry
@@ -26,6 +26,11 @@
 //!    threads (the same `crossbeam::thread::scope` pattern `sim::sweep`
 //!    uses), gated behind a work threshold so nested use inside sweep
 //!    workers does not oversubscribe the machine.
+//! 4. **Mirror fold.** A horizontal disk's aperture has no vertical
+//!    component, so its 3D profile depends on γ only through `cos γ`
+//!    (Eqns 11–12) and the cells `(φ, ±γ)` are equal. Every 3D evaluation
+//!    over such an aperture computes each mirror pair once and copies it;
+//!    the table's mirror rows are symmetric, so this is exact.
 //!
 //! [`SpectrumEngineConfig::exhaustive`] is the escape hatch: it routes every
 //! call through the original full-grid free functions, bit-identical to the
@@ -63,7 +68,8 @@ const CACHE_CAPACITY: usize = 32;
 
 /// Coarse detection grid step, degrees. The coarse pass samples a
 /// stride-subset of the fine grid, so every coarse evaluation is reused by
-/// the fine pass.
+/// the fine pass: the azimuth stride is the largest not above this step
+/// ([`azimuth_stride`]), the polar stride the nearest ([`polar_stride`]).
 const COARSE_STEP_DEG: f64 = 5.0;
 
 /// Half-width of the fine refinement window around each detected lobe,
@@ -88,6 +94,10 @@ pub struct CacheStats {
 
 /// Precomputed candidate-grid trigonometry. A 720×91 table builds in
 /// microseconds; the LRU keeps it off the per-call path.
+///
+/// The polar rows are mirror-symmetric: rows `j` and `n−1−j` hold the same
+/// `cos γ` and opposite `sin γ`, so a flat aperture steers both cells of a
+/// `±γ` pair identically (see [`Aperture::flat`]).
 #[derive(Debug)]
 struct SteeringTable {
     cos_phi: Vec<f64>,
@@ -98,7 +108,10 @@ struct SteeringTable {
 
 impl SteeringTable {
     /// Build the table for a grid from first principles: azimuth nodes
-    /// over `[0, 2π)`, polar nodes over `[-π/2, π/2]`.
+    /// over `[0, 2π)`, polar nodes over `[-π/2, π/2]`. Each `γ ≥ 0` row is
+    /// computed and copied, sine negated, into its mirror row; computed
+    /// separately, the two cosines differ in the last bit on about half
+    /// the rows.
     fn build(azimuth_steps: usize, polar_steps: usize) -> Self {
         let mut cos_phi = Vec::with_capacity(azimuth_steps);
         let mut sin_phi = Vec::with_capacity(azimuth_steps);
@@ -108,13 +121,19 @@ impl SteeringTable {
             cos_phi.push(phi.cos());
             sin_phi.push(phi.sin());
         }
-        let mut cos_gamma = Vec::with_capacity(polar_steps);
-        let mut sin_gamma = Vec::with_capacity(polar_steps);
-        for j in 0..polar_steps {
+        let mut cos_gamma = vec![0.0; polar_steps];
+        let mut sin_gamma = vec![0.0; polar_steps];
+        for j in polar_steps / 2..polar_steps {
             // lint:allow(lossy-cast) polar index and step count are < 2^32, exact in f64
             let gamma = -FRAC_PI_2 + j as f64 * PI / (polar_steps - 1) as f64;
-            cos_gamma.push(gamma.cos());
-            sin_gamma.push(gamma.sin());
+            let (cos, sin) = (gamma.cos(), gamma.sin());
+            // The mirror first: the middle row of an odd grid is its own
+            // mirror and keeps its own sign.
+            let mirror = polar_steps - 1 - j;
+            cos_gamma[mirror] = cos;
+            sin_gamma[mirror] = -sin;
+            cos_gamma[j] = cos;
+            sin_gamma[j] = sin;
         }
         SteeringTable {
             cos_phi,
@@ -197,6 +216,11 @@ struct Aperture {
     ax: Vec<f64>,
     ay: Vec<f64>,
     az: Vec<f64>,
+    /// No vertical component (`az` all zero), as for every horizontal
+    /// disk: γ enters the steering only through `cos γ` (Eqns 11–12), so a
+    /// 3D cell and its `±γ` mirror take the same value and 3D evaluations
+    /// compute each pair once (see [`eval_cells`]).
+    flat: bool,
 }
 
 impl Aperture {
@@ -213,6 +237,7 @@ impl Aperture {
             ax,
             ay,
             az: vec![0.0; n],
+            flat: true,
         }
     }
 
@@ -228,7 +253,9 @@ impl Aperture {
             ay.push(p.k_r[i] * u.y);
             az.push(p.k_r[i] * u.z);
         }
-        Aperture { ax, ay, az }
+        // lint:allow(float-eq) the fold is exact only when every a_z is exactly zero
+        let flat = az.iter().all(|&z| z == 0.0);
+        Aperture { ax, ay, az, flat }
     }
 }
 
@@ -248,6 +275,19 @@ struct EvalContext<'a> {
 }
 
 impl EvalContext<'_> {
+    /// Whether this context evaluates each `±γ` mirror pair of 3D cells
+    /// once: a 3D grid over a [flat](Aperture::flat) aperture.
+    fn folds(&self) -> bool {
+        self.three_d && self.ap.flat
+    }
+
+    /// The cell in row `n−1−j` of the same column as `cell` (row `j`).
+    fn mirror(&self, cell: usize) -> usize {
+        let rows = self.table.cos_gamma.len();
+        let (j, i) = (cell / self.azimuth_steps, cell % self.azimuth_steps);
+        (rows - 1 - j) * self.azimuth_steps + i
+    }
+
     /// One worker's buffers for this context's kernels.
     fn scratch(&self) -> Scratch {
         self.series
@@ -286,9 +326,31 @@ impl EvalContext<'_> {
 const PAR_MIN_WORK: usize = 65_536;
 
 /// Evaluate `cells` into `values` (which must be pre-sized to the full
-/// grid), fanning out across up to `workers` scoped threads when the work
-/// is large enough.
-fn eval_cells(ctx: &EvalContext<'_>, workers: usize, cells: &[usize], values: &mut [f64]) {
+/// grid) and return how many cells were evaluated.
+///
+/// Where the context [folds](EvalContext::folds), each requested cell is
+/// mapped to the `γ ≥ 0` cell of its mirror pair, each such representative
+/// is evaluated once, and its value is copied to its mirror. The table's
+/// mirror rows are symmetric, so the fold gives the values an unfolded
+/// evaluation would.
+fn eval_cells(ctx: &EvalContext<'_>, workers: usize, cells: &[usize], values: &mut [f64]) -> usize {
+    if !ctx.folds() {
+        eval_each(ctx, workers, cells, values);
+        return cells.len();
+    }
+    let mut reps: Vec<usize> = cells.iter().map(|&c| c.max(ctx.mirror(c))).collect();
+    reps.sort_unstable();
+    reps.dedup();
+    eval_each(ctx, workers, &reps, values);
+    for &c in &reps {
+        values[ctx.mirror(c)] = values[c];
+    }
+    reps.len()
+}
+
+/// Evaluate every cell of `cells` into `values`, fanning out across up to
+/// `workers` scoped threads when the work is large enough.
+fn eval_each(ctx: &EvalContext<'_>, workers: usize, cells: &[usize], values: &mut [f64]) {
     let n = ctx.p.beta.len();
     let workers = workers.min(cells.len());
     if workers <= 1 || cells.len().saturating_mul(n) < PAR_MIN_WORK {
@@ -338,13 +400,24 @@ fn auto_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Coarse stride over a fine grid: the largest stride not exceeding
-/// `step_deg`, so the coarse pass is a strict subset of the fine grid and
-/// every coarse evaluation is reused.
-fn coarse_stride(steps: usize, span_deg: f64, step_deg: f64) -> usize {
+/// Coarse stride over the azimuth axis of `columns` columns spanning
+/// 360°: the largest stride not above [`COARSE_STEP_DEG`], at least 1
+/// (720 columns → 10, 360 → 5, 72 → 1).
+fn azimuth_stride(columns: usize) -> usize {
     // lint:allow(lossy-cast) grid sizes are < 2^32; ratio is small and non-negative
-    let s = (steps as f64 * step_deg / span_deg).floor() as usize;
-    s.clamp(1, steps)
+    let s = (columns as f64 * COARSE_STEP_DEG / 360.0).floor() as usize;
+    s.clamp(1, columns)
+}
+
+/// Coarse stride over the polar axis of `rows` rows spanning 180°: the
+/// stride nearest [`COARSE_STEP_DEG`], at least 1 (61 rows → 2, 91 → 3,
+/// 31 or fewer → 1). A horizontal disk's polar lobe is much wider than
+/// its azimuth lobe, since γ enters its steering only through `cos γ`.
+fn polar_stride(rows: usize) -> usize {
+    let intervals = rows - 1;
+    // lint:allow(lossy-cast) grid sizes are < 2^32; ratio is small and non-negative
+    let s = (intervals as f64 * COARSE_STEP_DEG / 180.0).round() as usize;
+    s.clamp(1, intervals)
 }
 
 /// The coarse-to-fine spectrum evaluator.
@@ -416,13 +489,20 @@ impl SpectrumEngine {
 
     /// [`eval_cells`] wrapped in a stage timer: emits [`Event::StageTime`]
     /// when an observer is enabled, and is exactly `eval_cells` otherwise.
-    fn timed_eval(&self, stage: Stage, ctx: &EvalContext<'_>, cells: &[usize], values: &mut [f64]) {
+    fn timed_eval(
+        &self,
+        stage: Stage,
+        ctx: &EvalContext<'_>,
+        cells: &[usize],
+        values: &mut [f64],
+    ) -> usize {
         let t0 = self.obs.clock_start();
-        eval_cells(ctx, auto_workers(), cells, values);
+        let evaluated = eval_cells(ctx, auto_workers(), cells, values);
         if let Some(t0) = t0 {
             let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.obs.emit(|| Event::StageTime { stage, nanos });
         }
+        evaluated
     }
 
     /// Steering-table cache counters since construction.
@@ -727,10 +807,10 @@ impl SpectrumEngine {
     /// the reference circular refinement on the −∞-masked sparse spectrum.
     fn sparse_peak_2d(&self, ctx: &EvalContext<'_>, cfg: &SpectrumConfig) -> Option<PeakEstimate> {
         let n_az = cfg.azimuth_steps;
-        let stride = coarse_stride(n_az, 360.0, COARSE_STEP_DEG);
+        let stride = azimuth_stride(n_az);
         let coarse: Vec<usize> = (0..n_az).step_by(stride).collect();
         let mut values = vec![f64::NEG_INFINITY; n_az];
-        self.timed_eval(Stage::Coarse, ctx, &coarse, &mut values);
+        let coarse_cells = self.timed_eval(Stage::Coarse, ctx, &coarse, &mut values);
 
         let m = coarse.len();
         let mut lobes: Vec<(usize, f64)> = (0..m)
@@ -768,12 +848,12 @@ impl SpectrumEngine {
         let fine: Vec<usize> = (0..n_az)
             .filter(|&i| needed[i] && !values[i].is_finite())
             .collect();
-        self.timed_eval(Stage::Fine, ctx, &fine, &mut values);
+        let fine_cells = self.timed_eval(Stage::Fine, ctx, &fine, &mut values);
         self.obs.emit(|| Event::PeakSearch {
             three_d: false,
             kind: ctx.kind,
-            coarse_cells: coarse.len(),
-            fine_cells: fine.len(),
+            coarse_cells,
+            fine_cells,
             peak: lobes[0].1,
             sidelobe: lobes.get(1).map(|&(_, v)| v),
         });
@@ -783,7 +863,9 @@ impl SpectrumEngine {
     /// Peak direction of the 3D spectrum (horizontal disk), coarse-to-fine.
     ///
     /// Returns the strongest of the two symmetric `±γ` candidates with its
-    /// power, like [`Spectrum3D::peak`]. The hybrid profile refines with
+    /// power, like [`Spectrum3D::peak`]. The two tie exactly here (each
+    /// mirror pair is evaluated once), and the tie goes to the first in
+    /// row-major order, the `γ ≤ 0` copy. The hybrid profile refines with
     /// the traditional profile inside the window but reports the enhanced
     /// detection power as the weight, matching the historical server
     /// behavior.
@@ -922,15 +1004,26 @@ impl SpectrumEngine {
     }
 
     /// Coarse-to-fine sparse 3D evaluation: returns the −∞-masked sparse
-    /// spectrum with all detected lobes (and their `±γ` mirrors) evaluated
-    /// at fine resolution, ready for the reference peak extraction.
+    /// spectrum with all detected lobes (and, for a folded search, their
+    /// `±γ` mirrors) evaluated at fine resolution, ready for the reference
+    /// peak extraction.
     fn sparse_peak_3d(&self, ctx: &EvalContext<'_>, cfg: &SpectrumConfig) -> Option<Spectrum3D> {
         let (n_az, n_po) = (cfg.azimuth_steps, cfg.polar_steps);
-        let s_az = coarse_stride(n_az, 360.0, COARSE_STEP_DEG);
-        let s_po = coarse_stride(n_po - 1, 180.0, COARSE_STEP_DEG);
+        let s_az = azimuth_stride(n_az);
+        let s_po = polar_stride(n_po);
         let mut rows: Vec<usize> = (0..n_po).step_by(s_po).collect();
         if rows.last() != Some(&(n_po - 1)) {
             rows.push(n_po - 1);
+        }
+        if ctx.folds() {
+            // The mirror of every coarse row, so that the `γ ≥ 0` half
+            // below sees each row's true neighbors where the stride does
+            // not divide the rows evenly (101 rows: 0, 3, …, 99, 100).
+            // Those cells fold onto cells the pass evaluates anyway.
+            let mirrors: Vec<usize> = rows.iter().map(|&j| n_po - 1 - j).collect();
+            rows.extend(mirrors);
+            rows.sort_unstable();
+            rows.dedup();
         }
         let cols: Vec<usize> = (0..n_az).step_by(s_az).collect();
         let coarse: Vec<usize> = rows
@@ -938,14 +1031,19 @@ impl SpectrumEngine {
             .flat_map(|&j| cols.iter().map(move |&i| j * n_az + i))
             .collect();
         let mut values = vec![f64::NEG_INFINITY; n_az * n_po];
-        self.timed_eval(Stage::Coarse, ctx, &coarse, &mut values);
+        let coarse_cells = self.timed_eval(Stage::Coarse, ctx, &coarse, &mut values);
 
         // Local maxima on the coarse sub-grid (azimuth circular, polar
-        // clamped at the caps).
+        // clamped at the caps). A folded spectrum holds every lobe twice,
+        // at `±γ`; only the `γ ≥ 0` copy counts, so the runner-up is a
+        // distinct lobe and `MAX_LOBES` refines that many distinct lobes.
         let (nr, nc) = (rows.len(), cols.len());
         let at = |rj: usize, ci: usize| values[rows[rj] * n_az + cols[ci]];
         let mut lobes: Vec<(usize, usize, f64)> = Vec::new();
         for (rj, &row) in rows.iter().enumerate() {
+            if ctx.folds() && 2 * row + 1 < n_po {
+                continue;
+            }
             for (ci, &col) in cols.iter().enumerate() {
                 let v = at(rj, ci);
                 let left = at(rj, (ci + nc - 1) % nc);
@@ -980,24 +1078,18 @@ impl SpectrumEngine {
         let h_po = s_po + 2;
         let mut needed = vec![false; n_az * n_po];
         for &(j, i, _) in &lobes {
-            // Both the detected lobe and its ±γ mirror: the horizontal-disk
-            // spectrum is γ-symmetric and the global argmax may sit in
-            // either copy.
-            for row_center in [j, n_po - 1 - j] {
-                let lo = row_center.saturating_sub(h_po);
-                let hi = (row_center + h_po).min(n_po - 1);
-                for jj in lo..=hi {
-                    for d in 0..=h_az {
-                        needed[jj * n_az + (i + d) % n_az] = true;
-                        needed[jj * n_az + (i + n_az - d) % n_az] = true;
-                    }
+            // A folded search copies the window's `±γ` mirror too.
+            for jj in j.saturating_sub(h_po)..=(j + h_po).min(n_po - 1) {
+                for d in 0..=h_az {
+                    needed[jj * n_az + (i + d) % n_az] = true;
+                    needed[jj * n_az + (i + n_az - d) % n_az] = true;
                 }
             }
         }
         let fine: Vec<usize> = (0..n_az * n_po)
             .filter(|&c| needed[c] && !values[c].is_finite())
             .collect();
-        self.timed_eval(Stage::Fine, ctx, &fine, &mut values);
+        let mut fine_cells = self.timed_eval(Stage::Fine, ctx, &fine, &mut values);
 
         // The reference `Spectrum3D::peak` refines along the full row and
         // column of the argmax; fill those so the parabolas see real values
@@ -1009,12 +1101,12 @@ impl SpectrumEngine {
             .chain((0..n_po).map(|j| j * n_az + az))
             .filter(|&c| !values[c].is_finite())
             .collect();
-        self.timed_eval(Stage::Fine, ctx, &row_col, &mut values);
+        fine_cells += self.timed_eval(Stage::Fine, ctx, &row_col, &mut values);
         self.obs.emit(|| Event::PeakSearch {
             three_d: true,
             kind: ctx.kind,
-            coarse_cells: coarse.len(),
-            fine_cells: fine.len() + row_col.len(),
+            coarse_cells,
+            fine_cells,
             peak: lobes[0].2,
             sidelobe: lobes.get(1).map(|&(_, _, v)| v),
         });
@@ -1306,10 +1398,245 @@ mod tests {
 
     #[test]
     fn coarse_stride_subsets_fine_grid() {
-        assert_eq!(coarse_stride(720, 360.0, 5.0), 10);
-        assert_eq!(coarse_stride(360, 360.0, 5.0), 5);
-        assert_eq!(coarse_stride(8, 360.0, 5.0), 1);
-        // Polar: 90 intervals over 180° at 5° → stride 2 (2°-steps grid).
-        assert_eq!(coarse_stride(90, 180.0, 5.0), 2);
+        assert_eq!(azimuth_stride(720), 10);
+        assert_eq!(azimuth_stride(360), 5);
+        assert_eq!(azimuth_stride(8), 1);
+        // Polar: the stride nearest 5°, so 3° rows step by 2 (6°), 2° rows
+        // by 3 (6°), and rows of 4.5° or more by 1.
+        assert_eq!(polar_stride(61), 2);
+        assert_eq!(polar_stride(91), 3);
+        assert_eq!(polar_stride(41), 1);
+        assert_eq!(polar_stride(31), 1);
+        assert_eq!(polar_stride(3), 1);
+    }
+
+    #[test]
+    fn steering_table_mirror_rows_are_symmetric() {
+        for rows in [3, 17, 31, 61, 62, 91] {
+            let table = SteeringTable::build(8, rows);
+            for j in 0..rows / 2 {
+                let m = rows - 1 - j;
+                assert_eq!(
+                    table.cos_gamma[j].to_bits(),
+                    table.cos_gamma[m].to_bits(),
+                    "{rows} rows: cos γ of rows {j} and {m}"
+                );
+                assert_eq!(
+                    table.sin_gamma[j].to_bits(),
+                    (-table.sin_gamma[m]).to_bits(),
+                    "{rows} rows: sin γ of rows {j} and {m}"
+                );
+                assert!(table.sin_gamma[j] < 0.0 && table.sin_gamma[m] > 0.0);
+            }
+        }
+    }
+
+    /// Every cell of a full 3D grid through `ap`, and the evaluated count.
+    fn full_grid(
+        p: &Prepared,
+        ap: &Aperture,
+        kind: ProfileKind,
+        cfg: &SpectrumConfig,
+    ) -> (Vec<u64>, usize) {
+        let table = SteeringTable::build(cfg.azimuth_steps, cfg.polar_steps);
+        let likelihood = Likelihood::new(cfg);
+        let series = Harmonics::select(likelihood, p.references.len());
+        let ctx = EvalContext {
+            p,
+            ap,
+            table: &table,
+            kind,
+            likelihood,
+            series: series.as_ref(),
+            azimuth_steps: cfg.azimuth_steps,
+            three_d: true,
+        };
+        let total = cfg.azimuth_steps * cfg.polar_steps;
+        let cells: Vec<usize> = (0..total).collect();
+        let mut values = vec![f64::NEG_INFINITY; total];
+        let evaluated = eval_cells(&ctx, 1, &cells, &mut values);
+        (values.into_iter().map(f64::to_bits).collect(), evaluated)
+    }
+
+    #[test]
+    fn folded_evaluation_matches_unfolded_bit_for_bit() {
+        let disk = DiskConfig::paper_default(Vec3::ZERO);
+        let set = synthesize(&disk, Vec3::new(-0.8, 0.2, 0.6), 96);
+        let cfg = SpectrumConfig {
+            azimuth_steps: 24,
+            polar_steps: 61,
+            ..SpectrumConfig::default()
+        };
+        let p = prepare(&set, disk.radius, &cfg);
+        for ap in [Aperture::horizontal(&p), Aperture::for_disk(&p, &disk)] {
+            assert!(ap.flat);
+            let unfolded = Aperture {
+                ax: ap.ax.clone(),
+                ay: ap.ay.clone(),
+                az: ap.az.clone(),
+                flat: false,
+            };
+            for kind in [ProfileKind::Traditional, ProfileKind::Enhanced] {
+                let (folded, evaluated) = full_grid(&p, &ap, kind, &cfg);
+                let (reference, all) = full_grid(&p, &unfolded, kind, &cfg);
+                assert_eq!(folded, reference, "{kind:?}");
+                // Rows 30..=60 of 61: the γ ≥ 0 half.
+                assert_eq!((evaluated, all), (31 * 24, 61 * 24), "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn vertical_disk_is_not_folded() {
+        let disk = DiskConfig::vertical(Vec3::ZERO, 0.0);
+        let set = synthesize(&disk, Vec3::new(0.2, 1.4, 0.8), 96);
+        let cfg = SpectrumConfig {
+            azimuth_steps: 24,
+            polar_steps: 61,
+            references: 4,
+            ..SpectrumConfig::default()
+        };
+        let p = prepare(&set, disk.radius, &cfg);
+        let ap = Aperture::for_disk(&p, &disk);
+        assert!(!ap.flat);
+        let (values, evaluated) = full_grid(&p, &ap, ProfileKind::Enhanced, &cfg);
+        assert_eq!(evaluated, 61 * 24);
+        // Its spectrum is not γ-symmetric, so a fold would be wrong.
+        let at = |j: usize, i: usize| f64::from_bits(values[j * 24 + i]);
+        assert!((0..24).any(|i| (at(10, i) - at(50, i)).abs() > 1e-3 * at(10, i).abs()));
+    }
+
+    /// The `PeakSearch` events of one hybrid 3D peak search through `run`.
+    fn peak_searches(
+        run: impl FnOnce(&SpectrumEngine) -> Option<(Direction3, f64)>,
+    ) -> Vec<(usize, usize, f64, Option<f64>)> {
+        let recorder = Arc::new(crate::obs::RecordingObserver::new());
+        let mut engine = SpectrumEngine::new();
+        engine.set_observer(recorder.clone());
+        assert!(run(&engine).is_some());
+        recorder
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::PeakSearch {
+                    three_d: true,
+                    coarse_cells,
+                    fine_cells,
+                    peak,
+                    sidelobe,
+                    ..
+                } => Some((coarse_cells, fine_cells, peak, sidelobe)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `batch_3d`'s grid shape.
+    fn cfg_360x61() -> SpectrumConfig {
+        SpectrumConfig {
+            azimuth_steps: 360,
+            polar_steps: 61,
+            ..SpectrumConfig::default()
+        }
+    }
+
+    #[test]
+    fn peak_3d_counts_each_mirror_pair_once() {
+        let cfg = cfg_360x61();
+        let ecfg = SpectrumEngineConfig::default();
+        let hybrid = ProfileKind::Hybrid;
+        let flat = DiskConfig::paper_default(Vec3::ZERO);
+        let flat_set = synthesize(&flat, Vec3::new(-0.8, 0.2, 0.6), 120);
+        let upright = DiskConfig::vertical(Vec3::ZERO, 0.0);
+        let upright_set = synthesize(&upright, Vec3::new(0.2, 1.4, 0.8), 120);
+        // 72 columns × the 16 γ ≥ 0 rows of the 31 coarse rows (every
+        // second of 61), against all 31 rows for a vertical disk.
+        let horizontal = peak_searches(|e| e.peak_3d(&flat_set, flat.radius, hybrid, &cfg, &ecfg));
+        let for_disk = peak_searches(|e| e.peak_3d_for_disk(&flat_set, &flat, hybrid, &cfg, &ecfg));
+        let vertical =
+            peak_searches(|e| e.peak_3d_for_disk(&upright_set, &upright, hybrid, &cfg, &ecfg));
+        for (name, searches, coarse) in [
+            ("horizontal", &horizontal, 1_152),
+            ("horizontal for_disk", &for_disk, 1_152),
+            ("vertical", &vertical, 2_232),
+        ] {
+            assert_eq!(searches.len(), 1, "{name}");
+            assert_eq!(searches[0].0, coarse, "{name}");
+        }
+        // Both horizontal entry points fold alike.
+        assert_eq!(horizontal, for_disk);
+    }
+
+    #[test]
+    fn horizontal_runner_up_is_a_distinct_lobe() {
+        let cfg = cfg_360x61();
+        let disk = DiskConfig::paper_default(Vec3::ZERO);
+        let set = synthesize(&disk, Vec3::new(-0.8, 0.2, 0.6), 120);
+        let searches = peak_searches(|e| {
+            e.peak_3d(
+                &set,
+                disk.radius,
+                ProfileKind::Hybrid,
+                &cfg,
+                &SpectrumEngineConfig::default(),
+            )
+        });
+        let (_, _, peak, sidelobe) = searches[0];
+        let sidelobe = sidelobe.expect("a runner-up lobe");
+        // The peak's ±γ mirror ties it to rounding; a distinct lobe does
+        // not.
+        assert!(
+            peak - sidelobe > 1e-3 * peak,
+            "runner-up {sidelobe} is the mirror of peak {peak}"
+        );
+    }
+
+    #[test]
+    fn folded_search_detects_a_lobe_between_uneven_coarse_rows() {
+        // 101 rows (1.8° apart) step by 3: coarse rows 0, 3, …, 99 and 100,
+        // so row 48 (γ = −3.6°) has no coarse mirror at row 52. A reader
+        // 3° above the disk plane puts the best coarse sample on row 48.
+        let cfg = SpectrumConfig {
+            azimuth_steps: 72,
+            polar_steps: 101,
+            ..SpectrumConfig::default()
+        };
+        assert_eq!(polar_stride(cfg.polar_steps), 3);
+        let disk = DiskConfig::paper_default(Vec3::ZERO);
+        let (r, gamma): (f64, f64) = (2.0, 3.0_f64.to_radians());
+        let reader = Vec3::new(r * 0.5_f64.cos(), r * 0.5_f64.sin(), r * gamma.tan());
+        let set = synthesize(&disk, reader, 120);
+        let kind = ProfileKind::Enhanced;
+        let fast = SpectrumEngineConfig::default();
+        let searches = peak_searches(|e| e.peak_3d(&set, disk.radius, kind, &cfg, &fast));
+
+        // The best coarse sample of the engine's own full grid (the
+        // azimuth stride is 1 at 72 columns).
+        let engine = SpectrumEngine::new();
+        let full = engine.spectrum_3d(&set, disk.radius, kind, &cfg, &fast);
+        let (n_az, values) = (cfg.azimuth_steps, full.values());
+        let (best_row, best) = (0..cfg.polar_steps)
+            .step_by(3)
+            .chain([cfg.polar_steps - 1])
+            .flat_map(|j| (0..n_az).map(move |i| (j, values[j * n_az + i])))
+            .fold((0, f64::NEG_INFINITY), |a, b| if b.1 > a.1 { b } else { a });
+        assert_eq!(best_row, 48);
+        assert_eq!(
+            searches[0].2.to_bits(),
+            best.to_bits(),
+            "the main lobe was not detected"
+        );
+
+        let exhaustive = SpectrumEngineConfig { exhaustive: true };
+        let (f, _) = engine
+            .peak_3d(&set, disk.radius, kind, &cfg, &fast)
+            .unwrap();
+        let (e, _) = engine
+            .peak_3d(&set, disk.radius, kind, &cfg, &exhaustive)
+            .unwrap();
+        // lint:allow(lossy-cast) grid sizes < 2^32, exact in f64
+        let (az_step, po_step) = (TAU / n_az as f64, PI / (cfg.polar_steps - 1) as f64);
+        assert!(angle::separation(f.azimuth, e.azimuth) <= az_step + 1e-9);
+        assert!((f.polar.abs() - e.polar.abs()).abs() <= po_step + 1e-9);
     }
 }

@@ -98,6 +98,44 @@ impl FourierSeries {
     /// * [`FitError::Degenerate`] — samples don't span the basis (e.g. all
     ///   at the same angle).
     pub fn fit(samples: &[(f64, f64)], order: usize) -> Result<Self, FitError> {
+        Self::fit_design(samples, order).map(|(series, _)| series)
+    }
+
+    /// [`FourierSeries::fit`] and the fit's
+    /// [`rms_residual`](FourierSeries::rms_residual) over the same samples.
+    ///
+    /// The residual is bit-identical to calling `rms_residual`, but reads
+    /// `cos kρ` and `sin kρ` from the fit's design matrix instead of
+    /// computing them again for every sample.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FourierSeries::fit`].
+    pub fn fit_with_residual(
+        samples: &[(f64, f64)],
+        order: usize,
+    ) -> Result<(Self, f64), FitError> {
+        let (series, a) = Self::fit_design(samples, order)?;
+        let ss: f64 = samples
+            .iter()
+            .enumerate()
+            .map(|(r, &(_, v))| {
+                // `eval`'s summation order.
+                let mut y = series.a0;
+                for (k, &(ak, bk)) in series.harmonics.iter().enumerate() {
+                    y += ak * a.get(r, 1 + 2 * k) + bk * a.get(r, 2 + 2 * k);
+                }
+                let e = y - v;
+                e * e
+            })
+            .sum();
+        // lint:allow(lossy-cast) sample count is < 2^32, exact in f64
+        Ok((series, (ss / samples.len() as f64).sqrt()))
+    }
+
+    /// The least-squares fit and its design matrix: row `r` holds
+    /// `1, cos ρᵣ, sin ρᵣ, …, cos Kρᵣ, sin Kρᵣ`.
+    fn fit_design(samples: &[(f64, f64)], order: usize) -> Result<(Self, Matrix), FitError> {
         let need = 2 * order + 1;
         if samples.len() < need {
             return Err(FitError::TooFewSamples {
@@ -129,10 +167,11 @@ impl FourierSeries {
         for k in 0..order {
             harmonics.push((x[1 + 2 * k], x[2 + 2 * k]));
         }
-        Ok(FourierSeries {
+        let series = FourierSeries {
             a0: x[0],
             harmonics,
-        })
+        };
+        Ok((series, a))
     }
 
     /// Root-mean-square residual of the fit over a sample set.

@@ -171,6 +171,92 @@ proptest! {
         }
     }
 
+    /// 3D at polar grids fine enough for the coarse pass to step more
+    /// than one row, where a horizontal disk's search folds its `±γ`
+    /// mirror pairs: `batch_3d`'s 61 rows (stride 2), the default 91
+    /// (stride 3), and 60 and 101 rows, whose coarse rows are not
+    /// mirror-symmetric (no middle row; a last row off the stride). The
+    /// azimuth grid is cheap enough for the exhaustive path. The one-step
+    /// agreement above for a horizontal disk (`peak_3d`), and for a
+    /// vertical disk (`peak_3d_for_disk`) with the polar angle compared
+    /// unfolded, since its aperture resolves the sign. A vertical disk's
+    /// spectrum is symmetric under reflection across its own plane, so its
+    /// two reflected peaks tie and either path may report either. Each
+    /// case draws one grid, profile kind and reference count (4 or 16),
+    /// which keeps the exhaustive full grids affordable.
+    #[test]
+    fn prop_fast_3d_peak_within_one_step_at_fine_polar_grids(
+        radius in 0.06f64..0.15,
+        reader_r in 1.0f64..3.0,
+        reader_az in 0.0f64..TAU,
+        reader_z in -1.0f64..1.5,
+        noise_rad in 0.0f64..0.15,
+        normal_azimuth in 0.0f64..TAU,
+        rows_idx in 0usize..4,
+        kind_idx in 0usize..3,
+        ref_idx in 0usize..2,
+        seed in proptest::num::u64::ANY,
+    ) {
+        let horizontal = DiskConfig {
+            radius,
+            ..DiskConfig::paper_default(Vec3::ZERO)
+        };
+        let vertical = DiskConfig {
+            radius,
+            ..DiskConfig::vertical(Vec3::ZERO, normal_azimuth)
+        };
+        let reader = Vec3::new(reader_r * reader_az.cos(), reader_r * reader_az.sin(), reader_z);
+        let flat = synthesize(&horizontal, reader, 64, noise_rad, seed);
+        let upright = synthesize(&vertical, reader, 64, noise_rad, seed);
+        let ecfg = SpectrumEngineConfig::default();
+        let engine = SpectrumEngine::new();
+        let kind = [ProfileKind::Traditional, ProfileKind::Enhanced, ProfileKind::Hybrid][kind_idx];
+        let grid = SpectrumConfig {
+            azimuth_steps: 72,
+            polar_steps: [60, 61, 91, 101][rows_idx],
+            ..cfg_3d()
+        };
+        let cfg = with_default_references(grid)[ref_idx];
+        let az_step = TAU / cfg.azimuth_steps as f64;
+        let po_step = std::f64::consts::PI / (cfg.polar_steps - 1) as f64;
+        let refs = cfg.references;
+        for upright_disk in [false, true] {
+            let peak = |path: &SpectrumEngineConfig| {
+                if upright_disk {
+                    engine.peak_3d_for_disk(&upright, &vertical, kind, &cfg, path)
+                } else {
+                    engine.peak_3d(&flat, radius, kind, &cfg, path)
+                }
+            };
+            let ((fd, _), (ed, _)) = match (peak(&ecfg), peak(&EXHAUSTIVE)) {
+                (Some(a), Some(b)) => (a, b),
+                (a, b) => {
+                    prop_assert!(a.is_none() && b.is_none(),
+                                 "{kind:?}/{refs}: one path found a peak, the other did not");
+                    continue;
+                }
+            };
+            let (az_sep, po_sep) = if upright_disk {
+                let reflected = 2.0 * normal_azimuth + std::f64::consts::PI - ed.azimuth;
+                (
+                    angle::separation(fd.azimuth, ed.azimuth)
+                        .min(angle::separation(fd.azimuth, reflected)),
+                    (fd.polar - ed.polar).abs(),
+                )
+            } else {
+                (
+                    angle::separation(fd.azimuth, ed.azimuth),
+                    (fd.polar.abs() - ed.polar.abs()).abs(),
+                )
+            };
+            prop_assert!(
+                az_sep <= az_step + 1e-9 && po_sep <= po_step + 1e-9,
+                "{kind:?}/{refs}, {} rows, vertical {upright_disk}: fast ({:.4}, {:.4}) vs exhaustive ({:.4}, {:.4})",
+                cfg.polar_steps, fd.azimuth, fd.polar, ed.azimuth, ed.polar
+            );
+        }
+    }
+
     /// The engine's full-grid enhanced spectra against the free
     /// functions, cell by cell, within `1e-12` of the spectrum maximum. The
     /// engine serves enhanced cells from its harmonic series where that is
