@@ -43,7 +43,8 @@ pub enum ProfileKind {
     /// Two-stage bearing estimation: the enhanced profile *detects* the
     /// main lobe (its likelihood weights suppress sidelobes and false
     /// candidates), then the traditional profile *refines* the peak inside
-    /// that lobe.
+    /// that lobe, within ±10° of the detection (see
+    /// [`Spectrum2D::constrained_peak`] and [`Spectrum3D::constrained_peak`]).
     ///
     /// Rationale: under the paper's white Gaussian phase noise, `Q` is the
     /// matched filter — its peak location is minimum-variance — while `R`'s
@@ -51,6 +52,24 @@ pub enum ProfileKind {
     /// immunity. The hybrid keeps both properties and is the pipeline
     /// default.
     Hybrid,
+}
+
+/// Half-width of the [`ProfileKind::Hybrid`] refinement window, degrees.
+const REFINE_HALF_WIDTH_DEG: f64 = 10.0;
+
+/// Mask `values` to `window` (ascending cell indices) in place: every cell
+/// outside it becomes `−∞`. Returns whether a cell inside it is finite.
+fn mask(values: &mut [f64], window: &[usize]) -> bool {
+    let mut inside = window.iter().copied().peekable();
+    let mut finite = false;
+    for (c, v) in values.iter_mut().enumerate() {
+        if inside.next_if_eq(&c).is_some() {
+            finite |= v.is_finite();
+        } else {
+            *v = f64::NEG_INFINITY;
+        }
+    }
+    finite
 }
 
 /// Spectrum computation parameters.
@@ -200,28 +219,47 @@ impl Spectrum2D {
             .map(|w| w as f64 * 360.0 / self.values.len() as f64)
     }
 
-    /// The peak restricted to azimuths within `half_width` of `center`
-    /// (circular window) — used by the hybrid profile's refinement stage.
+    /// The [hybrid](ProfileKind::Hybrid) refinement window around
+    /// `center`: the samples within ±10° of it (circular).
+    fn hybrid_window(&self, center: f64) -> Vec<usize> {
+        let half_width = REFINE_HALF_WIDTH_DEG.to_radians();
+        (0..self.values.len())
+            .filter(|&i| angle::separation(self.azimuth_of(i), center) <= half_width)
+            .collect()
+    }
+
+    /// The peak of the hybrid refinement window around `center` (azimuths
+    /// within ±10°, circular): the spectrum masked to that window, in
+    /// place, then [`Spectrum2D::peak`].
     ///
-    /// Returns `None` for degenerate spectra or an empty window.
-    pub fn constrained_peak(&self, center: f64, half_width: f64) -> Option<PeakEstimate> {
-        let n = self.values.len();
-        if n < 3 {
+    /// Returns `None` for degenerate spectra or a window with no finite
+    /// sample.
+    pub fn constrained_peak(mut self, center: f64) -> Option<PeakEstimate> {
+        let window = self.hybrid_window(center);
+        if !mask(&mut self.values, &window) {
             return None;
         }
-        let masked: Vec<f64> = (0..n)
-            .map(|i| {
-                if angle::separation(self.azimuth_of(i), center) <= half_width {
-                    self.values[i]
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
-            .collect();
-        if masked.iter().all(|v| !v.is_finite()) {
-            return None;
+        self.peak()
+    }
+
+    /// The bearing `kind` reports from its own spectrum `self`: its peak,
+    /// or for [`ProfileKind::Hybrid`] the traditional spectrum's
+    /// [`constrained_peak`](Spectrum2D::constrained_peak) around that peak
+    /// (the peak itself when the window has no finite sample).
+    /// `traditional` returns that spectrum, evaluated on at least the
+    /// window cells it is given. The exhaustive path, the engine and the
+    /// incremental layer all take their peak here.
+    pub(crate) fn profile_peak(
+        &self,
+        kind: ProfileKind,
+        traditional: impl FnOnce(&[usize]) -> Spectrum2D,
+    ) -> Option<PeakEstimate> {
+        let detect = self.peak()?;
+        if kind != ProfileKind::Hybrid {
+            return Some(detect);
         }
-        peak::refine_circular(&masked, TAU)
+        let refined = traditional(&self.hybrid_window(detect.position));
+        Some(refined.constrained_peak(detect.position).unwrap_or(detect))
     }
 
     /// A copy normalized to unit peak (for plotting comparisons).
@@ -310,56 +348,51 @@ impl Spectrum3D {
         Some([d, d.mirror()])
     }
 
-    /// The peak restricted to directions within `half_width` (radians) of
-    /// `center` in azimuth **and** polar angle — the hybrid refinement in
-    /// 3D. Polar symmetry means the window is applied to `|γ|`.
+    /// The [hybrid](ProfileKind::Hybrid) refinement window around
+    /// `center`, row-major: the cells within ±10° of it in azimuth
+    /// (circular) and in `|γ|` (polar symmetry folds the band onto both
+    /// signs of γ).
+    fn hybrid_window(&self, center: Direction3) -> Vec<usize> {
+        let half_width = REFINE_HALF_WIDTH_DEG.to_radians();
+        let n_az = self.azimuth_steps;
+        let cols: Vec<usize> = (0..n_az)
+            .filter(|&i| angle::separation(self.azimuth_of(i), center.azimuth) <= half_width)
+            .collect();
+        (0..self.polar_steps)
+            .filter(|&j| (self.polar_of(j).abs() - center.polar.abs()).abs() <= half_width)
+            .flat_map(|j| cols.iter().map(move |&i| j * n_az + i))
+            .collect()
+    }
+
+    /// The peak of the hybrid refinement window around `center` (within
+    /// ±10° in azimuth and in `|γ|`): the spectrum masked to that window,
+    /// in place, then [`Spectrum3D::peak`]. Its parabolas read no cell
+    /// outside the window, so a window neighbor off it leaves that axis on
+    /// the grid.
     ///
-    /// Returns `None` when no grid point falls inside the window.
-    pub fn constrained_peak(
-        &self,
-        center: Direction3,
-        half_width: f64,
-    ) -> Option<(Direction3, f64)> {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for j in 0..self.polar_steps {
-            let po = self.polar_of(j);
-            if (po.abs() - center.polar.abs()).abs() > half_width {
-                continue;
-            }
-            for i in 0..self.azimuth_steps {
-                if angle::separation(self.azimuth_of(i), center.azimuth) > half_width {
-                    continue;
-                }
-                let v = self.value(i, j);
-                if best.is_none_or(|(_, _, b)| v > b) {
-                    best = Some((i, j, v));
-                }
-            }
+    /// Returns `None` when the window has no finite cell.
+    pub fn constrained_peak(mut self, center: Direction3) -> Option<(Direction3, f64)> {
+        let window = self.hybrid_window(center);
+        if !mask(&mut self.values, &window) {
+            return None;
         }
-        let (az, po, v) = best?;
-        // Local parabolic refinement along both axes (clamped to the grid).
-        let row: Vec<f64> = (0..self.azimuth_steps).map(|a| self.value(a, po)).collect();
-        let az_ref = peak::refine_circular(&row, TAU)?;
-        let col: Vec<f64> = (0..self.polar_steps).map(|p| self.value(az, p)).collect();
-        // lint:allow(lossy-cast) polar step count is < 2^32, exact in f64
-        let po_step = std::f64::consts::PI / (self.polar_steps - 1) as f64;
-        let po_ref = peak::refine_parabolic(&col, -FRAC_PI_2, po_step)?;
-        // Keep the refinement only if it stayed near the window's argmax
-        // (row/column refinement can escape to a stronger out-of-window
-        // lobe).
-        // lint:allow(lossy-cast) azimuth step count is < 2^32, exact in f64
-        let az_window = 2.0 * TAU / self.azimuth_steps as f64;
-        let az_pos = if angle::separation(az_ref.position, self.azimuth_of(az)) < az_window {
-            az_ref.position
-        } else {
-            self.azimuth_of(az)
-        };
-        let po_pos = if (po_ref.position - self.polar_of(po)).abs() < 2.0 * po_step {
-            po_ref.position
-        } else {
-            self.polar_of(po)
-        };
-        Some((Direction3::new(az_pos, po_pos), v))
+        self.peak()
+    }
+
+    /// The 3D counterpart of [`Spectrum2D::profile_peak`]. The hybrid
+    /// reports the refined direction with the detection's power.
+    pub(crate) fn profile_peak(
+        &self,
+        kind: ProfileKind,
+        traditional: impl FnOnce(&[usize]) -> Spectrum3D,
+    ) -> Option<(Direction3, f64)> {
+        let (detect, power) = self.peak()?;
+        if kind != ProfileKind::Hybrid {
+            return Some((detect, power));
+        }
+        let refined = traditional(&self.hybrid_window(detect));
+        let dir = refined.constrained_peak(detect).map_or(detect, |(d, _)| d);
+        Some((dir, power))
     }
 }
 
@@ -1240,5 +1273,88 @@ mod tests {
         let peak = spec.peak().unwrap();
         let expect = (reader - disk().center).azimuth();
         assert!(angle::separation(peak.position, expect) < 10f64.to_radians());
+    }
+
+    proptest::proptest! {
+        /// The hybrid refinement reads no cell outside its window:
+        /// `constrained_peak` of a full traditional spectrum equals, bit for
+        /// bit, `constrained_peak` of the same spectrum masked to the window
+        /// (stated here from its definition: ±10° in azimuth, circular, and
+        /// in 3D ±10° in `|γ|`), in 2D and in 3D for horizontal and vertical
+        /// disks. So the engine, which evaluates only the window, refines
+        /// exactly as the reference does. At 17 rows (11.25° apart) a window
+        /// row's polar neighbors mostly lie outside the window.
+        #[test]
+        fn prop_constrained_peak_reads_only_its_window(
+            reader_r in 1.0f64..3.0,
+            reader_az in 0.0f64..TAU,
+            reader_z in -1.0f64..1.5,
+            normal_azimuth in 0.0f64..TAU,
+            center_az in 0.0f64..TAU,
+            center_po in -FRAC_PI_2..FRAC_PI_2,
+        ) {
+            let cfg = SpectrumConfig {
+                azimuth_steps: 96,
+                polar_steps: 17,
+                references: 4,
+                ..SpectrumConfig::default()
+            };
+            let kind = ProfileKind::Traditional;
+            let half_width = 10f64.to_radians();
+            let in_band = |az: f64| angle::separation(az, center_az) <= half_width;
+            let (x, y) = (reader_r * reader_az.cos(), reader_r * reader_az.sin());
+            let flat = DiskConfig::paper_default(Vec3::ZERO);
+            let upright = DiskConfig::vertical(Vec3::ZERO, normal_azimuth);
+
+            let keep = |values: &[f64], inside: &dyn Fn(usize) -> bool| -> Vec<f64> {
+                (0..values.len())
+                    .map(|c| if inside(c) { values[c] } else { f64::NEG_INFINITY })
+                    .collect()
+            };
+
+            let set = synthesize(&flat, Vec3::new(x, y, 0.0), 64, 1.0);
+            let s2 = spectrum_2d(&set, flat.radius, kind, &cfg);
+            let m2 = Spectrum2D {
+                values: keep(&s2.values, &|i| in_band(s2.azimuth_of(i))),
+            };
+            let bits2 = |p: Option<PeakEstimate>| {
+                p.map(|p| (p.index, p.position.to_bits(), p.value.to_bits()))
+            };
+            proptest::prop_assert_eq!(
+                bits2(s2.clone().constrained_peak(center_az)),
+                bits2(m2.constrained_peak(center_az))
+            );
+
+            let center = Direction3::new(center_az, center_po);
+            let reader = Vec3::new(x, y, reader_z);
+            let (flat_set, upright_set) = (
+                synthesize(&flat, reader, 64, 1.0),
+                synthesize(&upright, reader, 64, 1.0),
+            );
+            let spectra = [
+                ("horizontal", spectrum_3d(&flat_set, flat.radius, kind, &cfg)),
+                ("vertical", spectrum_3d_for_disk(&upright_set, &upright, kind, &cfg)),
+            ];
+            for (name, s3) in spectra {
+                let n_az = s3.azimuth_steps;
+                let in_window = |c: usize| {
+                    let (j, i) = (c / n_az, c % n_az);
+                    in_band(s3.azimuth_of(i))
+                        && (s3.polar_of(j).abs() - center.polar.abs()).abs() <= half_width
+                };
+                let m3 = Spectrum3D {
+                    values: keep(&s3.values, &in_window),
+                    ..s3
+                };
+                let bits3 = |p: Option<(Direction3, f64)>| {
+                    p.map(|(d, v)| (d.azimuth.to_bits(), d.polar.to_bits(), v.to_bits()))
+                };
+                proptest::prop_assert_eq!(
+                    bits3(s3.clone().constrained_peak(center)),
+                    bits3(m3.constrained_peak(center)),
+                    "{} disk", name
+                );
+            }
+        }
     }
 }

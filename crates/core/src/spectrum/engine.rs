@@ -50,7 +50,6 @@ use std::f64::consts::{FRAC_PI_2, PI, TAU};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use tagspin_dsp::peak::{self, PeakEstimate};
-use tagspin_geom::angle;
 use tagspin_geom::vec3::Direction3;
 
 /// Tuning knobs of the [`SpectrumEngine`].
@@ -71,10 +70,6 @@ const CACHE_CAPACITY: usize = 32;
 /// the fine pass: the azimuth stride is the largest not above this step
 /// ([`azimuth_stride`]), the polar stride the nearest ([`polar_stride`]).
 const COARSE_STEP_DEG: f64 = 5.0;
-
-/// Half-width of the fine refinement window around each detected lobe,
-/// degrees (the hybrid profile's refinement window).
-const REFINE_HALF_WIDTH_DEG: f64 = 10.0;
 
 /// Number of strongest coarse local maxima refined by the fine pass. More
 /// lobes is safer against a sharp main lobe slipping between coarse
@@ -709,9 +704,9 @@ impl SpectrumEngine {
     /// reference full-grid path when `ecfg.exhaustive`).
     ///
     /// For [`ProfileKind::Hybrid`] this runs the enhanced detection pass
-    /// and then refines with the traditional profile inside a ±10° window,
-    /// exactly as [`crate::server::LocalizationServer`] historically did on
-    /// full grids.
+    /// and then evaluates the traditional profile on exactly the ±10°
+    /// window its refinement reads (`Spectrum2D::profile_peak`, the rule
+    /// the reference path runs on full grids).
     ///
     /// Returns `None` only for degenerate (< 3 azimuth cell) grids.
     ///
@@ -727,7 +722,9 @@ impl SpectrumEngine {
         ecfg: &SpectrumEngineConfig,
     ) -> Option<PeakEstimate> {
         if ecfg.exhaustive {
-            return Self::exhaustive_peak_2d(|k| spectrum_2d(set, radius, k, cfg), kind);
+            return spectrum_2d(set, radius, kind, cfg).profile_peak(kind, |_| {
+                spectrum_2d(set, radius, ProfileKind::Traditional, cfg)
+            });
         }
         Self::check(set, cfg);
         let p = prepare(set, radius, cfg);
@@ -745,67 +742,24 @@ impl SpectrumEngine {
             azimuth_steps: cfg.azimuth_steps,
             three_d: false,
         };
-        match kind {
-            ProfileKind::Traditional | ProfileKind::Enhanced => {
-                self.sparse_peak_2d(&ctx(kind), cfg)
-            }
-            ProfileKind::Hybrid => {
-                let detect = self.sparse_peak_2d(&ctx(ProfileKind::Hybrid), cfg)?;
-                let half_width = REFINE_HALF_WIDTH_DEG.to_radians();
-                let n_az = cfg.azimuth_steps;
-                // Evaluate the traditional profile on exactly the window
-                // `constrained_peak` will consider; everything else stays
-                // masked at −∞, as the reference mask does.
-                let cells: Vec<usize> = (0..n_az)
-                    .filter(|&i| {
-                        // lint:allow(lossy-cast) bin index and count are < 2^32, exact in f64
-                        let az = i as f64 * TAU / n_az as f64;
-                        angle::separation(az, detect.position) <= half_width
-                    })
-                    .collect();
-                let mut values = vec![f64::NEG_INFINITY; n_az];
-                self.timed_eval(
-                    Stage::Fine,
-                    &ctx(ProfileKind::Traditional),
-                    &cells,
-                    &mut values,
-                );
-                let refined = Spectrum2D { values };
-                Some(
-                    refined
-                        .constrained_peak(detect.position, half_width)
-                        .unwrap_or(detect),
-                )
-            }
-        }
+        self.sparse_peak_2d(&ctx(kind), cfg)?
+            .profile_peak(kind, |window| Spectrum2D {
+                values: self.fine_values(&ctx(ProfileKind::Traditional), window, cfg.azimuth_steps),
+            })
     }
 
-    /// Peak of the reference full-grid 2D path (also reused by
-    /// [`super::incremental`], whose reductions stand in for the free
-    /// functions): single-profile peaks directly, hybrid detect + refine.
-    pub(crate) fn exhaustive_peak_2d(
-        spectrum_of: impl Fn(ProfileKind) -> Spectrum2D,
-        kind: ProfileKind,
-    ) -> Option<PeakEstimate> {
-        let spec = spectrum_of(kind);
-        match kind {
-            ProfileKind::Traditional | ProfileKind::Enhanced => spec.peak(),
-            ProfileKind::Hybrid => {
-                let detect = spec.peak()?;
-                let refined = spectrum_of(ProfileKind::Traditional);
-                Some(
-                    refined
-                        .constrained_peak(detect.position, REFINE_HALF_WIDTH_DEG.to_radians())
-                        .unwrap_or(detect),
-                )
-            }
-        }
+    /// `ctx`'s profile on exactly `cells` (timed as [`Stage::Fine`]), in a
+    /// grid of `len` cells masked at `−∞` elsewhere.
+    fn fine_values(&self, ctx: &EvalContext<'_>, cells: &[usize], len: usize) -> Vec<f64> {
+        let mut values = vec![f64::NEG_INFINITY; len];
+        self.timed_eval(Stage::Fine, ctx, cells, &mut values);
+        values
     }
 
-    /// Coarse-to-fine single-profile 2D peak: coarse stride pass, top
-    /// [`MAX_LOBES`] circular local maxima, fine windows around each, then
-    /// the reference circular refinement on the −∞-masked sparse spectrum.
-    fn sparse_peak_2d(&self, ctx: &EvalContext<'_>, cfg: &SpectrumConfig) -> Option<PeakEstimate> {
+    /// Coarse-to-fine sparse 2D evaluation: coarse stride pass, top
+    /// [`MAX_LOBES`] circular local maxima, fine windows around each; the
+    /// −∞-masked sparse spectrum, ready for the reference peak extraction.
+    fn sparse_peak_2d(&self, ctx: &EvalContext<'_>, cfg: &SpectrumConfig) -> Option<Spectrum2D> {
         let n_az = cfg.azimuth_steps;
         let stride = azimuth_stride(n_az);
         let coarse: Vec<usize> = (0..n_az).step_by(stride).collect();
@@ -857,7 +811,7 @@ impl SpectrumEngine {
             peak: lobes[0].1,
             sidelobe: lobes.get(1).map(|&(_, v)| v),
         });
-        peak::refine_circular(&values, TAU)
+        Some(Spectrum2D { values })
     }
 
     /// Peak direction of the 3D spectrum (horizontal disk), coarse-to-fine.
@@ -866,9 +820,10 @@ impl SpectrumEngine {
     /// power, like [`Spectrum3D::peak`]. The two tie exactly here (each
     /// mirror pair is evaluated once), and the tie goes to the first in
     /// row-major order, the `γ ≤ 0` copy. The hybrid profile refines with
-    /// the traditional profile inside the window but reports the enhanced
-    /// detection power as the weight, matching the historical server
-    /// behavior.
+    /// the traditional profile inside its ±10° window, evaluated on exactly
+    /// that window, but reports the enhanced detection power as the weight
+    /// (`Spectrum3D::profile_peak`, the rule the reference path runs on
+    /// full grids).
     ///
     /// # Panics
     ///
@@ -882,7 +837,9 @@ impl SpectrumEngine {
         ecfg: &SpectrumEngineConfig,
     ) -> Option<(Direction3, f64)> {
         if ecfg.exhaustive {
-            return Self::exhaustive_peak_3d(|k| spectrum_3d(set, radius, k, cfg), kind);
+            return spectrum_3d(set, radius, kind, cfg).profile_peak(kind, |_| {
+                spectrum_3d(set, radius, ProfileKind::Traditional, cfg)
+            });
         }
         Self::check(set, cfg);
         let p = prepare(set, radius, cfg);
@@ -904,7 +861,9 @@ impl SpectrumEngine {
         ecfg: &SpectrumEngineConfig,
     ) -> Option<(Direction3, f64)> {
         if ecfg.exhaustive {
-            return Self::exhaustive_peak_3d(|k| spectrum_3d_for_disk(set, disk, k, cfg), kind);
+            return spectrum_3d_for_disk(set, disk, kind, cfg).profile_peak(kind, |_| {
+                spectrum_3d_for_disk(set, disk, ProfileKind::Traditional, cfg)
+            });
         }
         Self::check(set, cfg);
         // lint:allow(no-panic) documented precondition: callers validate configs
@@ -912,25 +871,6 @@ impl SpectrumEngine {
         let p = prepare(set, disk.radius, cfg);
         let ap = Aperture::for_disk(&p, disk);
         self.fast_peak_3d(&p, &ap, TableId::for_disk(disk, cfg), kind, cfg)
-    }
-
-    /// 3D counterpart of [`SpectrumEngine::exhaustive_peak_2d`].
-    pub(crate) fn exhaustive_peak_3d(
-        spectrum_of: impl Fn(ProfileKind) -> Spectrum3D,
-        kind: ProfileKind,
-    ) -> Option<(Direction3, f64)> {
-        let spec = spectrum_of(kind);
-        match kind {
-            ProfileKind::Traditional | ProfileKind::Enhanced => spec.peak(),
-            ProfileKind::Hybrid => {
-                let (detect, power) = spec.peak()?;
-                let refined = spectrum_of(ProfileKind::Traditional);
-                let dir = refined
-                    .constrained_peak(detect, REFINE_HALF_WIDTH_DEG.to_radians())
-                    .map_or(detect, |(d, _)| d);
-                Some((dir, power))
-            }
-        }
     }
 
     fn fast_peak_3d(
@@ -954,53 +894,13 @@ impl SpectrumEngine {
             azimuth_steps: cfg.azimuth_steps,
             three_d: true,
         };
-        match kind {
-            ProfileKind::Traditional | ProfileKind::Enhanced => {
-                self.sparse_peak_3d(&ctx(kind), cfg).and_then(|s| s.peak())
-            }
-            ProfileKind::Hybrid => {
-                let detect = self.sparse_peak_3d(&ctx(ProfileKind::Hybrid), cfg)?;
-                let (dir, power) = detect.peak()?;
-                let half_width = REFINE_HALF_WIDTH_DEG.to_radians();
-                let (n_az, n_po) = (cfg.azimuth_steps, cfg.polar_steps);
-                // lint:allow(lossy-cast) grid sizes are < 2^32, exact in f64
-                let po_step = PI / (n_po - 1) as f64;
-                // Evaluate the traditional profile on the window
-                // `Spectrum3D::constrained_peak` will consider (|γ|-folded
-                // polar band × circular azimuth band).
-                let mut cells = Vec::new();
-                for j in 0..n_po {
-                    // lint:allow(lossy-cast) polar index is < 2^32, exact in f64
-                    let po = -FRAC_PI_2 + j as f64 * po_step;
-                    if (po.abs() - dir.polar.abs()).abs() > half_width {
-                        continue;
-                    }
-                    for i in 0..n_az {
-                        // lint:allow(lossy-cast) bin index and count are < 2^32, exact in f64
-                        let az = i as f64 * TAU / n_az as f64;
-                        if angle::separation(az, dir.azimuth) <= half_width {
-                            cells.push(j * n_az + i);
-                        }
-                    }
-                }
-                let mut values = vec![f64::NEG_INFINITY; n_az * n_po];
-                self.timed_eval(
-                    Stage::Fine,
-                    &ctx(ProfileKind::Traditional),
-                    &cells,
-                    &mut values,
-                );
-                let refined = Spectrum3D {
-                    azimuth_steps: n_az,
-                    polar_steps: n_po,
-                    values,
-                };
-                let final_dir = refined
-                    .constrained_peak(dir, half_width)
-                    .map_or(dir, |(d, _)| d);
-                Some((final_dir, power))
-            }
-        }
+        let (n_az, n_po) = (cfg.azimuth_steps, cfg.polar_steps);
+        self.sparse_peak_3d(&ctx(kind), cfg)?
+            .profile_peak(kind, |window| Spectrum3D {
+                azimuth_steps: n_az,
+                polar_steps: n_po,
+                values: self.fine_values(&ctx(ProfileKind::Traditional), window, n_az * n_po),
+            })
     }
 
     /// Coarse-to-fine sparse 3D evaluation: returns the −∞-masked sparse
@@ -1123,7 +1023,7 @@ impl SpectrumEngine {
 mod tests {
     use super::*;
     use crate::snapshot::Snapshot;
-    use tagspin_geom::Vec3;
+    use tagspin_geom::{angle, Vec3};
 
     const LAMBDA: f64 = 0.325;
 

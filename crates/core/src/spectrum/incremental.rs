@@ -49,7 +49,6 @@
 //! accumulator, and while any are resident the session serves the legacy
 //! path wholesale, so `NaN` can never linger in the running sums.
 
-use super::engine::SpectrumEngine;
 use super::{
     cell_sums, prepare, Likelihood, ProfileKind, Scratch, Spectrum2D, Spectrum3D, SpectrumConfig,
 };
@@ -547,22 +546,24 @@ impl IncrementalState {
     }
 
     /// The 2D bearing peak from the reduced accumulators — the same
-    /// detect/refine logic as the engine's exhaustive path.
+    /// detect/refine rule as the engine's exhaustive path.
     pub(crate) fn peak_2d(&self) -> Option<PeakEstimate> {
-        SpectrumEngine::exhaustive_peak_2d(|k| self.reduce_2d(k), self.profile)
+        self.reduce_2d(self.profile)
+            .profile_peak(self.profile, |_| self.reduce_2d(ProfileKind::Traditional))
     }
 
     /// The 3D peak direction from the reduced accumulators (both the
     /// horizontal-disk and oriented-disk grids reduce through here).
     pub(crate) fn peak_3d(&self) -> Option<(Direction3, f64)> {
-        SpectrumEngine::exhaustive_peak_3d(|k| self.reduce_3d(k), self.profile)
+        self.reduce_3d(self.profile)
+            .profile_peak(self.profile, |_| self.reduce_3d(ProfileKind::Traditional))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spectrum::engine::SpectrumEngineConfig;
+    use crate::spectrum::engine::{SpectrumEngine, SpectrumEngineConfig};
     use crate::spectrum::{
         profile_power, profile_power_oracle, spectrum_2d, spectrum_3d, spectrum_3d_for_disk,
     };

@@ -9,7 +9,9 @@
 //! randomized geometry; the fixed-input regression side lives in
 //! `tests/golden_traces.rs`.
 //!
-//! Case count defaults to 256 and is pinned in CI via `PROPTEST_CASES`.
+//! Case count defaults to 256 and is pinned in CI via `PROPTEST_CASES`
+//! (4,096 in the nightly job). Each input the nightly run has found is
+//! also a fixed test here, so the 256-case run covers it.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -79,6 +81,187 @@ fn synthesize(disk: &DiskConfig, reader: Vec3, n: usize, noise_rad: f64, seed: u
     )
 }
 
+/// One drawn capture: the disk radius, the reader in cylindrical
+/// coordinates around the disk center, and the phase noise with its seed.
+#[derive(Debug, Clone, Copy)]
+struct Capture {
+    radius: f64,
+    reader_r: f64,
+    reader_az: f64,
+    reader_z: f64,
+    noise_rad: f64,
+    seed: u64,
+}
+
+impl Capture {
+    fn reader(&self) -> Vec3 {
+        Vec3::new(
+            self.reader_r * self.reader_az.cos(),
+            self.reader_r * self.reader_az.sin(),
+            self.reader_z,
+        )
+    }
+}
+
+/// The 96×17 one-step check of one capture (a horizontal disk, every
+/// profile kind at 4 and 16 references).
+fn check_3d_at_96x17(c: Capture) -> Result<(), TestCaseError> {
+    let disk = DiskConfig {
+        radius: c.radius,
+        ..DiskConfig::paper_default(Vec3::ZERO)
+    };
+    let set = synthesize(&disk, c.reader(), 64, c.noise_rad, c.seed);
+    let ecfg = SpectrumEngineConfig::default();
+    let engine = SpectrumEngine::new();
+    for cfg in with_default_references(cfg_3d()) {
+        let az_step = TAU / cfg.azimuth_steps as f64;
+        let po_step = std::f64::consts::PI / (cfg.polar_steps - 1) as f64;
+        let refs = cfg.references;
+        for kind in [
+            ProfileKind::Traditional,
+            ProfileKind::Enhanced,
+            ProfileKind::Hybrid,
+        ] {
+            let fast = engine.peak_3d(&set, disk.radius, kind, &cfg, &ecfg);
+            let full = engine.peak_3d(&set, disk.radius, kind, &cfg, &EXHAUSTIVE);
+            let ((fd, _), (ed, _)) = match (fast, full) {
+                (Some(a), Some(b)) => (a, b),
+                (a, b) => {
+                    prop_assert!(
+                        a.is_none() && b.is_none(),
+                        "{kind:?}/{refs}: one path found a peak, the other did not"
+                    );
+                    continue;
+                }
+            };
+            let az_sep = angle::separation(fd.azimuth, ed.azimuth);
+            let po_sep = (fd.polar.abs() - ed.polar.abs()).abs();
+            prop_assert!(
+                az_sep <= az_step + 1e-9 && po_sep <= po_step + 1e-9,
+                "{kind:?}/{refs}: fast ({:.4}, {:.4}) vs exhaustive ({:.4}, {:.4})",
+                fd.azimuth,
+                fd.polar,
+                ed.azimuth,
+                ed.polar
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The one-step check of one capture at one fine polar grid `cfg` and
+/// profile kind: for a horizontal disk (`peak_3d`), and for a vertical
+/// disk of normal azimuth `normal_azimuth` (`peak_3d_for_disk`) with the
+/// polar angle compared unfolded, since its aperture resolves the sign. A
+/// vertical disk's spectrum is symmetric under reflection across its own
+/// plane, so its two reflected peaks tie and either path may report
+/// either.
+fn check_3d_at_fine_polar_grid(
+    c: Capture,
+    normal_azimuth: f64,
+    kind: ProfileKind,
+    cfg: &SpectrumConfig,
+) -> Result<(), TestCaseError> {
+    let horizontal = DiskConfig {
+        radius: c.radius,
+        ..DiskConfig::paper_default(Vec3::ZERO)
+    };
+    let vertical = DiskConfig {
+        radius: c.radius,
+        ..DiskConfig::vertical(Vec3::ZERO, normal_azimuth)
+    };
+    let flat = synthesize(&horizontal, c.reader(), 64, c.noise_rad, c.seed);
+    let upright = synthesize(&vertical, c.reader(), 64, c.noise_rad, c.seed);
+    let ecfg = SpectrumEngineConfig::default();
+    let engine = SpectrumEngine::new();
+    let az_step = TAU / cfg.azimuth_steps as f64;
+    let po_step = std::f64::consts::PI / (cfg.polar_steps - 1) as f64;
+    let refs = cfg.references;
+    for upright_disk in [false, true] {
+        let peak = |path: &SpectrumEngineConfig| {
+            if upright_disk {
+                engine.peak_3d_for_disk(&upright, &vertical, kind, cfg, path)
+            } else {
+                engine.peak_3d(&flat, c.radius, kind, cfg, path)
+            }
+        };
+        let ((fd, _), (ed, _)) = match (peak(&ecfg), peak(&EXHAUSTIVE)) {
+            (Some(a), Some(b)) => (a, b),
+            (a, b) => {
+                prop_assert!(
+                    a.is_none() && b.is_none(),
+                    "{kind:?}/{refs}: one path found a peak, the other did not"
+                );
+                continue;
+            }
+        };
+        let (az_sep, po_sep) = if upright_disk {
+            let reflected = 2.0 * normal_azimuth + std::f64::consts::PI - ed.azimuth;
+            (
+                angle::separation(fd.azimuth, ed.azimuth)
+                    .min(angle::separation(fd.azimuth, reflected)),
+                (fd.polar - ed.polar).abs(),
+            )
+        } else {
+            (
+                angle::separation(fd.azimuth, ed.azimuth),
+                (fd.polar.abs() - ed.polar.abs()).abs(),
+            )
+        };
+        prop_assert!(
+            az_sep <= az_step + 1e-9 && po_sep <= po_step + 1e-9,
+            "{kind:?}/{refs}, {} rows, vertical {upright_disk}: fast ({:.4}, {:.4}) vs exhaustive ({:.4}, {:.4})",
+            cfg.polar_steps, fd.azimuth, fd.polar, ed.azimuth, ed.polar
+        );
+    }
+    Ok(())
+}
+
+/// At 17 rows (11.25° apart) the hybrid's ±10° window around this
+/// detection (γ = 0) holds no polar neighbor of its best row, and the
+/// traditional maximum lies outside the window, at −17°: both paths must
+/// refine inside the window. Case 2611 of
+/// `prop_fast_3d_peak_within_one_step_of_exhaustive` at
+/// `PROPTEST_CASES=4096`, fixed here so that the default 256 cases cover
+/// it.
+#[test]
+fn fast_3d_hybrid_refines_inside_its_window_at_96x17() {
+    let capture = Capture {
+        radius: 0.07724494146447013,
+        reader_r: 2.9854853473513967,
+        reader_az: 5.625341578345791,
+        reader_z: -0.9629684521161238,
+        noise_rad: 0.1171770182706684,
+        seed: 16331452211459357495,
+    };
+    check_3d_at_96x17(capture).unwrap();
+}
+
+/// At 101 rows (1.8° apart) the hybrid's window around this detection
+/// (γ = 0) has its best traditional row at −9.0°, whose neighbor at −10.8°
+/// lies outside the window, and the traditional maximum lies outside it at
+/// −11.8°: both paths must stop at the window's edge. Case 1708 of
+/// `prop_fast_3d_peak_within_one_step_at_fine_polar_grids` at
+/// `PROPTEST_CASES=4096` (a horizontal disk, the hybrid at 4 references),
+/// fixed here so that the default 256 cases cover it.
+#[test]
+fn fast_3d_hybrid_refines_inside_its_window_at_101_rows() {
+    let capture = Capture {
+        radius: 0.07022013821302617,
+        reader_r: 2.725483078953649,
+        reader_az: 4.027433894895094,
+        reader_z: 0.5318889657487658,
+        noise_rad: 0.1387472082698493,
+        seed: 15149028987465955256,
+    };
+    let cfg = SpectrumConfig {
+        azimuth_steps: 72,
+        polar_steps: 101,
+        ..cfg_3d()
+    };
+    check_3d_at_fine_polar_grid(capture, 4.101364452100381, ProfileKind::Hybrid, &cfg).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
@@ -137,38 +320,7 @@ proptest! {
         noise_rad in 0.0f64..0.15,
         seed in proptest::num::u64::ANY,
     ) {
-        let disk = DiskConfig {
-            radius,
-            ..DiskConfig::paper_default(Vec3::ZERO)
-        };
-        let reader = Vec3::new(reader_r * reader_az.cos(), reader_r * reader_az.sin(), reader_z);
-        let set = synthesize(&disk, reader, 64, noise_rad, seed);
-        let ecfg = SpectrumEngineConfig::default();
-        let engine = SpectrumEngine::new();
-        for cfg in with_default_references(cfg_3d()) {
-            let az_step = TAU / cfg.azimuth_steps as f64;
-            let po_step = std::f64::consts::PI / (cfg.polar_steps - 1) as f64;
-            let refs = cfg.references;
-            for kind in [ProfileKind::Traditional, ProfileKind::Enhanced, ProfileKind::Hybrid] {
-                let fast = engine.peak_3d(&set, disk.radius, kind, &cfg, &ecfg);
-                let full = engine.peak_3d(&set, disk.radius, kind, &cfg, &EXHAUSTIVE);
-                let ((fd, _), (ed, _)) = match (fast, full) {
-                    (Some(a), Some(b)) => (a, b),
-                    (a, b) => {
-                        prop_assert!(a.is_none() && b.is_none(),
-                                     "{kind:?}/{refs}: one path found a peak, the other did not");
-                        continue;
-                    }
-                };
-                let az_sep = angle::separation(fd.azimuth, ed.azimuth);
-                let po_sep = (fd.polar.abs() - ed.polar.abs()).abs();
-                prop_assert!(
-                    az_sep <= az_step + 1e-9 && po_sep <= po_step + 1e-9,
-                    "{kind:?}/{refs}: fast ({:.4}, {:.4}) vs exhaustive ({:.4}, {:.4})",
-                    fd.azimuth, fd.polar, ed.azimuth, ed.polar
-                );
-            }
-        }
+        check_3d_at_96x17(Capture { radius, reader_r, reader_az, reader_z, noise_rad, seed })?;
     }
 
     /// 3D at polar grids fine enough for the coarse pass to step more
@@ -176,14 +328,10 @@ proptest! {
     /// mirror pairs: `batch_3d`'s 61 rows (stride 2), the default 91
     /// (stride 3), and 60 and 101 rows, whose coarse rows are not
     /// mirror-symmetric (no middle row; a last row off the stride). The
-    /// azimuth grid is cheap enough for the exhaustive path. The one-step
-    /// agreement above for a horizontal disk (`peak_3d`), and for a
-    /// vertical disk (`peak_3d_for_disk`) with the polar angle compared
-    /// unfolded, since its aperture resolves the sign. A vertical disk's
-    /// spectrum is symmetric under reflection across its own plane, so its
-    /// two reflected peaks tie and either path may report either. Each
-    /// case draws one grid, profile kind and reference count (4 or 16),
-    /// which keeps the exhaustive full grids affordable.
+    /// azimuth grid is cheap enough for the exhaustive path. Each case
+    /// draws one grid, profile kind and reference count (4 or 16), which
+    /// keeps the exhaustive full grids affordable; see
+    /// [`check_3d_at_fine_polar_grid`] for what is compared.
     #[test]
     fn prop_fast_3d_peak_within_one_step_at_fine_polar_grids(
         radius in 0.06f64..0.15,
@@ -197,19 +345,6 @@ proptest! {
         ref_idx in 0usize..2,
         seed in proptest::num::u64::ANY,
     ) {
-        let horizontal = DiskConfig {
-            radius,
-            ..DiskConfig::paper_default(Vec3::ZERO)
-        };
-        let vertical = DiskConfig {
-            radius,
-            ..DiskConfig::vertical(Vec3::ZERO, normal_azimuth)
-        };
-        let reader = Vec3::new(reader_r * reader_az.cos(), reader_r * reader_az.sin(), reader_z);
-        let flat = synthesize(&horizontal, reader, 64, noise_rad, seed);
-        let upright = synthesize(&vertical, reader, 64, noise_rad, seed);
-        let ecfg = SpectrumEngineConfig::default();
-        let engine = SpectrumEngine::new();
         let kind = [ProfileKind::Traditional, ProfileKind::Enhanced, ProfileKind::Hybrid][kind_idx];
         let grid = SpectrumConfig {
             azimuth_steps: 72,
@@ -217,44 +352,8 @@ proptest! {
             ..cfg_3d()
         };
         let cfg = with_default_references(grid)[ref_idx];
-        let az_step = TAU / cfg.azimuth_steps as f64;
-        let po_step = std::f64::consts::PI / (cfg.polar_steps - 1) as f64;
-        let refs = cfg.references;
-        for upright_disk in [false, true] {
-            let peak = |path: &SpectrumEngineConfig| {
-                if upright_disk {
-                    engine.peak_3d_for_disk(&upright, &vertical, kind, &cfg, path)
-                } else {
-                    engine.peak_3d(&flat, radius, kind, &cfg, path)
-                }
-            };
-            let ((fd, _), (ed, _)) = match (peak(&ecfg), peak(&EXHAUSTIVE)) {
-                (Some(a), Some(b)) => (a, b),
-                (a, b) => {
-                    prop_assert!(a.is_none() && b.is_none(),
-                                 "{kind:?}/{refs}: one path found a peak, the other did not");
-                    continue;
-                }
-            };
-            let (az_sep, po_sep) = if upright_disk {
-                let reflected = 2.0 * normal_azimuth + std::f64::consts::PI - ed.azimuth;
-                (
-                    angle::separation(fd.azimuth, ed.azimuth)
-                        .min(angle::separation(fd.azimuth, reflected)),
-                    (fd.polar - ed.polar).abs(),
-                )
-            } else {
-                (
-                    angle::separation(fd.azimuth, ed.azimuth),
-                    (fd.polar.abs() - ed.polar.abs()).abs(),
-                )
-            };
-            prop_assert!(
-                az_sep <= az_step + 1e-9 && po_sep <= po_step + 1e-9,
-                "{kind:?}/{refs}, {} rows, vertical {upright_disk}: fast ({:.4}, {:.4}) vs exhaustive ({:.4}, {:.4})",
-                cfg.polar_steps, fd.azimuth, fd.polar, ed.azimuth, ed.polar
-            );
-        }
+        let capture = Capture { radius, reader_r, reader_az, reader_z, noise_rad, seed };
+        check_3d_at_fine_polar_grid(capture, normal_azimuth, kind, &cfg)?;
     }
 
     /// The engine's full-grid enhanced spectra against the free
